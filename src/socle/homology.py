@@ -6,15 +6,17 @@ kernel subspace at the last computed stage is retained so that asking
 for more stages resumes where the previous call stopped.
 """
 
-from dataclasses import dataclass, field as dfield
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Subspace, kernel_basis, kernel_subspace, rank
+from .linalg import Subspace, kernel_basis, kernel_subspace, rank, rref
 from .modules import (
     FiniteModule,
     ModuleError,
+    free_action,
     free_module,
     hom_into_ring,
     is_isomorphic,
@@ -31,16 +33,23 @@ class Resolution:
 
     deltas[i] is the RMatrix of delta_{i+1}: R^{b_{i+1}} -> R^{b_i},
     shaped (b_i, b_{i+1}, lambda) with every entry in m.
+
+    The module caches its resolution, so the resolution refers back to
+    it weakly: a dropped module is freed without the cyclic collector.
     """
 
     def __init__(self, module):
-        self.module = module
+        self._module = weakref.ref(module)
         self.ring = module.ring
         self.betti = [module.min_gens()]
         self.deltas = []
         self.finite = False  # some b_i hit zero: finite projective dimension
         self._kernel = None  # kernel subspace of the differential at stage
         self._kernel_stage = -1  # ... this index (0 = the cover map)
+
+    @property
+    def module(self):
+        return self._module()
 
     @property
     def length(self):
@@ -126,18 +135,11 @@ class Resolution:
 def _min_gen_rows(ring, K):
     """Rows of K's basis that lift the echelon basis of K/mK."""
     F = ring.field
-    lam = ring.length
     k = K.dim
-    cols = K.basis.shape[1] // lam
-    mK_rows = []
-    for g in ring.gen_index:
-        from .modules import _free_op
-
-        op = _free_op(ring, cols, g)
-        W = F.mod(op @ K.basis.T)  # images of basis rows, as columns
-        mK_rows.append(W[list(K.pivots), :].T)  # internal coords
-    from .linalg import rref
-
+    coords = list(K.pivots)
+    # images of the basis rows under each generator, in internal coords
+    mK_rows = [free_action(ring, K.basis, g)[:, coords]
+               for g in ring.gen_index]
     red, piv = rref(F, np.vstack(mK_rows))
     gens = [c for c in range(k) if c not in piv]
     return [K.basis[c] for c in gens]
@@ -167,23 +169,10 @@ def realize(ring, delta, coeff_module):
     n = coeff_module.dim
     if rows == 0 or cols == 0 or n == 0:
         return F.zeros((rows * n, cols * n))
-    ops = None
-    if F.p is not None:
-        ops = getattr(coeff_module, "_ops_stack", None)
-        if ops is None:
-            ops = np.array(coeff_module.ops())
-            coeff_module._ops_stack = ops
-    if ops is not None:
-        out = np.tensordot(delta, ops, axes=([2], [0]))  # (rows, cols, n, n)
-        out = out.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
-        return F.mod(out)
-    out = F.zeros((rows * n, cols * n))
-    for r in range(rows):
-        for c in range(cols):
-            out[r * n:(r + 1) * n, c * n:(c + 1) * n] = coeff_module.ring_action(
-                delta[r, c]
-            )
-    return out
+    ops = coeff_module.ops().reshape(lam, n * n)
+    out = F.matmul(delta.reshape(rows * cols, lam), ops)
+    return out.reshape(rows, cols, n, n).transpose(0, 2, 1, 3).reshape(
+        rows * n, cols * n)
 
 
 def _complex_maps(M, N, i):
@@ -313,7 +302,7 @@ def tor_induced_k(f, i):
     fmap = F.zeros((bi * B.dim, bi * A.dim))
     for j in range(bi):
         fmap[j * B.dim:(j + 1) * B.dim, j * A.dim:(j + 1) * A.dim] = f.matrix
-    mapped = F.mod(fmap @ ZA.T).T  # images of A-cycles in B-chains
+    mapped = F.matmul(fmap, ZA.T).T  # images of A-cycles in B-chains
     stacked = np.vstack([BB, mapped]) if BB.shape[0] else mapped
     return rank(F, stacked) - rank(F, BB)
 

@@ -6,7 +6,8 @@ reduction uses leftmost-pivot / first-nonzero-row tie-breaking, which
 pins every basis choice made downstream.
 """
 
-from dataclasses import dataclass, field as dfield
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,9 @@ class Field:
                 raise ValueError(f"not a prime: {p}")
             if p >= 2**31:
                 raise ValueError("p too large for word arithmetic")
+            # inner-product terms per int64 partial sum: each term is at
+            # most (p-1)^2 and the running residue adds at most p-1
+            self._chunk = (2**63 - p) // (p - 1) ** 2
         self.p = p
 
     def __eq__(self, other):
@@ -83,20 +87,63 @@ class Field:
         return a
 
     def matmul(self, a, b):
-        return self.mod(a @ b)
+        """a @ b, exact in every accepted field.
+
+        Over GF(p), entries lie in (-p, p) and the result is reduced mod
+        p; once (p-1)^2 times the inner dimension could pass 2^63, the
+        inner dimension is summed in chunks and reduced after each.  Over
+        Q, both factors are scaled to integers, so the products are
+        integer products and only the result entries become Fractions."""
+        if self.p is None:
+            ia, da = _integral(a)
+            ib, db = _integral(b)
+            prod = np.asarray(ia @ ib)
+            d = da * db
+            return _objects([Fraction(x, d) for x in prod.flat], prod.shape)
+        n = a.shape[-1]
+        if n <= self._chunk:
+            return (a @ b) % self.p
+        out = 0
+        for s in range(0, n, self._chunk):
+            e = s + self._chunk
+            part = b[s:e] if b.ndim == 1 else b[..., s:e, :]
+            out = (out + a[..., s:e] @ part) % self.p
+        return out
+
+
+def _integral(a):
+    """(n, d): an object array n of integers and an integer d with a = n/d."""
+    d = math.lcm(*(x.denominator for x in a.flat)) if a.size else 1
+    return _objects([x.numerator * (d // x.denominator) for x in a.flat],
+                    a.shape), d
+
+
+def _objects(values, shape):
+    out = np.empty(shape, dtype=object)
+    out.flat = values
+    return out
 
 
 GF101 = Field(101)
 QQ = Field(None)
 
 
-def rref(F, m):
-    """Reduced row-echelon form and pivot columns; row space preserved."""
-    m = np.array(m, copy=True)
+def _eliminate(F, m, reduced):
+    """Gaussian elimination with the leftmost-pivot, first-nonzero-row
+    rule; returns the eliminated copy of m and its pivot columns.
+
+    reduced=True gives the reduced row-echelon form: pivot rows scaled to
+    1 and every other row cleared in each pivot column.  reduced=False
+    only clears below each pivot and leaves pivot rows unscaled, which is
+    enough to count pivots.  A pivot at (r, c) touches only the rows
+    nonzero in column c, and only columns >= c: like every row at or
+    below it, row r is already zero left of c, so subtracting multiples
+    of it leaves those columns unchanged."""
+    m = F.mod(np.array(m, copy=True))
     rows, cols = m.shape
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.flatnonzero(m[r:, c])
@@ -104,37 +151,36 @@ def rref(F, m):
             continue
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = F.mod(m[r] * F.inv(m[r, c]))
-        col = np.array(m[:, c], copy=True)
-        col[r] = F.zero
-        m = F.mod(m - np.outer(col, m[r]))
+            m[[r, i]] = m[[i, r]]  # old row r, zero in column c, moves to i
+        inv = F.inv(m[r, c])
+        if reduced:
+            m[r, c:] = F.mod(m[r, c:] * inv)
+            hit = np.flatnonzero(m[:, c])
+            hit = hit[hit != r]
+            factors = m[hit, c]
+        else:
+            hit = r + nz[1:]
+            factors = F.mod(m[hit, c] * inv)
+        if hit.size:
+            m[hit, c:] = F.mod(m[hit, c:] - np.outer(factors, m[r, c:]))
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
+def rref(F, m):
+    """Reduced row-echelon form and pivot columns; row space preserved."""
+    return _eliminate(F, m, reduced=True)
+
+
 def rank(F, m):
-    if m.size == 0:
+    if m.size == 0 or not np.any(m):
         return 0
-    return len(rref(F, m)[1])
+    return len(_eliminate(F, m, reduced=False)[1])
 
 
 def kernel_basis(F, m):
     """Rows form a basis of the right null space: m @ row = 0."""
-    rows, cols = m.shape
-    if cols == 0:
-        return F.zeros((0, 0))
-    if rows == 0:
-        return F.eye(cols)
-    r, pivots = rref(F, m)
-    free = [c for c in range(cols) if c not in pivots]
-    out = F.zeros((len(free), cols))
-    for k, f in enumerate(free):
-        out[k, f] = F.one
-        for j, c in enumerate(pivots):
-            out[k, c] = F.mod(F.zero - r[j, f])
-    return out
+    return kernel_subspace(F, m).basis
 
 
 @dataclass
@@ -242,22 +288,22 @@ class Subspace:
 def kernel_subspace(F, m):
     """Right null space of m as a Subspace, without re-reducing.
 
-    The kernel basis rows carry an identity block on the free columns of
-    m, so they already satisfy the dual-basis property Subspace needs
-    (basis[j][pivots[k]] = delta_jk) with those columns as pivots."""
+    Row k of the basis is 1 at the k-th free (non-pivot) column f of m and
+    -rref(m)[j, f] at the j-th pivot column.  That identity block on the
+    free columns is the dual-basis property Subspace needs
+    (basis[j][pivots[k]] = delta_jk), with the free columns as pivots."""
     rows, cols = m.shape
     if cols == 0:
         return Subspace(F, 0)
     if rows == 0:
         return Subspace.full(F, cols)
     r, pivots = rref(F, m)
-    free = [c for c in range(cols) if c not in pivots]
-    out = F.zeros((len(free), cols))
-    for k, f in enumerate(free):
-        out[k, f] = F.one
-        for j, c in enumerate(pivots):
-            out[k, c] = F.mod(F.zero - r[j, f])
-    return Subspace(F, cols, out, tuple(free))
+    free = np.setdiff1d(np.arange(cols), pivots)
+    out = F.zeros((free.size, cols))
+    out[np.arange(free.size), free] = F.one
+    if pivots:
+        out[:, pivots] = F.mod(-r[: len(pivots), free].T)
+    return Subspace(F, cols, out, tuple(int(f) for f in free))
 
 
 def image_basis(F, m):

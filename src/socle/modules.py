@@ -7,6 +7,8 @@ gamma-invariants, exterior squares) is computed from this data by exact
 linear algebra.
 """
 
+import weakref
+
 import numpy as np
 
 from .linalg import (
@@ -51,8 +53,8 @@ class FiniteModule:
         F = self.field
         for i in range(len(self.actions)):
             for j in range(i):
-                d = F.mod(self.actions[i] @ self.actions[j]
-                          - self.actions[j] @ self.actions[i])
+                d = F.mod(F.matmul(self.actions[i], self.actions[j])
+                          - F.matmul(self.actions[j], self.actions[i]))
                 if np.any(d):
                     raise ModuleError("generator actions do not commute")
         for f in self.ring.presentation.relations:
@@ -68,32 +70,30 @@ class FiniteModule:
             term = F.eye(self.dim)
             for g, k in enumerate(mon):
                 for _ in range(k):
-                    term = F.mod(term @ self.actions[g])
+                    term = F.matmul(term, self.actions[g])
             out = F.mod(out + F.scalar(coeff) * term)
         return out
 
     def ops(self):
-        """Action of every ring basis element; an algebra map R -> End(M)."""
+        """Action of every ring basis element, stacked (lambda, dim, dim);
+        an algebra map R -> End(M)."""
         if self._ops is None:
             F = self.field
-            ops = []
-            for d, mon in self.ring.basis:
+            ops = F.zeros((self.ring.length, self.dim, self.dim))
+            for b, (d, mon) in enumerate(self.ring.basis):
                 A = F.eye(self.dim)
                 for g, k in enumerate(mon):
                     for _ in range(k):
-                        A = F.mod(A @ self.actions[g])
-                ops.append(A)
+                        A = F.matmul(A, self.actions[g])
+                ops[b] = A
             self._ops = ops
         return self._ops
 
     def ring_action(self, coeffs):
         """Action matrix of the ring element with the given coordinates."""
-        F = self.field
-        out = F.zeros((self.dim, self.dim))
-        ops = self.ops()
-        for i in np.flatnonzero(np.asarray(coeffs)):
-            out = out + coeffs[i] * ops[i]
-        return F.mod(out)
+        n = self.dim
+        ops = self.ops().reshape(self.ring.length, n * n)
+        return self.field.matmul(np.asarray(coeffs), ops).reshape(n, n)
 
     # -- invariants -----------------------------------------------------
 
@@ -113,7 +113,7 @@ class FiniteModule:
         for _ in range(j):
             if S.dim == 0:
                 return S
-            rows = [self.field.mod(A @ S.basis.T).T for A in self.actions]
+            rows = [self.field.matmul(A, S.basis.T).T for A in self.actions]
             S = Subspace.from_rows(self.field, np.vstack(rows), self.dim)
         return S
 
@@ -188,7 +188,7 @@ class ModuleMap:
         if validate:
             F = source.field
             for As, At in zip(source.actions, target.actions):
-                d = F.mod(self.matrix @ As - At @ self.matrix)
+                d = F.mod(F.matmul(self.matrix, As) - F.matmul(At, self.matrix))
                 if np.any(d):
                     raise ModuleError("matrix is not R-linear")
 
@@ -196,12 +196,25 @@ class ModuleMap:
 # -- constructors -------------------------------------------------------
 
 
+def _cached_on_ring(ring, attr, build):
+    """The module ring.<attr> refers to, built anew once it has died.
+
+    The ring holds it by weak reference only: the module refers to the
+    ring, so a strong reference would make a cycle, and a dropped ring
+    with everything cached on it would wait for the cyclic collector."""
+    ref = getattr(ring, attr, None)
+    mod = ref() if ref is not None else None
+    if mod is None:
+        mod = build()
+        setattr(ring, attr, weakref.ref(mod))
+    return mod
+
+
 def regular_module(ring):
-    if getattr(ring, "_regular_module", None) is None:
-        gens = [ring.left_mult[g] for g in ring.gen_index]
-        ring._regular_module = FiniteModule(ring, gens, free_rank=1,
-                                            validate=False)
-    return ring._regular_module
+    return _cached_on_ring(
+        ring, "_regular_module",
+        lambda: FiniteModule(ring, [ring.left_mult[g] for g in ring.gen_index],
+                             free_rank=1, validate=False))
 
 
 def free_module(ring, n):
@@ -219,12 +232,11 @@ def free_module(ring, n):
 
 
 def residue_field(ring):
-    if getattr(ring, "_residue_field", None) is None:
-        F = ring.field
-        ring._residue_field = FiniteModule(
-            ring, [F.zeros((1, 1)) for _ in range(ring.e)], validate=False
-        )
-    return ring._residue_field
+    F = ring.field
+    return _cached_on_ring(
+        ring, "_residue_field",
+        lambda: FiniteModule(ring, [F.zeros((1, 1)) for _ in range(ring.e)],
+                             validate=False))
 
 
 def rmatrix_from_polys(ring, rows):
@@ -251,11 +263,11 @@ def quotient_module(amb, S):
     F = amb.field
     for A in amb.actions:
         for row in S.basis:
-            if not S.contains(F.mod(A @ row)):
+            if not S.contains(F.matmul(A, row)):
                 raise ModuleError("subspace is not closed under the action")
     proj = S.projection()
     sec = S.section()
-    acts = [F.mod(proj @ A @ sec) for A in amb.actions]
+    acts = [F.matmul(F.matmul(proj, A), sec) for A in amb.actions]
     return FiniteModule(amb.ring, acts, validate=False), proj
 
 
@@ -265,7 +277,7 @@ def submodule_module(amb, S):
     B = S.basis
     acts = []
     for A in amb.actions:
-        W = F.mod(A @ B.T)  # columns: images of basis rows
+        W = F.matmul(A, B.T)  # columns: images of basis rows
         for c in range(W.shape[1]):
             if not S.contains(W[:, c]):
                 raise ModuleError("subspace is not closed under the action")
@@ -288,24 +300,22 @@ def from_presentation(ring, pres):
         return mod
     cols = pres.transpose(1, 0, 2).reshape(m, n * lam)  # columns as vectors
     # R-span: apply every ring basis element to every column
-    spans = []
-    for b in range(lam):
-        op = _free_op(ring, n, b)
-        spans.append(F.mod(cols @ op.T))
+    spans = [free_action(ring, cols, b) for b in range(lam)]
     U = Subspace.from_rows(F, np.vstack(spans), n * lam)
     mod, proj = quotient_module(amb, U)
     mod.presentation = pres
     return mod
 
 
-def _free_op(ring, n, b):
+def free_action(ring, rows, b):
+    """Ring basis element b acting on each row, a vector of R^n with
+    coordinate j*lambda + i for component j and ring basis element i:
+    L_b applied to every length-lambda block."""
+    k = rows.shape[0]
     lam = ring.length
-    F = ring.field
-    L = ring.left_mult[b]
-    out = F.zeros((n * lam, n * lam))
-    for j in range(n):
-        out[j * lam:(j + 1) * lam, j * lam:(j + 1) * lam] = L
-    return out
+    n = rows.shape[1] // lam
+    blocks = ring.field.matmul(rows.reshape(k, n, lam), ring.left_mult[b].T)
+    return blocks.reshape(k, n * lam)
 
 
 def presentation_of(mod):
@@ -373,7 +383,8 @@ def tensor_over_R(a, b):
     Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
     proj = Wspan.projection()
     sec = Wspan.section()
-    acts = [F.mod(proj @ F.mod(np.kron(Aa, eyen)) @ sec) for Aa in a.actions]
+    acts = [F.matmul(F.matmul(proj, F.mod(np.kron(Aa, eyen))), sec)
+            for Aa in a.actions]
     return FiniteModule(a.ring, acts, validate=False)
 
 
@@ -395,7 +406,7 @@ def hom_over_R(a, b):
     acts = []
     for Ab in b.actions:
         post = F.mod(np.kron(Ab, eyem))
-        W = F.mod(post @ S.basis.T)
+        W = F.matmul(post, S.basis.T)
         acts.append(W[list(S.pivots), :])
     hom = FiniteModule(a.ring, acts, validate=False)
     hom.hom_basis = [S.basis[i].reshape(n, m) for i in range(S.dim)]
@@ -455,7 +466,7 @@ def _subspace_as_module(amb, S):
         return free_module(amb.ring, 0), []
     acts = []
     for A in amb.actions:
-        W = F.mod(A @ S.basis.T)
+        W = F.matmul(A, S.basis.T)
         acts.append(W[list(S.pivots), :])
     sub = FiniteModule(amb.ring, acts, validate=False)
     mm_internal = sub.mm()
@@ -504,8 +515,8 @@ def is_isomorphic(a, b, trials=24):
             coeffs = rng.integers(-20, 21, size=len(basis))
         cand = F.zeros((a.dim, a.dim))
         for c, B in zip(coeffs, basis):
-            cand = cand + F.scalar(int(c)) * B
-        if rank(F, F.mod(cand)) == a.dim:
+            cand = F.mod(cand + F.scalar(int(c)) * B)
+        if rank(F, cand) == a.dim:
             return True
     return False
 
@@ -532,19 +543,19 @@ def exterior_square(mod):
         sym_rows.append(np.kron(eye[i], eye[i]))
         for j in range(i):
             sym_rows.append(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
-    sym = Subspace.from_rows(F, F.mod(proj @ np.vstack(sym_rows).T).T, t)
+    sym = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym_rows).T).T, t)
     wedge, wproj = quotient_module(tensor, sym)
     # swap on M(x)M descends to the R-tensor; antisymmetrize
     swap = F.zeros((m * m, m * m))
     for i in range(m):
         for j in range(m):
             swap[i * m + j, j * m + i] = F.one
-    anti = F.mod(proj @ (F.eye(m * m) - swap) @ sec)
+    anti = F.matmul(F.matmul(proj, F.eye(m * m) - swap), sec)
     wsec = sym.section()
-    iota_mat = F.mod(anti @ wsec)
+    iota_mat = F.matmul(anti, wsec)
     # well-definedness: the symmetric part must map to zero
     for row in sym.basis:
-        if np.any(F.mod(anti @ row)):
+        if np.any(F.matmul(anti, row)):
             raise ModuleError("iota is not well-defined")
     iota = ModuleMap(wedge, tensor, iota_mat, validate=False)
     return wedge, iota
@@ -561,7 +572,8 @@ def _tensor_with_maps(a, b):
     Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
     proj = Wspan.projection()
     sec = Wspan.section()
-    acts = [F.mod(proj @ F.mod(np.kron(Aa, eyen)) @ sec) for Aa in a.actions]
+    acts = [F.matmul(F.matmul(proj, F.mod(np.kron(Aa, eyen))), sec)
+            for Aa in a.actions]
     return FiniteModule(a.ring, acts, validate=False), proj, sec
 
 
@@ -592,7 +604,7 @@ def wedge_image(ring, phi):
     spans = []
     for b in range(lam):
         L = ring.left_mult[b]
-        spans.append(F.mod(np.vstack(minors) @ L.T))
+        spans.append(F.matmul(np.vstack(minors), L.T))
     return Subspace.from_rows(F, np.vstack(spans), lam)
 
 

@@ -7,12 +7,12 @@ basis of R_d.  Monomials are ordered graded-lex with x_1 > x_2 > ...,
 so the standard basis is deterministic.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .linalg import Field, Subspace, rref
+from .linalg import Field, Subspace, kernel_basis, rref
 
 
 class PresentationError(ValueError):
@@ -130,7 +130,7 @@ class GradedRing:
         soc = Subspace.full(F, self.length)
         for A in gens:
             soc = soc.intersect(
-                Subspace.from_rows(F, _kernel_rows(F, A), self.length)
+                Subspace.from_rows(F, kernel_basis(F, A), self.length)
             )
         self._socle = soc
         self.a = soc.dim
@@ -142,18 +142,15 @@ class GradedRing:
     def multiply(self, u, v):
         """Product of two elements given as global coordinate vectors."""
         F = self.field
-        out = F.zeros(self.length)
-        for i in np.flatnonzero(u):
-            out = out + u[i] * (self.left_mult[i] @ v)
-        return F.mod(out)
+        return F.matmul(u, F.matmul(v, self.table))
 
     def normal_form(self, poly):
         """Coordinate vector of a polynomial, given as exponent dict."""
         F = self.field
         v = F.zeros(self.length)
         for mon, coeff in poly.items():
-            v = v + F.scalar(coeff) * self.monomial_vector(mon)
-        return F.mod(v)
+            v = F.mod(v + F.scalar(coeff) * self.monomial_vector(mon))
+        return v
 
     def socle_subspace(self):
         return self._socle
@@ -197,12 +194,6 @@ class GradedRing:
             f"GradedRing({self.field}, vars={self.varnames}, {rels} relations, "
             f"hilbert={self.hilbert})"
         )
-
-
-def _kernel_rows(F, A):
-    from .linalg import kernel_basis
-
-    return kernel_basis(F, A)
 
 
 def build_ring(presentation, degree_cap=30):

@@ -28,6 +28,7 @@ from .linalg import Subspace, kernel_basis
 from .modules import (
     canonical_module,
     cover_map,
+    free_action,
     free_module,
     matlis_dual,
     regular_module,
@@ -308,7 +309,7 @@ def _s6(inst, n):
     Fr, cover = cover_map(M)
     amb = b[0] * ring.length
     K = Subspace.from_rows(F, kernel_basis(F, cover.matrix), amb)
-    mK_rows = [F.mod(A @ K.basis.T).T for A in Fr.actions]
+    mK_rows = [F.matmul(A, K.basis.T).T for A in Fr.actions]
     mK = Subspace.from_rows(F, np.vstack(mK_rows), amb)
     eq2 = _subspaces_equal(mK, Fr.msub(2))
     return eq1 and eq2, f"b1=(e-gamma)b0: {eq1}; mM1=m^2R^b0: {eq2}", {}
@@ -757,9 +758,7 @@ def _s28(inst, n):
     g = pres.shape[1]
     lam = ring.length
     cols = pres.transpose(1, 0, 2).reshape(g, 2 * lam)
-    from .modules import _free_op
-
-    spans = [F.mod(cols @ _free_op(ring, 2, b).T) for b in range(lam)]
+    spans = [free_action(ring, cols, b) for b in range(lam)]
     Nspace = Subspace.from_rows(F, np.vstack(spans), 2 * lam)
     amb = free_module(ring, 2)
     Nmod, _ = submodule_module(amb, Nspace)

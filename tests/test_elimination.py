@@ -1,0 +1,223 @@
+"""Differential tests of the elimination kernel, the kernel extraction,
+the blockwise free-module action and word-size products, each against
+the dense slow path it replaced or an object-dtype oracle."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from socle.homology import realize
+from socle.linalg import QQ, Field, kernel_subspace, rank, rref
+from socle.modules import free_action, random_module
+from socle.ring import ring_from_strings
+
+P_MAX = 2**31 - 1  # the largest prime Field accepts
+FIELDS = [Field(2), Field(3), Field(101), Field(P_MAX), QQ]
+
+
+def dense_rref(F, m):
+    """The whole-matrix elimination that rref replaced: every pivot
+    updates every row and every column."""
+    m = np.array(m, copy=True)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = F.mod(m[r] * F.inv(m[r, c]))
+        col = np.array(m[:, c], copy=True)
+        col[r] = F.zero
+        m = F.mod(m - np.outer(col, m[r]))
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def loop_kernel(F, m):
+    """Kernel rows as the per-entry double loop used to build them."""
+    r, pivots = dense_rref(F, m)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    out = F.zeros((len(free), m.shape[1]))
+    for k, f in enumerate(free):
+        out[k, f] = F.one
+        for j, c in enumerate(pivots):
+            out[k, c] = F.mod(F.zero - r[j, f])
+    return out, tuple(free)
+
+
+def dense_free_op(ring, n, b):
+    """Block-diagonal (n*lambda)^2 matrix of L_b on R^n."""
+    lam = ring.length
+    F = ring.field
+    out = F.zeros((n * lam, n * lam))
+    for j in range(n):
+        out[j * lam:(j + 1) * lam, j * lam:(j + 1) * lam] = ring.left_mult[b]
+    return out
+
+
+def identical(a, b):
+    """Same shape, dtype, values and (for object arrays) element types."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    fa, fb = a.reshape(-1).tolist(), b.reshape(-1).tolist()
+    return fa == fb and [type(x) for x in fa] == [type(x) for x in fb]
+
+
+@st.composite
+def field_matrices(draw, fields=FIELDS, max_dim=9):
+    """A matrix over one of the fields; the density runs from the zero matrix
+    to a full one, and shapes include empty ones.  Sparse low-rank rows
+    are stacked in too, so some columns have no pivot."""
+    F = draw(st.sampled_from(fields))
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((rows, cols)) < density
+    if F.p is None:
+        num = rng.integers(-5, 6, size=(rows, cols))
+        den = rng.integers(1, 4, size=(rows, cols))
+        m = F.zeros((rows, cols))
+        for (i, j) in zip(*np.nonzero(mask)):
+            m[i, j] = Fraction(int(num[i, j]), int(den[i, j]))
+    else:
+        m = np.where(mask, rng.integers(0, F.p, size=(rows, cols)), 0)
+        m = F.array(m)
+    if rows >= 2 and draw(st.booleans()):
+        m[-1] = F.mod(m[0] + m[1])  # a dependent row
+    return F, m
+
+
+@given(field_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_dense_oracle(case):
+    F, m = case
+    r, piv = rref(F, m)
+    want_r, want_piv = dense_rref(F, m)
+    assert piv == want_piv
+    assert identical(r, want_r)
+
+
+@given(field_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_is_oracle_pivot_count(case):
+    F, m = case
+    assert rank(F, m) == len(dense_rref(F, m)[1])
+
+
+@given(field_matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_loop_oracle(case):
+    F, m = case
+    if m.shape[0] == 0 or m.shape[1] == 0:
+        return  # handled before any elimination; covered by test_linalg
+    S = kernel_subspace(F, m)
+    rows, free = loop_kernel(F, m)
+    assert S.pivots == free
+    assert all(type(c) is int for c in S.pivots)
+    assert identical(S.basis, rows)
+
+
+def test_free_action_matches_block_diagonal_product():
+    rng = np.random.default_rng(5)
+    for p in (101, P_MAX):
+        F = Field(p)
+        ring = ring_from_strings(F, ["x", "y"], ["x^2", "y^3"])
+        lam = ring.length
+        for n in (1, 2, 3):
+            rows = F.array(rng.integers(0, p, size=(4, n * lam)))
+            for b in range(lam):
+                dense = rows.astype(object) @ dense_free_op(ring, n, b).T
+                want = np.array(dense % p, dtype=np.int64)
+                assert identical(free_action(ring, rows, b), want)
+
+
+@given(field_matrices([QQ]), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_rational_matmul_matches_fraction_product(case, width, seed):
+    _, a = case
+    rng = np.random.default_rng(seed)
+    b = QQ.zeros((a.shape[1], width))
+    for idx in np.ndindex(b.shape):
+        b[idx] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+    for right in (b, b[:, 0]) if width else (b,):
+        got, want = QQ.matmul(a, right), a @ right
+        # an empty inner dimension gives Python int zeros in numpy's product
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert all(type(x) is Fraction for x in got.flat)
+
+
+def test_free_action_over_q_matches_block_diagonal_product():
+    ring = ring_from_strings(QQ, ["x", "y"], ["x^2 - y^2", "x*y"])
+    rows = QQ.array([[Fraction(i - j, 1 + j) for j in range(2 * ring.length)]
+                     for i in range(3)])
+    for b in range(ring.length):
+        want = rows @ dense_free_op(ring, 2, b).T
+        assert identical(free_action(ring, rows, b), want)
+
+
+BIG = Field(P_MAX)
+
+
+def _oracle_matmul(a, b):
+    """a @ b with Python integers, then reduced mod P_MAX."""
+    return np.array((a.astype(object) @ b.astype(object)) % P_MAX,
+                    dtype=np.int64)
+
+
+@st.composite
+def big_pairs(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 5))
+    batch = draw(st.sampled_from([(), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hi = draw(st.sampled_from([P_MAX, 3]))  # 3: values just below p
+    a = P_MAX - rng.integers(1, hi + 1, size=batch + (k, n))
+    b = P_MAX - rng.integers(1, hi + 1, size=(n, m))
+    return a.astype(np.int64), b.astype(np.int64)
+
+
+def test_matmul_all_p_minus_one():
+    a = np.full((3, 3), P_MAX - 1, dtype=np.int64)
+    assert BIG.matmul(a, a).tolist() == [[3] * 3] * 3
+
+
+@given(big_pairs())
+@settings(max_examples=150, deadline=None)
+def test_matmul_at_largest_prime_matches_object_oracle(pair):
+    a, b = pair
+    assert identical(BIG.matmul(a, b), _oracle_matmul(a, b))
+    v = b[:, 0].copy()
+    assert identical(BIG.matmul(a, v), _oracle_matmul(a, v))
+
+
+def test_ring_multiply_and_realize_at_largest_prime():
+    ring = ring_from_strings(BIG, ["x", "y"], ["x^2 - y^2", "x*y"])
+    lam = ring.length
+    rng = np.random.default_rng(11)
+    table = ring.table.astype(object)
+    for _ in range(20):
+        u = P_MAX - rng.integers(1, 4, size=lam)
+        v = P_MAX - rng.integers(1, 4, size=lam)
+        want = np.einsum("i,j,ijk->k", u.astype(object), v.astype(object),
+                         table) % P_MAX
+        assert ring.multiply(u, v).tolist() == want.tolist()
+    M = random_module(ring, seed=3)
+    n = M.dim
+    delta = P_MAX - rng.integers(1, 4, size=(2, 3, lam))
+    ops = M.ops().astype(object)
+    want = np.zeros((2 * n, 3 * n), dtype=object)
+    for r in range(2):
+        for c in range(3):
+            block = np.tensordot(delta[r, c].astype(object), ops, axes=1)
+            want[r * n:(r + 1) * n, c * n:(c + 1) * n] = block % P_MAX
+    assert realize(ring, delta, M).tolist() == want.tolist()

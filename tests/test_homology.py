@@ -1,5 +1,8 @@
 """Resolutions, Tor/Ext, complete resolutions, Koszul numerics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from socle.homology import (
     tor_window_zero,
 )
 from socle.linalg import GF101
+from socle.ring import ring_from_strings
 from socle.modules import (
     ModuleError,
     ModuleMap,
@@ -194,3 +198,25 @@ def test_finite_resolution_terminates(gor):
     assert res.finite
     assert res.betti_number(0) == 1
     assert all(res.betti_number(i) == 0 for i in range(1, 7))
+
+
+def test_dropped_ring_and_module_free_without_collector():
+    # resolutions, kernels and cached R, k and omega hold large arrays;
+    # none of them may sit in a reference cycle with the ring or module
+    gc.collect()
+    gc.disable()
+    try:
+        ring = ring_from_strings(GF101, ["x", "y"], ["x^2", "x*y", "y^2"])
+        M = cyclic(ring, ["x"])
+        k = residue_field(ring)
+        omega = canonical_module(ring)
+        resolve(M, 3)
+        resolve(k, 3)
+        assert tor_dim(M, k, 2) == betti_numbers(M, 2)[2] == 2
+        tor_dim(M, omega, 2)
+        ext_dim(M, regular_module(ring), 1)
+        refs = [weakref.ref(x) for x in (ring, M, k, omega)]
+        del ring, M, k, omega
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
