@@ -1,9 +1,8 @@
 """Minimal free resolutions, Betti numbers, Tor/Ext, complete
 resolutions over Gorenstein rings, and the Koszul numeric test.
 
-Resolutions are cached on the module and extended incrementally: the
-kernel subspace at the last computed stage is retained so that asking
-for more stages resumes where the previous call stopped.
+Resolutions are cached on the module and extended incrementally: asking
+for more stages resumes from the last differential computed.
 """
 
 import weakref
@@ -12,19 +11,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Subspace, kernel_basis, kernel_subspace, rank, rref
+from .linalg import Subspace, kernel_basis, kernel_subspace, rank
 from .modules import (
     FiniteModule,
     ModuleError,
-    free_action,
+    cover_matrix,
     free_module,
     hom_into_ring,
-    is_isomorphic,
     matlis_dual,
+    min_gen_rmatrix,
     regular_module,
     residue_field,
-    rmatrix_entries_in_m,
-    syzygy,
+    submodule_module,
 )
 
 
@@ -44,8 +42,6 @@ class Resolution:
         self.betti = [module.min_gens()]
         self.deltas = []
         self.finite = False  # some b_i hit zero: finite projective dimension
-        self._kernel = None  # kernel subspace of the differential at stage
-        self._kernel_stage = -1  # ... this index (0 = the cover map)
 
     @property
     def module(self):
@@ -62,54 +58,27 @@ class Resolution:
             return 0
         raise IndexError("resolution not computed that far")
 
-    def last_kernel(self):
-        """Kernel of the most recent differential (computed on demand)."""
-        F = self.ring.field
-        lam = self.ring.length
-        if self._kernel_stage == self.length:
-            return self._kernel
-        delta = self.deltas[-1]
-        D = realize(self.ring, delta, regular_module(self.ring))
-        self._kernel = kernel_subspace(F, D)
-        self._kernel_stage = self.length
-        return self._kernel
-
     def extend(self, n):
-        """Ensure differentials delta_1..delta_n are available."""
-        F = self.ring.field
-        lam = self.ring.length
+        """Ensure differentials delta_1..delta_n are available.
+
+        Every stage is one step: the kernel K of the realized previous
+        map (the minimal cover R^{b_0} -> M at stage 0), then minimal
+        generators of K as the next differential."""
+        ring = self.ring
         while self.length < n and not self.finite:
-            if self.length == 0:
-                self._first_stage()
-                continue
-            K = self.last_kernel()
+            if self.deltas:
+                D = realize(ring, self.deltas[-1], regular_module(ring))
+            else:
+                D = cover_matrix(self.module)
+            K = kernel_subspace(ring.field, D)
+            del D  # the realized map can be large; free it before lifting
             if K.dim == 0:
                 self.finite = True
                 break
-            sub_gens = _min_gen_rows(self.ring, K)
-            b_next = len(sub_gens)
-            prev_cols = K.basis.shape[1] // lam
-            delta = F.zeros((prev_cols, b_next, lam))
-            for c, row in enumerate(sub_gens):
-                delta[:, c, :] = row.reshape(prev_cols, lam)
-            if not rmatrix_entries_in_m(delta):
-                raise ModuleError("non-minimal differential (unit entry)")
+            delta = min_gen_rmatrix(ring, K)
             self.deltas.append(delta)
-            self.betti.append(b_next)
+            self.betti.append(delta.shape[1])
         return self
-
-    def _first_stage(self):
-        lam = self.ring.length
-        M = self.module
-        if M.dim == 0:
-            self.finite = True
-            return
-        m1, cover, pres = syzygy(M)
-        if m1.dim == 0:
-            self.finite = True
-            return
-        self.deltas.append(pres)
-        self.betti.append(pres.shape[1])
 
     def syzygy_module(self, i):
         """The i-th syzygy M_i as a FiniteModule (M_0 = M itself)."""
@@ -120,29 +89,13 @@ class Resolution:
             return free_module(self.ring, 0)
         delta = self.deltas[i - 1]
         F = self.ring.field
-        lam = self.ring.length
         D = realize(self.ring, delta, regular_module(self.ring))
         img = Subspace.from_rows(F, D.T, D.shape[0])
         # M_i = image of delta_i inside R^{b_{i-1}}
         amb = free_module(self.ring, delta.shape[0])
-        from .modules import submodule_module
-
         sub, _ = submodule_module(amb, img)
         sub.is_syzygy = True
         return sub
-
-
-def _min_gen_rows(ring, K):
-    """Rows of K's basis that lift the echelon basis of K/mK."""
-    F = ring.field
-    k = K.dim
-    coords = list(K.pivots)
-    # images of the basis rows under each generator, in internal coords
-    mK_rows = [free_action(ring, K.basis, g)[:, coords]
-               for g in ring.gen_index]
-    red, piv = rref(F, np.vstack(mK_rows))
-    gens = [c for c in range(k) if c not in piv]
-    return [K.basis[c] for c in gens]
 
 
 def resolve(module, n):
@@ -155,10 +108,6 @@ def resolve(module, n):
 def betti_numbers(module, n):
     res = resolve(module, n)
     return [res.betti_number(i) for i in range(n + 1)]
-
-
-def poincare_trunc(module, n):
-    return betti_numbers(module, n)
 
 
 def realize(ring, delta, coeff_module):

@@ -16,6 +16,7 @@ Polynomial terms are an optional integer coefficient followed by
 Serialization round-trips to an identical model.
 """
 
+import math
 import re
 
 from .linalg import Field, GF101, QQ
@@ -245,6 +246,12 @@ def serialize_instance(ring, modules):
     for name, mod in modules.items():
         lines.append(f"[module {name}]")
         pres = presentation_of(mod)
+        if p is None:
+            # the grammar has no fractions: scale each column by the lcm of
+            # its denominators, a unit, which leaves the cokernel unchanged
+            pres = pres.copy()
+            for c in range(pres.shape[1]):
+                pres[:, c] *= math.lcm(*(x.denominator for x in pres[:, c].flat))
         for r in range(pres.shape[0]):
             lines.append(
                 "row = "

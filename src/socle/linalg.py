@@ -260,15 +260,17 @@ class Subspace:
         return [c for c in range(self.ambient) if c not in self.pivots]
 
     def projection(self):
-        """Matrix of the quotient map onto the non-pivot coordinates."""
+        """Matrix of the quotient map onto the non-pivot coordinates.
+
+        Column k is the residual of e_k on those coordinates: e_k itself
+        when k is not a pivot, and e_k - basis[j] when k is pivot j (the
+        basis is 1 at its own pivot and 0 at the others)."""
         comp = self.complement_coords()
         F = self.field
         proj = F.zeros((len(comp), self.ambient))
-        eye = F.eye(self.ambient)
-        for i in range(self.ambient):
-            v = self.reduce(eye[i])
-            for k, c in enumerate(comp):
-                proj[k, i] = v[c]
+        proj[np.arange(len(comp)), comp] = F.one
+        if self.pivots:
+            proj[:, list(self.pivots)] = F.mod(-self.basis[:, comp].T)
         return proj
 
     def section(self):

@@ -138,12 +138,9 @@ class FiniteModule:
     def socle(self):
         """Intersection of the kernels of all generator actions."""
         if self._socle is None:
-            S = Subspace.full(self.field, self.dim)
-            for A in self.actions:
-                S = S.intersect(
-                    Subspace.from_rows(self.field, kernel_basis(self.field, A), self.dim)
-                )
-            self._socle = S
+            F = self.field
+            self._socle = Subspace.from_rows(
+                F, kernel_basis(F, np.vstack(self.actions)), self.dim)
         return self._socle
 
     def has_k_summand(self):
@@ -369,23 +366,7 @@ def direct_sum(a, b):
 
 def tensor_over_R(a, b):
     """(M (x)_k N) / span{g.u (x) v - u (x) g.v}, with the induced action."""
-    if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
-        raise ModuleError("modules over different rings")
-    F = a.field
-    m, n = a.dim, b.dim
-    if m == 0 or n == 0:
-        return free_module(a.ring, 0)
-    rel_rows = []
-    eyem, eyen = F.eye(m), F.eye(n)
-    for Aa, Ab in zip(a.actions, b.actions):
-        W = np.kron(Aa, eyen) - np.kron(eyem, Ab)
-        rel_rows.append(F.mod(W).T)
-    Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
-    proj = Wspan.projection()
-    sec = Wspan.section()
-    acts = [F.matmul(F.matmul(proj, F.mod(np.kron(Aa, eyen))), sec)
-            for Aa in a.actions]
-    return FiniteModule(a.ring, acts, validate=False)
+    return _tensor_with_maps(a, b)[0]
 
 
 def hom_over_R(a, b):
@@ -421,57 +402,47 @@ def hom_into_ring(mod):
 # -- syzygies ------------------------------------------------------------
 
 
+def cover_matrix(mod):
+    """k-matrix (lambda(M) x nu*lambda) of the minimal cover R^nu -> M:
+    column j*lambda + b is ring basis element b applied to the j-th chosen
+    minimal generator."""
+    gens = mod.generator_coords()
+    return mod.ops()[:, :, gens].transpose(1, 2, 0).reshape(
+        mod.dim, len(gens) * mod.ring.length)
+
+
 def cover_map(mod):
     """Minimal cover R^{nu(M)} -> M sending free generator j to the j-th
     chosen minimal generator."""
-    F = mod.field
-    ring = mod.ring
-    lam = ring.length
-    gens = mod.generator_coords()
-    nu = len(gens)
-    Fr = free_module(ring, nu)
-    mat = F.zeros((mod.dim, nu * lam))
-    ops = mod.ops()
-    for j, gcoord in enumerate(gens):
-        for b in range(lam):
-            mat[:, j * lam + b] = ops[b][:, gcoord]
-    return Fr, ModuleMap(Fr, mod, mat, validate=False)
+    Fr = free_module(mod.ring, mod.min_gens())
+    return Fr, ModuleMap(Fr, mod, cover_matrix(mod), validate=False)
+
+
+def min_gen_rmatrix(ring, K):
+    """RMatrix (n x b x lambda) whose columns are minimal generators of an
+    action-closed subspace K of R^n: the rows of K's basis that lift the
+    echelon basis of K/mK, in basis order."""
+    F = ring.field
+    # images of the basis rows under each generator, in K's coordinates
+    mK = np.vstack([free_action(ring, K.basis, g)[:, list(K.pivots)]
+                    for g in ring.gen_index])
+    _, piv = rref(F, mK)
+    gens = [c for c in range(K.dim) if c not in piv]
+    delta = K.basis[gens].reshape(
+        len(gens), K.ambient // ring.length, ring.length).transpose(1, 0, 2)
+    if not rmatrix_entries_in_m(delta):
+        raise ModuleError("non-minimal differential (unit entry)")
+    return delta
 
 
 def syzygy(mod):
     """First syzygy: (M1, cover map, minimal presentation RMatrix)."""
-    F = mod.field
-    ring = mod.ring
-    lam = ring.length
     Fr, cover = cover_map(mod)
-    nu = cover.matrix.shape[1] // lam if lam else 0
-    K = kernel_subspace(F, cover.matrix)
-    m1, gens_internal = _subspace_as_module(Fr, K)
+    K = kernel_subspace(mod.field, cover.matrix)
+    pres = min_gen_rmatrix(mod.ring, K)
+    m1, _ = submodule_module(Fr, K)
     m1.is_syzygy = True
-    pres = F.zeros((nu, len(gens_internal), lam))
-    for c, gi in enumerate(gens_internal):
-        vec = K.basis[gi].reshape(nu, lam)
-        pres[:, c, :] = vec
-    if not rmatrix_entries_in_m(pres):
-        raise ModuleError("syzygy presentation has a unit entry")
     return m1, cover, pres
-
-
-def _subspace_as_module(amb, S):
-    """Module structure on an action-closed subspace, plus the internal
-    coordinates of its chosen minimal generators."""
-    F = amb.field
-    k = S.dim
-    if k == 0:
-        return free_module(amb.ring, 0), []
-    acts = []
-    for A in amb.actions:
-        W = F.matmul(A, S.basis.T)
-        acts.append(W[list(S.pivots), :])
-    sub = FiniteModule(amb.ring, acts, validate=False)
-    mm_internal = sub.mm()
-    gens = mm_internal.complement_coords()
-    return sub, gens
 
 
 # -- isomorphism ---------------------------------------------------------
@@ -562,8 +533,13 @@ def exterior_square(mod):
 
 
 def _tensor_with_maps(a, b):
+    """M (x)_R N, with the quotient map from M (x)_k N and a section of it."""
+    if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
+        raise ModuleError("modules over different rings")
     F = a.field
     m, n = a.dim, b.dim
+    if m == 0 or n == 0:
+        return free_module(a.ring, 0), F.zeros((0, m * n)), F.zeros((m * n, 0))
     rel_rows = []
     eyem, eyen = F.eye(m), F.eye(n)
     for Aa, Ab in zip(a.actions, b.actions):

@@ -127,13 +127,9 @@ class GradedRing:
     def _invariants(self):
         F = self.field
         gens = [self.left_mult[g] for g in self.gen_index]
-        soc = Subspace.full(F, self.length)
-        for A in gens:
-            soc = soc.intersect(
-                Subspace.from_rows(F, kernel_basis(F, A), self.length)
-            )
-        self._socle = soc
-        self.a = soc.dim
+        self._socle = Subspace.from_rows(
+            F, kernel_basis(F, np.vstack(gens)), self.length)
+        self.a = self._socle.dim
         self.r = self.hilbert[2] if self.h >= 2 else 0
         self.gorenstein = self.a == 1
 
@@ -238,15 +234,11 @@ def build_ring(presentation, degree_cap=30):
             raise NotArtinianError(
                 f"R_{d} is nonzero at degree cap {degree_cap}; quotient not Artinian?"
             )
-        # normal forms: residual of each monomial after elimination by the span
+        # normal forms: residual of each monomial after elimination by the
+        # span, on the standard (non-pivot) coordinates
         span = Subspace(F, len(mons), red[: len(piv)], tuple(piv))
-        std_cols = [idx[m] for m in std]
-        nf = {}
-        eye = F.eye(len(mons))
-        for i, m in enumerate(mons):
-            res = span.reduce(eye[i])
-            nf[m] = res[std_cols].copy()
-        degrees.append((std, nf))
+        nfs = np.ascontiguousarray(span.projection().T)
+        degrees.append((std, dict(zip(mons, nfs))))
         d += 1
     return GradedRing(presentation, degrees, h)
 

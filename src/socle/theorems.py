@@ -24,10 +24,10 @@ from .homology import (
     tor_induced_k,
     tor_window_zero,
 )
-from .linalg import Subspace, kernel_basis
+from .linalg import Subspace, kernel_subspace
 from .modules import (
     canonical_module,
-    cover_map,
+    cover_matrix,
     free_action,
     free_module,
     matlis_dual,
@@ -105,10 +105,6 @@ def _need(cond, clause):
         raise _Vacuous(clause)
 
 
-def _gamma(mod):
-    return mod.gamma()
-
-
 # Resolutions with rapidly growing Betti numbers are cut off once the
 # realized differential would exceed this many columns; statements treat
 # an unaffordable window as unverified (VACUOUS), never as evidence.
@@ -165,14 +161,14 @@ def _subspaces_equal(a, b):
     return a.dim == b.dim and a.contains_space(b)
 
 
-def _m_square_part(ring):
-    """m^2 as a subspace of R: coordinates of degree >= 2."""
+def _m_square_part(ring, n=1):
+    """m^2 R^n as a subspace of R^n: the coordinates of degree >= 2 in
+    each length-lambda block."""
     F = ring.field
-    idx = [i for i, (d, _) in enumerate(ring.basis) if d >= 2]
-    rows = F.zeros((len(idx), ring.length))
-    for k, i in enumerate(idx):
-        rows[k, i] = F.one
-    return Subspace.from_rows(F, rows, ring.length)
+    lam = ring.length
+    idx = [j * lam + i for j in range(n)
+           for i, (d, _) in enumerate(ring.basis) if d >= 2]
+    return Subspace.from_rows(F, F.eye(n * lam)[idx], n * lam)
 
 
 def _kills_m_squared(mod):
@@ -225,7 +221,7 @@ def _s2(inst, n):
 def _s3(inst, n):
     M = inst.module("M")
     _need(not M.is_zero(), "M is zero")
-    g = _gamma(M)
+    g = M.gamma()
     lam_r = M.ring.length
     checks = [
         0 <= g <= lam_r - 1,
@@ -248,9 +244,9 @@ def _s4(inst, n):
     Nprev = resN.syzygy_module(i - 1)
     TMi = tensor_over_R(M, Ni)
     TMprev = tensor_over_R(M, Nprev)
-    gM = _gamma(M)
-    gTi = _gamma(TMi) if not TMi.is_zero() else Fraction(0)
-    gTp = _gamma(TMprev) if not TMprev.is_zero() else Fraction(0)
+    gM = M.gamma()
+    gTi = TMi.gamma() if not TMi.is_zero() else Fraction(0)
+    gTp = TMprev.gamma() if not TMprev.is_zero() else Fraction(0)
     report = []
     ok = True
     eq1 = (gTi + 1) * b[i] == (gM - gTp) * b[i - 1]
@@ -278,18 +274,18 @@ def _s5(inst, n):
     nu = N.min_gens()
     if nu <= n and _window_ok(M, N, 1, nu):
         ran = True
-        good = _gamma(M) >= 1
+        good = M.gamma() >= 1
         ok &= good
-        report.append(f"(1) gamma(M)={_gamma(M)} >= 1: {good}")
+        report.append(f"(1) gamma(M)={M.gamma()} >= 1: {good}")
     if _kills_m_squared(M):
         b1 = betti_numbers(N, 1)[1]
         if b1 >= 1:
             depth = int(math.floor(math.log2(b1))) + 2
             if depth <= n and _window_ok(M, N, 1, depth):
                 ran = True
-                good = _gamma(M).denominator == 1
+                good = M.gamma().denominator == 1
                 ok &= good
-                report.append(f"(2) gamma(M)={_gamma(M)} integral: {good}")
+                report.append(f"(2) gamma(M)={M.gamma()} integral: {good}")
     _need(ran, "no sub-hypothesis window satisfied")
     return ok, "; ".join(report), {}
 
@@ -301,17 +297,15 @@ def _s6(inst, n):
     _need(_kills_m_squared(M), "m^2 M != 0")
     _need(tor_window_zero(M, N, 1, 2), "Tor_1 or Tor_2 nonzero")
     b = betti_numbers(M, 1)
-    gM = _gamma(M)
+    gM = M.gamma()
     eq1 = b[1] == (M.ring.e - gM) * b[0]
     # m M_1 = m^2 R^{b0} inside the covering free module
     ring = M.ring
     F = ring.field
-    Fr, cover = cover_map(M)
-    amb = b[0] * ring.length
-    K = Subspace.from_rows(F, kernel_basis(F, cover.matrix), amb)
-    mK_rows = [F.matmul(A, K.basis.T).T for A in Fr.actions]
-    mK = Subspace.from_rows(F, np.vstack(mK_rows), amb)
-    eq2 = _subspaces_equal(mK, Fr.msub(2))
+    K = kernel_subspace(F, cover_matrix(M))
+    mK_rows = [free_action(ring, K.basis, g) for g in ring.gen_index]
+    mK = Subspace.from_rows(F, np.vstack(mK_rows), K.ambient)
+    eq2 = _subspaces_equal(mK, _m_square_part(ring, b[0]))
     return eq1 and eq2, f"b1=(e-gamma)b0: {eq1}; mM1=m^2R^b0: {eq2}", {}
 
 
@@ -322,8 +316,8 @@ def _s7(inst, n):
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
     _need(tor_window_zero(M, N, 1, 2), "Tor_1 or Tor_2 nonzero")
     T = tensor_over_R(M, N)
-    ok = _gamma(M) + _gamma(N) - _gamma(T) == M.ring.e
-    return ok, f"gamma(M)+gamma(N)-gamma(M(x)N) = {_gamma(M)+_gamma(N)-_gamma(T)} vs e={M.ring.e}", {}
+    ok = M.gamma() + N.gamma() - T.gamma() == M.ring.e
+    return ok, f"gamma(M)+gamma(N)-gamma(M(x)N) = {M.gamma()+N.gamma()-T.gamma()} vs e={M.ring.e}", {}
 
 
 def _s8(inst, n):
@@ -337,7 +331,7 @@ def _s8(inst, n):
     n = min(n, _max_depth(k, n))
     _need(n >= 1, "resolution work cap leaves no checkable window")
     T = tensor_over_R(M, N)
-    gM, gN, gT = _gamma(M), _gamma(N), _gamma(T)
+    gM, gN, gT = M.gamma(), N.gamma(), T.gamma()
     # truncated expansion of (1 - gT t) / ((1 - gM t)(1 - gN t))
     denom = [Fraction(1), -(gM + gN), gM * gN]
     numer = [Fraction(1), -gT]
@@ -432,7 +426,7 @@ def _three_tor_hyp(inst, n):
 def _s13(inst, n):
     M, N, j = _three_tor_hyp(inst, n)
     e, a = inst.ring.e, inst.ring.a
-    gM, gN = _gamma(M), _gamma(N)
+    gM, gN = M.gamma(), N.gamma()
     resM = resolve(M, j + 2)
     resN = resolve(N, j + 2)
     bM = [resM.betti_number(i) for i in range(j + 3)]
@@ -447,7 +441,7 @@ def _s13(inst, n):
             ok = False
             report.append(f"(2) Betti ratio fails at i={i}")
     for i in range(j + 1):
-        if _gamma(resM.syzygy_module(i)) != gM or _gamma(resN.syzygy_module(i)) != gN:
+        if resM.syzygy_module(i).gamma() != gM or resN.syzygy_module(i).gamma() != gN:
             ok = False
             report.append(f"(3) gamma of syzygy differs at i={i}")
     if gM + gN != e or gM * gN != a:
@@ -463,7 +457,7 @@ def _s14(inst, n):
     _need(_afford(M, l) and _max_depth(N, l) >= l,
           f"resolution work cap below l={l}")
     _need(tor_dim(M, N, l) == 0, f"Tor_{l} != 0")
-    gM, gN = _gamma(M), _gamma(N)
+    gM, gN = M.gamma(), N.gamma()
     bM = betti_numbers(M, l)
     bN = betti_numbers(N, l)
     ok = all(bM[i + 1] == gN * bM[i] and bN[i + 1] == gM * bN[i]
@@ -490,9 +484,9 @@ def _s15(inst, n):
         ok = False
         report.append(f"(3) lambda(omega_1)={N.dim} != (a-1)(1+r+e)")
     if not N.is_zero() and not N.has_k_summand() and a == r:
-        if N.min_gens() != e * (a - 1) or _gamma(N) != Fraction(1 + a, e):
+        if N.min_gens() != e * (a - 1) or N.gamma() != Fraction(1 + a, e):
             ok = False
-            report.append(f"(4) nu={N.min_gens()}, gamma={_gamma(N)}")
+            report.append(f"(4) nu={N.min_gens()}, gamma={N.gamma()}")
     return ok, "; ".join(report) or "dualizing-module numerics hold", {}
 
 
@@ -512,13 +506,13 @@ def _s16(inst, n):
     b = betti_numbers(M, j + 2)
     checks = {
         "e=a+1": e == a + 1,
-        "gamma(omega_1)=1": _gamma(omega1) == 1,
-        "gamma(M)=a": _gamma(M) == a,
+        "gamma(omega_1)=1": omega1.gamma() == 1,
+        "gamma(M)=a": M.gamma() == a,
         "constant Betti": len(set(b[: j + 3])) == 1,
     }
     ok = all(checks.values())
     return ok, ", ".join(f"{k}: {v}" for k, v in checks.items()), {"j": j, "e": e, "a": a,
-                                                                  "gammaM": _gamma(M)}
+                                                                  "gammaM": M.gamma()}
 
 
 def _s17(inst, n):
@@ -657,10 +651,10 @@ def _s22(inst, n):
     i = next((i for i in range(1, n + 1)
               if _afford(M, i) and ext_dim(M, M, i) == 0), None)
     _need(i is not None, f"no vanishing Ext^i(M,M) in [1,{n}]")
-    gM = _gamma(M)
+    gM = M.gamma()
     if gM == 0:
         return False, "gamma(M)=0 with vanishing Ext (engine defect)", {"i": i}
-    gD = _gamma(matlis_dual(M))
+    gD = matlis_dual(M).gamma()
     ok = gD == 1 / gM
     return ok, f"gamma(M^v)={gD} vs 1/gamma(M)={1/gM}", {"i": i}
 
@@ -933,16 +927,9 @@ AGP_PHI = [["x3", "x1"], ["x4", "x2"]]
 AGP_PSI = [["x2", "-x1"], ["-x4", "x3"]]
 
 
-def _cyclic(ring, polystrs):
-    """R modulo the ideal generated by the given elements."""
-    from .instancefile import parse_poly
-    from .modules import from_presentation, rmatrix_from_polys
-
-    rows = [[parse_poly(s, ring.varnames) for s in polystrs]]
-    return from_presentation(ring, rmatrix_from_polys(ring, rows))
-
-
 def _from_rows(ring, rows):
+    """Cokernel of the matrix with the given rows of polynomial strings;
+    one row [f1, ..., fk] gives R/(f1, ..., fk)."""
     from .instancefile import parse_poly
     from .modules import from_presentation, rmatrix_from_polys
 
@@ -973,23 +960,23 @@ def canned_corpus(field=None, seed=7, randoms=4):
 
     chain = ring_from_strings(field, ["x"], ["x^4"])
     out.append(Instance("chain-length-4", chain,
-                        {"M": _cyclic(chain, ["x"]),
-                         "N": _cyclic(chain, ["x^2"])}))
+                        {"M": _from_rows(chain, [["x"]]),
+                         "N": _from_rows(chain, [["x^2"]])}))
 
     gor = ring_from_strings(field, ["x", "y"], ["x^2", "y^2"])
     out.append(Instance("gorenstein-square", gor,
-                        {"M": _cyclic(gor, ["x"]),
-                         "N": _cyclic(gor, ["x"])}))
+                        {"M": _from_rows(gor, [["x"]]),
+                         "N": _from_rows(gor, [["x"]])}))
 
     flat = ring_from_strings(field, ["x", "y"], ["x^2", "x*y", "y^2"])
     out.append(Instance("flat-square-zero", flat,
-                        {"M": _cyclic(flat, ["x"]),
-                         "N": _cyclic(flat, ["y"])}))
+                        {"M": _from_rows(flat, [["x"]]),
+                         "N": _from_rows(flat, [["y"]])}))
 
     gor3 = ring_from_strings(field, ["x", "y"], ["x^2 - y^2", "x*y"])
     out.append(Instance("gorenstein-cube", gor3,
-                        {"M": _cyclic(gor3, ["x"]),
-                         "N": _cyclic(gor3, ["x + y"])}))
+                        {"M": _from_rows(gor3, [["x"]]),
+                         "N": _from_rows(gor3, [["x + y"]])}))
 
     ring, M = agp_example(field)
     out.append(Instance("agp", ring,

@@ -1,21 +1,21 @@
 import pytest
 
-from socle.instancefile import parse_poly
 from socle.linalg import GF101
-from socle.modules import from_presentation, rmatrix_from_polys
 from socle.ring import ring_from_strings
-from socle.theorems import agp_example
+from socle.theorems import _from_rows as module_from_rows, agp_example
+
+
+def identical(a, b):
+    """Same shape, dtype, values and (for object arrays) element types."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    fa, fb = a.reshape(-1).tolist(), b.reshape(-1).tolist()
+    return fa == fb and [type(x) for x in fa] == [type(x) for x in fb]
 
 
 def cyclic(ring, polystrs):
     """R modulo the ideal generated by the listed elements."""
-    rows = [[parse_poly(s, ring.varnames) for s in polystrs]]
-    return from_presentation(ring, rmatrix_from_polys(ring, rows))
-
-
-def module_from_rows(ring, rows):
-    grid = [[parse_poly(s, ring.varnames) for s in row] for row in rows]
-    return from_presentation(ring, rmatrix_from_polys(ring, grid))
+    return module_from_rows(ring, [polystrs])
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,25 @@
 """Differential tests of the elimination kernel, the kernel extraction,
-the blockwise free-module action and word-size products, each against
-the dense slow path it replaced or an object-dtype oracle."""
+the quotient projection, socles, the blockwise free-module action and
+word-size products, each against the slow path it replaced or an
+object-dtype oracle."""
 
 from fractions import Fraction
 
 import numpy as np
+from conftest import identical
 from hypothesis import given, settings, strategies as st
 
 from socle.homology import realize
-from socle.linalg import QQ, Field, kernel_subspace, rank, rref
-from socle.modules import free_action, random_module
+from socle.linalg import (
+    QQ,
+    Field,
+    Subspace,
+    kernel_basis,
+    kernel_subspace,
+    rank,
+    rref,
+)
+from socle.modules import FiniteModule, free_action, random_module
 from socle.ring import ring_from_strings
 
 P_MAX = 2**31 - 1  # the largest prime Field accepts
@@ -53,6 +63,29 @@ def loop_kernel(F, m):
     return out, tuple(free)
 
 
+def loop_projection(S):
+    """Quotient-map matrix built one coordinate at a time: column i is
+    S.reduce(e_i) on the non-pivot coordinates."""
+    F = S.field
+    comp = S.complement_coords()
+    proj = F.zeros((len(comp), S.ambient))
+    eye = F.eye(S.ambient)
+    for i in range(S.ambient):
+        v = S.reduce(eye[i])
+        for k, c in enumerate(comp):
+            proj[k, i] = v[c]
+    return proj
+
+
+def intersected_socle(F, actions, n):
+    """Socle as the running Zassenhaus intersection of one generator
+    kernel at a time."""
+    S = Subspace.full(F, n)
+    for A in actions:
+        S = S.intersect(Subspace.from_rows(F, kernel_basis(F, A), n))
+    return S
+
+
 def dense_free_op(ring, n, b):
     """Block-diagonal (n*lambda)^2 matrix of L_b on R^n."""
     lam = ring.length
@@ -61,14 +94,6 @@ def dense_free_op(ring, n, b):
     for j in range(n):
         out[j * lam:(j + 1) * lam, j * lam:(j + 1) * lam] = ring.left_mult[b]
     return out
-
-
-def identical(a, b):
-    """Same shape, dtype, values and (for object arrays) element types."""
-    if a.shape != b.shape or a.dtype != b.dtype:
-        return False
-    fa, fb = a.reshape(-1).tolist(), b.reshape(-1).tolist()
-    return fa == fb and [type(x) for x in fa] == [type(x) for x in fb]
 
 
 @st.composite
@@ -124,6 +149,48 @@ def test_kernel_matches_loop_oracle(case):
     assert S.pivots == free
     assert all(type(c) is int for c in S.pivots)
     assert identical(S.basis, rows)
+
+
+@given(field_matrices())
+@settings(max_examples=200, deadline=None)
+def test_projection_matches_loop_oracle(case):
+    # rref spans and kernel spans (whose basis is not in rref but is 1 at
+    # its own pivot and 0 at the others) both take the closed form
+    F, m = case
+    for S in (Subspace.from_rows(F, m, m.shape[1]), kernel_subspace(F, m)):
+        assert identical(S.projection(), loop_projection(S))
+
+
+def conjugated(M, seed):
+    """M with its actions written in a random unitriangular basis, so that
+    its socle is not spanned by coordinate vectors."""
+    F, n = M.field, M.dim
+    rng = np.random.default_rng(seed)
+    N = F.array(np.triu(rng.integers(0, F.p or 5, size=(n, n)), 1))
+    P = F.mod(F.eye(n) + N)
+    Pinv, power = F.eye(n), F.eye(n)  # (I + N)^-1 = sum of (-N)^k
+    for k in range(1, n):
+        power = F.matmul(power, N)
+        Pinv = F.mod(Pinv + F.scalar((-1) ** k) * power)
+    return FiniteModule(M.ring, [F.matmul(F.matmul(P, A), Pinv)
+                                 for A in M.actions])
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 2**16), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_socles_match_intersection_oracle(F, seed, square_zero):
+    # one kernel of the stacked actions spans the same space, and rref
+    # makes the basis of a span unique
+    ring = ring_from_strings(F, ["x", "y"], ["x^2 - y^2", "x*y"])
+    want = intersected_socle(F, [ring.left_mult[g] for g in ring.gen_index],
+                             ring.length)
+    got = ring.socle_subspace()
+    assert got.pivots == want.pivots and identical(got.basis, want.basis)
+    M = random_module(ring, seed, square_zero=square_zero)
+    for mod in (M, conjugated(M, seed)):
+        want = intersected_socle(F, mod.actions, mod.dim)
+        got = mod.socle()
+        assert got.pivots == want.pivots and identical(got.basis, want.basis)
 
 
 def test_free_action_matches_block_diagonal_product():

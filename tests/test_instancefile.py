@@ -3,9 +3,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from socle.cli import AGP_INSTANCE
-from socle.modules import is_isomorphic
+from socle.linalg import QQ
+from socle.modules import canonical_module, is_isomorphic, random_module, syzygy
+from socle.ring import ring_from_strings
 from socle.theorems import agp_example
 
 from socle.instancefile import (
@@ -16,22 +19,7 @@ from socle.instancefile import (
     serialize_instance,
 )
 
-AGP_TEXT = """\
-# four variables, seven quadrics
-[ring]
-field = GF(101)
-vars = x1 x2 x3 x4
-rel = x1^2
-rel = x1*x2 - x3*x4
-rel = x1*x2 - x4^2
-rel = x1*x3 - x2*x4
-rel = x1*x4 - x2^2
-rel = x1*x4 - x2*x3
-rel = x1*x4 - x3^2
-[module M]
-row = x3, x1
-row = x4, x2
-"""
+AGP_PATH = Path(__file__).resolve().parents[1] / "examples" / "agp.ring"
 
 
 def test_parse_poly_basic():
@@ -65,7 +53,7 @@ def test_poly_str_round_trip():
 
 
 def test_parse_instance_agp():
-    ring, mods = parse_instance(AGP_TEXT)
+    ring, mods = parse_instance(AGP_PATH.read_text(encoding="utf-8"))
     assert ring.hilbert == [1, 4, 3]
     assert set(mods) == {"M"}
     assert mods["M"].min_gens() == 2
@@ -73,7 +61,7 @@ def test_parse_instance_agp():
 
 
 def test_serialize_round_trip():
-    ring, mods = parse_instance(AGP_TEXT)
+    ring, mods = parse_instance(AGP_PATH.read_text(encoding="utf-8"))
     text = serialize_instance(ring, mods)
     ring2, mods2 = parse_instance(text)
     assert ring2.hilbert == ring.hilbert
@@ -82,15 +70,40 @@ def test_serialize_round_trip():
 
 
 def test_agp_copies_agree():
-    # the periodic example is written out in the shipped file, the CLI,
-    # the theorems module and this file; all four must stay one instance
-    path = Path(__file__).resolve().parents[1] / "examples" / "agp.ring"
-    shipped = path.read_text(encoding="utf-8")
+    # the periodic example is written out in the shipped file, the CLI
+    # and the theorems module; all three must stay one instance
+    shipped = AGP_PATH.read_text(encoding="utf-8")
     assert shipped == AGP_INSTANCE
     ring, M = agp_example()
     expected = serialize_instance(ring, {"M": M})
     assert serialize_instance(*parse_instance(shipped)) == expected
-    assert serialize_instance(*parse_instance(AGP_TEXT)) == expected
+
+
+def _signed(c, mon):
+    return f"{'-' if c > 0 else '+'} {abs(c)}*{mon}"
+
+
+COEFFS = st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5, 7])
+
+
+@given(st.tuples(COEFFS, COEFFS, COEFFS), st.integers(0, 2**16))
+@example((3, 5, 2), 0)
+@settings(max_examples=20, deadline=None)
+def test_rational_dossier_round_trip(coeffs, seed):
+    # over Q[x,y,z]/(x^2 - a yz, y^2 - b xz, z^2 - c xy, xyz) the
+    # presentations of omega and of syzygies have fractional entries,
+    # which the instance grammar cannot spell
+    a, b, c = coeffs
+    ring = ring_from_strings(QQ, ["x", "y", "z"], [
+        "x^2 " + _signed(a, "y*z"), "y^2 " + _signed(b, "x*z"),
+        "z^2 " + _signed(c, "x*y"), "x*y*z"])
+    mods = {"omega": canonical_module(ring),
+            "M1": syzygy(random_module(ring, seed))[0]}
+    ring2, mods2 = parse_instance(serialize_instance(ring, mods))
+    assert ring2.hilbert == ring.hilbert
+    for name, mod in mods.items():
+        assert mods2[name].dim == mod.dim
+        assert is_isomorphic(mods2[name], mod)
 
 
 def test_section_errors():
