@@ -11,27 +11,12 @@ import os
 import sys
 
 from .homology import betti_numbers, ext_dim, tor_dim
-from .instancefile import ParseError, parse_instance, _parse_field
+from .instancefile import (
+    ParseError, parse_instance, serialize_instance, _parse_field)
 from .ring import NotArtinianError, PresentationError
+from .theorems import agp_example
 
-AGP_INSTANCE = """\
-# length-8 algebra with m^3 = 0 and a rank-two periodic cokernel
-[ring]
-field = GF(101)
-vars = x1 x2 x3 x4
-rel = x1^2
-rel = x1*x2 - x3*x4
-rel = x1*x2 - x4^2
-rel = x1*x3 - x2*x4
-rel = x1*x4 - x2^2
-rel = x1*x4 - x2*x3
-rel = x1*x4 - x3^2
-[module M]
-row = x3, x1
-row = x4, x2
-"""
-
-EXAMPLES = {"agp": AGP_INSTANCE}
+EXAMPLES = {"agp": agp_example}
 
 
 class UsageError(Exception):
@@ -203,10 +188,8 @@ def cmd_example(args):
     if args.name not in EXAMPLES:
         raise UsageError(f"unknown example {args.name!r}; have: "
                          + ", ".join(sorted(EXAMPLES)))
-    text = EXAMPLES[args.name]
-    ring, modules = parse_instance(text, default_field=_default_field(args.field))
-    mod = modules["M"]
-    inst = _instance_from(ring, modules, name=args.name)
+    ring, mod = EXAMPLES[args.name]()
+    inst = _instance_from(ring, {"M": mod}, name=args.name)
     omega = inst.module("omega")
     b = betti_numbers(mod, args.to)
     tors = [tor_dim(mod, omega, i) for i in range(1, args.to + 1)]
@@ -215,7 +198,7 @@ def cmd_example(args):
                 for k, v in ring.invariants().items()]
     machine += [f"betti.M.{i}={v}" for i, v in enumerate(b)]
     machine += [f"tor.M.omega.{i}={v}" for i, v in enumerate(tors, start=1)]
-    human = [text.rstrip(), "",
+    human = [serialize_instance(ring, {"M": mod}).rstrip(), "",
              f"hilbert = {ring.hilbert}",
              f"betti(M) = {b}",
              f"tor(M, omega) on [1,{args.to}] = {tors}"]
@@ -283,7 +266,6 @@ def build_parser():
     p.add_argument("name")
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--machine", action="store_true")
-    p.add_argument("--field", default=None)
     p.set_defaults(fn=cmd_example)
 
     return parser

@@ -15,14 +15,14 @@ from .linalg import Subspace, kernel_basis, kernel_subspace, rank
 from .modules import (
     FiniteModule,
     ModuleError,
+    column_span,
     cover_matrix,
-    free_module,
+    free_submodule,
     hom_into_ring,
     matlis_dual,
     min_gen_rmatrix,
     regular_module,
     residue_field,
-    submodule_module,
 )
 
 
@@ -81,19 +81,17 @@ class Resolution:
         return self
 
     def syzygy_module(self, i):
-        """The i-th syzygy M_i as a FiniteModule (M_0 = M itself)."""
+        """The i-th syzygy M_i as a FiniteModule (M_0 = M itself): the
+        R-span of delta_i's columns inside R^{b_{i-1}}, acted on blockwise
+        (the zero module past the end of a finite resolution)."""
         if i == 0:
             return self.module
         self.extend(i)
         if self.finite and i > self.length:
-            return free_module(self.ring, 0)
-        delta = self.deltas[i - 1]
-        F = self.ring.field
-        D = realize(self.ring, delta, regular_module(self.ring))
-        img = Subspace.from_rows(F, D.T, D.shape[0])
-        # M_i = image of delta_i inside R^{b_{i-1}}
-        amb = free_module(self.ring, delta.shape[0])
-        sub, _ = submodule_module(amb, img)
+            span = Subspace(self.ring.field, 0)
+        else:
+            span = column_span(self.ring, self.deltas[i - 1])
+        sub = free_submodule(self.ring, span)
         sub.is_syzygy = True
         return sub
 

@@ -108,9 +108,11 @@ class FiniteModule:
         return self._mm
 
     def msub(self, j):
-        """The subspace m^j M."""
-        S = Subspace.full(self.field, self.dim)
-        for _ in range(j):
+        """The subspace m^j M, built up from the cached mM."""
+        if j == 0:
+            return Subspace.full(self.field, self.dim)
+        S = self.mm()
+        for _ in range(j - 1):
             if S.dim == 0:
                 return S
             rows = [self.field.matmul(A, S.basis.T).T for A in self.actions]
@@ -215,16 +217,9 @@ def regular_module(ring):
 
 
 def free_module(ring, n):
-    F = ring.field
-    lam = ring.length
-    acts = []
-    for g in ring.gen_index:
-        A = F.zeros((n * lam, n * lam))
-        for j in range(n):
-            A[j * lam:(j + 1) * lam, j * lam:(j + 1) * lam] = ring.left_mult[g]
-        acts.append(A)
-    if n == 0:
-        acts = [F.zeros((0, 0)) for _ in range(ring.e)]
+    """R^n, each generator acting as the dense block diagonal kron(I_n, L_g)."""
+    eye = ring.field.eye(n)
+    acts = [np.kron(eye, ring.left_mult[g]) for g in ring.gen_index]
     return FiniteModule(ring, acts, free_rank=n, validate=False)
 
 
@@ -255,14 +250,18 @@ def rmatrix_entries_in_m(pres):
     return not np.any(pres[:, :, 0])
 
 
+def _require_closed(F, images, proj):
+    """Raise unless every row of every image lies in the subspace whose
+    projection() is proj (one product checks them all)."""
+    if np.any(F.matmul(np.vstack(images), proj.T)):
+        raise ModuleError("subspace is not closed under the action")
+
+
 def quotient_module(amb, S):
     """Quotient of a module by an action-closed subspace."""
     F = amb.field
-    for A in amb.actions:
-        for row in S.basis:
-            if not S.contains(F.matmul(A, row)):
-                raise ModuleError("subspace is not closed under the action")
     proj = S.projection()
+    _require_closed(F, [F.matmul(S.basis, A.T) for A in amb.actions], proj)
     sec = S.section()
     acts = [F.matmul(F.matmul(proj, A), sec) for A in amb.actions]
     return FiniteModule(amb.ring, acts, validate=False), proj
@@ -271,35 +270,40 @@ def quotient_module(amb, S):
 def submodule_module(amb, S):
     """Action-closed subspace as a module, with its inclusion map."""
     F = amb.field
-    B = S.basis
-    acts = []
-    for A in amb.actions:
-        W = F.matmul(A, B.T)  # columns: images of basis rows
-        for c in range(W.shape[1]):
-            if not S.contains(W[:, c]):
-                raise ModuleError("subspace is not closed under the action")
-        acts.append(W[list(S.pivots), :])
-    sub = FiniteModule(amb.ring, acts, validate=False)
-    incl = ModuleMap(sub, amb, B.T, validate=False)
-    return sub, incl
+    images = [F.matmul(S.basis, A.T) for A in amb.actions]
+    _require_closed(F, images, S.projection())
+    sub = FiniteModule(amb.ring, [W[:, list(S.pivots)].T for W in images],
+                       validate=False)
+    return sub, ModuleMap(sub, amb, S.basis.T, validate=False)
+
+
+def free_submodule(ring, S):
+    """Action-closed subspace S of R^n as a module, acted on blockwise:
+    generator g sends S's basis rows to free_action(ring, S.basis, g),
+    read off in S's pivot coordinates."""
+    images = [free_action(ring, S.basis, g) for g in ring.gen_index]
+    _require_closed(ring.field, images, S.projection())
+    return FiniteModule(ring, [W[:, list(S.pivots)].T for W in images],
+                        validate=False)
+
+
+def column_span(ring, pres):
+    """R-span of the columns of an RMatrix (n x m x lambda) as a subspace of
+    R^n: every ring basis element applied to every column, reduced once."""
+    n, m, lam = pres.shape
+    cols = pres.transpose(1, 0, 2).reshape(m, n * lam)
+    spans = [free_action(ring, cols, b) for b in range(lam)]
+    return Subspace.from_rows(ring.field, np.vstack(spans), n * lam)
 
 
 def from_presentation(ring, pres):
     """Cokernel of the free-module map with the given RMatrix columns."""
-    F = ring.field
     n, m, lam = pres.shape
     if lam != ring.length:
         raise ModuleError("presentation entries do not live in this ring")
-    amb = free_module(ring, n)
-    if m == 0 or n == 0:
-        mod = amb if n else free_module(ring, 0)
-        mod.presentation = pres
-        return mod
-    cols = pres.transpose(1, 0, 2).reshape(m, n * lam)  # columns as vectors
-    # R-span: apply every ring basis element to every column
-    spans = [free_action(ring, cols, b) for b in range(lam)]
-    U = Subspace.from_rows(F, np.vstack(spans), n * lam)
-    mod, proj = quotient_module(amb, U)
+    mod = free_module(ring, n)
+    if m and n:
+        mod, _ = quotient_module(mod, column_span(ring, pres))
     mod.presentation = pres
     return mod
 
@@ -437,10 +441,10 @@ def min_gen_rmatrix(ring, K):
 
 def syzygy(mod):
     """First syzygy: (M1, cover map, minimal presentation RMatrix)."""
-    Fr, cover = cover_map(mod)
+    _, cover = cover_map(mod)
     K = kernel_subspace(mod.field, cover.matrix)
     pres = min_gen_rmatrix(mod.ring, K)
-    m1, _ = submodule_module(Fr, K)
+    m1 = free_submodule(mod.ring, K)
     m1.is_syzygy = True
     return m1, cover, pres
 
@@ -554,7 +558,8 @@ def _tensor_with_maps(a, b):
 
 
 def wedge_image(ring, phi):
-    """R-span of the n x n minors of an n x g RMatrix presenting N in R^n.
+    """R-span of the n x n minors of an n x g RMatrix presenting N in R^n:
+    the column span, in R, of the 1-row matrix of minors.
 
     Every element of the span annihilates coker(phi); for faithful
     cokernels the span is zero."""
@@ -577,11 +582,7 @@ def wedge_image(ring, phi):
         minors.append(acc)
     if not minors:
         return Subspace(F, lam)
-    spans = []
-    for b in range(lam):
-        L = ring.left_mult[b]
-        spans.append(F.matmul(np.vstack(minors), L.T))
-    return Subspace.from_rows(F, np.vstack(spans), lam)
+    return column_span(ring, np.vstack(minors)[None])
 
 
 def _perm_sign(perm):

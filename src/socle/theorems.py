@@ -27,9 +27,10 @@ from .homology import (
 from .linalg import Subspace, kernel_subspace
 from .modules import (
     canonical_module,
+    column_span,
     cover_matrix,
     free_action,
-    free_module,
+    free_submodule,
     matlis_dual,
     regular_module,
     residue_field,
@@ -747,16 +748,7 @@ def _s28(inst, n):
     _need(pres.shape[0] == 2, "presentation does not embed N in R^2")
     _need(tor_dim(M, M, 2) == 0, "Tor_2(M,M) != 0")
     _need(M.annihilator_is_zero(), "M is not faithful")
-    ring = M.ring
-    F = ring.field
-    g = pres.shape[1]
-    lam = ring.length
-    cols = pres.transpose(1, 0, 2).reshape(g, 2 * lam)
-    spans = [free_action(ring, cols, b) for b in range(lam)]
-    Nspace = Subspace.from_rows(F, np.vstack(spans), 2 * lam)
-    amb = free_module(ring, 2)
-    Nmod, _ = submodule_module(amb, Nspace)
-    nu = Nmod.min_gens()
+    nu = free_submodule(M.ring, column_span(M.ring, pres)).min_gens()
     return nu <= 1, f"nu(N)={nu}", {}
 
 
@@ -924,7 +916,6 @@ AGP_RELATIONS = [
     "x1*x4 - x2^2", "x1*x4 - x2*x3", "x1*x4 - x3^2",
 ]
 AGP_PHI = [["x3", "x1"], ["x4", "x2"]]
-AGP_PSI = [["x2", "-x1"], ["-x4", "x3"]]
 
 
 def _from_rows(ring, rows):

@@ -110,6 +110,12 @@ def test_example_unknown(capsys):
     assert code == 2
 
 
+def test_example_has_no_field_option(capsys):
+    # the canned example fixes its own field, so --field would be ignored
+    code, out = run(capsys, "example", "agp", "--field", "Q")
+    assert code == 2 and out == ""
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.ring"
     bad.write_text("[ring]\nvars = x\nrel = x^\n")
