@@ -63,6 +63,9 @@ class ExploreReport:
         if self.vacuous:
             lines.append("explore.vacuous=1")
             lines.append("explore.note=vacuously consistent: p=1 or q=1")
+        if self.trials == 0 and self.rejected_rings:
+            lines.append("explore.note=no ring reached Loewy length "
+                         f"{self.p + self.q - 1}")
         for key in sorted(self.histogram):
             lines.append(f"explore.hist.{key}={self.histogram[key]}")
         lines.append(f"explore.candidates={len(self.candidates)}")

@@ -1,9 +1,13 @@
 """Exact linear algebra over GF(p) or the rationals.
 
 Matrices are plain numpy arrays: dtype int64 reduced mod p for prime
-fields, dtype object holding Fraction for the rationals.  All row
-reduction uses leftmost-pivot / first-nonzero-row tie-breaking, which
-pins every basis choice made downstream.
+fields, dtype object holding Fraction for the rationals.  Inside the one
+elimination kernel behind rref and rank, rows are held sparse, as
+{column: value} dicts of exact Python scalars, so only nonzero entries
+are ever touched.  Every basis choice made downstream is fixed by the
+reduced row-echelon form, and a row space has exactly one: the answer
+does not depend on the order in which rows are eliminated or on any
+tie-breaking rule.
 """
 
 import math
@@ -128,54 +132,72 @@ GF101 = Field(101)
 QQ = Field(None)
 
 
-def _eliminate(F, m, reduced):
-    """Gaussian elimination with the leftmost-pivot, first-nonzero-row
-    rule; returns the eliminated copy of m and its pivot columns.
+def _pivot_rows(F, m):
+    """The nonzero rows of rref(m), keyed by pivot column, each a sparse
+    {column: value} dict of Python ints (GF(p)) or Fractions (Q).
 
-    reduced=True gives the reduced row-echelon form: pivot rows scaled to
-    1 and every other row cleared in each pivot column.  reduced=False
-    only clears below each pivot and leaves pivot rows unscaled, which is
-    enough to count pivots.  A pivot at (r, c) touches only the rows
-    nonzero in column c, and only columns >= c: like every row at or
-    below it, row r is already zero left of c, so subtracting multiples
-    of it leaves those columns unchanged."""
-    m = F.mod(np.array(m, copy=True))
-    rows, cols = m.shape
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
+    Rows of m are inserted one at a time into a pivot set that stays
+    fully reduced: every pivot row is 1 at its own pivot column and 0 at
+    the others.  A new row is therefore reduced in one pass (its entry at
+    each pivot column is the multiple of that pivot row to subtract),
+    scaled so that its leading entry is 1, and its leading column is
+    cleared from the earlier pivot rows.  Only nonzero entries are
+    touched, and Python ints are exact at every accepted p."""
+    p = F.p
+    m = F.mod(np.asarray(m))
+    nz = np.nonzero(m)
+    rows = {}
+    for r, c, v in zip(nz[0].tolist(), nz[1].tolist(), m[nz].tolist()):
+        rows.setdefault(r, {})[c] = v
+    piv = {}
+    for row in rows.values():
+        for c in [c for c in row if c in piv]:
+            _subtract(row, row[c], piv[c], p)
+        live = [k for k, v in row.items() if v]
+        if not live:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]  # old row r, zero in column c, moves to i
-        inv = F.inv(m[r, c])
-        if reduced:
-            m[r, c:] = F.mod(m[r, c:] * inv)
-            hit = np.flatnonzero(m[:, c])
-            hit = hit[hit != r]
-            factors = m[hit, c]
-        else:
-            hit = r + nz[1:]
-            factors = F.mod(m[hit, c] * inv)
-        if hit.size:
-            m[hit, c:] = F.mod(m[hit, c:] - np.outer(factors, m[r, c:]))
-        pivots.append(c)
-    return m, pivots
+        lead = min(live)
+        inv = F.inv(row[lead])
+        row = {k: F.mod(row[k] * inv) for k in live}
+        for prow in piv.values():
+            if lead in prow:
+                _subtract(prow, prow[lead], row, p)
+                for k in row:
+                    if not prow[k]:
+                        del prow[k]
+        piv[lead] = row
+    return piv
+
+
+def _subtract(dst, a, src, p):
+    """dst -= a * src in place (mod p over GF(p)); entries that cancel
+    stay, as zeros."""
+    get = dst.get
+    if p is None:
+        for k, v in src.items():
+            dst[k] = get(k, 0) - a * v
+    else:
+        for k, v in src.items():
+            dst[k] = (get(k, 0) - a * v) % p
 
 
 def rref(F, m):
-    """Reduced row-echelon form and pivot columns; row space preserved."""
-    return _eliminate(F, m, reduced=True)
+    """Reduced row-echelon form and pivot columns; row space preserved.
+
+    The pivot rows, in pivot-column order, fill the top of an array of
+    m's shape; the rest is zero."""
+    piv = _pivot_rows(F, m)
+    pivots = sorted(piv)
+    out = F.zeros(np.shape(m))
+    at = [(i, k, v) for i, c in enumerate(pivots) for k, v in piv[c].items()]
+    if at:
+        i, k, v = zip(*at)
+        out[list(i), list(k)] = list(v)
+    return out, pivots
 
 
 def rank(F, m):
-    if m.size == 0 or not np.any(m):
-        return 0
-    return len(_eliminate(F, m, reduced=False)[1])
+    return len(_pivot_rows(F, m))
 
 
 def kernel_basis(F, m):

@@ -81,11 +81,20 @@ class GradedRing:
         self.varnames = list(presentation.varnames)
         self.e = len(self.varnames)
         self.h = h
-        # degrees: list over d of (std monomial list, nf dict monomial -> vector over std)
+        # degrees: list over d of (std monomials, all monomials, matrix of
+        # their normal forms over std, one row per monomial)
         self.std = [deg[0] for deg in degrees]
-        self._nf = [deg[1] for deg in degrees]
         self.hilbert = [len(s) for s in self.std]
         self.length = sum(self.hilbert)
+        # every monomial of degree <= h and its normal form in global
+        # coordinates: row self._row[mon] of self._nf
+        mons = [m for deg in degrees for m in deg[1]]
+        self._row = {m: i for i, m in enumerate(mons)}
+        self._nf = self.field.zeros((len(mons), self.length))
+        r = c = 0
+        for std, ms, nfs in degrees:
+            self._nf[r:r + len(ms), c:c + len(std)] = nfs
+            r, c = r + len(ms), c + len(std)
         # global basis: (degree, monomial), degree-major, monomial order within
         self.basis = [(d, m) for d in range(h + 1) for m in self.std[d]]
         self.index = {m: i for i, (d, m) in enumerate(self.basis)}
@@ -98,29 +107,23 @@ class GradedRing:
 
     # -- construction ---------------------------------------------------
 
-    def _offset(self, d):
-        return sum(self.hilbert[:d])
-
     def monomial_vector(self, mon):
         """Global coordinate vector of a monomial's normal form."""
-        F = self.field
-        d = sum(mon)
-        v = F.zeros(self.length)
-        if d > self.h:
-            return v
-        off = self._offset(d)
-        nf = self._nf[d][mon]
-        for j, c in enumerate(nf):
-            v[off + j] = c
-        return v
+        if sum(mon) > self.h:
+            return self.field.zeros(self.length)
+        return self._nf[self._row[mon]].copy()
 
     def _build_mult_table(self):
-        F = self.field
+        """table[i, j] is the normal form of basis monomial i times basis
+        monomial j, gathered in one step from the normal-form rows (and a
+        zero row for the products of degree > h)."""
         n = self.length
-        self.table = F.zeros((n, n, n))
-        for i, (di, mi) in enumerate(self.basis):
-            for j, (dj, mj) in enumerate(self.basis):
-                self.table[i, j] = self.monomial_vector(_mono_mul(mi, mj))
+        exps = np.array([m for _, m in self.basis]).reshape(n, self.e)
+        prods = (exps[:, None] + exps[None]).reshape(n * n, self.e)
+        zero = len(self._row)
+        rows = [self._row.get(tuple(m), zero) for m in prods.tolist()]
+        nf = np.vstack([self._nf, self.field.zeros((1, n))])
+        self.table = nf[rows].reshape(n, n, n)
         # left multiplication operators, columns indexed by the right factor
         self.left_mult = [self.table[i].T.copy() for i in range(n)]
 
@@ -160,29 +163,6 @@ class GradedRing:
             "r": self.r,
             "gorenstein": self.gorenstein,
         }
-
-    def basis_name(self, i):
-        d, mon = self.basis[i]
-        if d == 0:
-            return "1"
-        parts = []
-        for g, k in enumerate(mon):
-            if k == 1:
-                parts.append(self.varnames[g])
-            elif k > 1:
-                parts.append(f"{self.varnames[g]}^{k}")
-        return "*".join(parts)
-
-    def element_str(self, v):
-        terms = []
-        for i in np.flatnonzero(v):
-            c = v[i]
-            name = self.basis_name(i)
-            if c == self.field.one:
-                terms.append(name)
-            else:
-                terms.append(f"{c}*{name}")
-        return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
         rels = len(self.presentation.relations)
@@ -237,8 +217,7 @@ def build_ring(presentation, degree_cap=30):
         # normal forms: residual of each monomial after elimination by the
         # span, on the standard (non-pivot) coordinates
         span = Subspace(F, len(mons), red[: len(piv)], tuple(piv))
-        nfs = np.ascontiguousarray(span.projection().T)
-        degrees.append((std, dict(zip(mons, nfs))))
+        degrees.append((std, mons, span.projection().T))
         d += 1
     return GradedRing(presentation, degrees, h)
 

@@ -141,6 +141,19 @@ def test_explore_budget_zero(capsys):
     code, out = run(capsys, "explore", "--budget", "0", "--machine")
     assert code == 0
     assert "explore.candidates=0" in out
+    assert "explore.note" not in out  # nothing was drawn, nothing rejected
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]])
+def test_explore_says_why_no_trial_ran(capsys, machine):
+    # p = q = 3 needs m^5 != 0, and no ring drawn at seed 0 qualifies
+    code, out = run(capsys, "explore", "--seed", "0", "--budget", "5",
+                    "--p", "3", "--q", "3", *machine)
+    assert code == 0
+    lines = out.splitlines()
+    assert "explore.trials=0" in lines
+    assert "explore.rejected_rings=5" in lines
+    assert "explore.note=no ring reached Loewy length 5" in lines
 
 
 def test_suite_single_statement(capsys, flat_file):

@@ -6,6 +6,7 @@ object-dtype oracle."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from conftest import identical
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,50 @@ def dense_rref(F, m):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def loop_eliminate(F, m, reduced):
+    """The dense per-column loop that the sparse kernel replaced: a pivot
+    at (r, c) updates only the rows nonzero in column c, and only columns
+    >= c.  reduced=False clears below each pivot only and leaves pivot
+    rows unscaled, which is enough to count pivots."""
+    m = F.mod(np.array(m, copy=True))
+    rows, cols = m.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = F.inv(m[r, c])
+        if reduced:
+            m[r, c:] = F.mod(m[r, c:] * inv)
+            hit = np.flatnonzero(m[:, c])
+            hit = hit[hit != r]
+            factors = m[hit, c]
+        else:
+            hit = r + nz[1:]
+            factors = F.mod(m[hit, c] * inv)
+        if hit.size:
+            m[hit, c:] = F.mod(m[hit, c:] - np.outer(factors, m[r, c:]))
+        pivots.append(c)
+    return m, pivots
+
+
+def assert_matches_oracles(F, m):
+    """rref and rank of m agree with both dense oracles: same reduced
+    form (values, dtype and element types), pivots and pivot count."""
+    r, piv = rref(F, m)
+    for want_r, want_piv in (dense_rref(F, F.mod(m)),
+                             loop_eliminate(F, m, reduced=True)):
+        assert piv == want_piv
+        assert identical(r, want_r)
+    assert rank(F, m) == len(piv) == len(loop_eliminate(F, m, False)[1])
 
 
 def loop_kernel(F, m):
@@ -121,14 +166,50 @@ def field_matrices(draw, fields=FIELDS, max_dim=9):
     return F, m
 
 
+@st.composite
+def graded_matrices(draw):
+    """Sparse matrices shaped like the maps of a graded resolution, up to
+    60x60: rows and columns come in degree blocks, and a row block meets
+    only its own column block and the next one, at an overall density of
+    0.01-0.1.  Some rows are combinations of two others in the same
+    degree, so rows cancel and pivot rows fill in; then the rows are
+    shuffled.  Over GF(p) the entries may be left unreduced (shifted by
+    -2p..2p, so some are >= p, some negative and some nonzero multiples
+    of p); over Q some drawn values are Fraction(0)."""
+    F = draw(st.sampled_from(FIELDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    row_deg = np.repeat(np.arange(k), rng.integers(4, 16, size=k))
+    col_deg = np.repeat(np.arange(k), rng.integers(4, 16, size=k))
+    rows, cols = row_deg.size, col_deg.size
+    step = col_deg[None, :] - row_deg[:, None]
+    blocks = (step == 0) | (step == 1)
+    density = draw(st.sampled_from([0.01, 0.03, 0.1]))
+    mask = blocks & (rng.random((rows, cols)) * blocks.mean() < density)
+    if F.p is None:
+        num = rng.integers(-3, 4, size=(rows, cols))
+        den = rng.integers(1, 4, size=(rows, cols))
+        m = F.zeros((rows, cols))
+        for i, j in zip(*np.nonzero(mask)):
+            m[i, j] = Fraction(int(num[i, j]), int(den[i, j]))
+    else:
+        m = F.array(np.where(mask, rng.integers(1, F.p, size=mask.shape), 0))
+    for i in range(rows):
+        same = np.flatnonzero(row_deg == row_deg[i])
+        if same.size > 2 and rng.random() < 0.3:
+            a, b = rng.choice(same[same != i], size=2, replace=False)
+            ca, cb = (F.scalar(int(x)) for x in rng.integers(1, 5, size=2))
+            m[i] = F.mod(ca * m[a] + cb * m[b])
+    m = m[rng.permutation(rows)]
+    if F.p is not None and draw(st.booleans()):
+        m = m + F.p * rng.integers(-2, 3, size=m.shape)
+    return F, m
+
+
 @given(field_matrices())
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_dense_oracle(case):
-    F, m = case
-    r, piv = rref(F, m)
-    want_r, want_piv = dense_rref(F, m)
-    assert piv == want_piv
-    assert identical(r, want_r)
+    assert_matches_oracles(*case)
 
 
 @given(field_matrices())
@@ -136,6 +217,26 @@ def test_rref_matches_dense_oracle(case):
 def test_rank_is_oracle_pivot_count(case):
     F, m = case
     assert rank(F, m) == len(dense_rref(F, m)[1])
+
+
+@given(graded_matrices())
+@settings(max_examples=200, deadline=None)
+def test_sparse_graded_matrices_match_oracles(case):
+    assert_matches_oracles(*case)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5)])
+def test_zero_and_empty_shapes(F, shape):
+    zero = F.zeros(shape)
+    inputs = [zero]
+    if F.p is not None:  # nonzero words that are 0 mod p
+        inputs += [zero + F.p, zero - 2 * F.p]
+    for m in inputs:
+        r, piv = rref(F, m)
+        assert piv == [] and rank(F, m) == 0
+        assert identical(r, zero)
+        assert_matches_oracles(F, m)
 
 
 @given(field_matrices())

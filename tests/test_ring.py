@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import identical
 
+from socle.explorer import random_ring
 from socle.instancefile import parse_poly
-from socle.linalg import Field, GF101
+from socle.linalg import QQ, Field, GF101, Subspace
 from socle.ring import (
     NotArtinianError,
     PresentationError,
@@ -17,6 +19,7 @@ from socle.ring import (
 from socle.theorems import AGP_RELATIONS
 
 GF5 = Field(5)
+FIELDS = [Field(2), Field(3), GF101, Field(2**31 - 1), QQ]
 
 
 def test_monomial_order():
@@ -117,3 +120,57 @@ def test_hilbert_lengths():
         ring = build_ring(RingPresentation(GF5, names, rels))
         assert ring.length == lam  # 1 + e + e(e+1)/2
         assert ring.h == 2
+
+
+def reduced_normal_forms(ring):
+    """Global normal-form vector of every monomial of degree <= h, each
+    the residual of Subspace.reduce against its degree's relation span:
+    the per-monomial path that build_ring no longer takes."""
+    F, e = ring.field, ring.e
+    out, off = {}, 0
+    for d in range(ring.h + 1):
+        mons = monomials(e, d)
+        idx = {m: i for i, m in enumerate(mons)}
+        rows = []
+        for f in ring.presentation.relations:
+            d0 = sum(next(iter(f)))
+            for u in monomials(e, d - d0) if d0 <= d else []:
+                row = F.zeros(len(mons))
+                for m, c in f.items():
+                    row[idx[tuple(a + b for a, b in zip(u, m))]] = F.scalar(c)
+                rows.append(row)
+        span = (Subspace.from_rows(F, np.vstack(rows)) if rows
+                else Subspace(F, len(mons)))
+        std = [idx[m] for m in ring.std[d]]
+        eye = F.eye(len(mons))
+        for m in mons:
+            out[m] = F.zeros(ring.length)
+            out[m][off:off + len(std)] = span.reduce(eye[idx[m]])[std]
+        off += len(std)
+    return out
+
+
+def pairwise_table(ring, nf):
+    """The structure table filled one pair of basis monomials at a time."""
+    n = ring.length
+    table = ring.field.zeros((n, n, n))
+    for i, (_, mi) in enumerate(ring.basis):
+        for j, (_, mj) in enumerate(ring.basis):
+            prod = tuple(a + b for a, b in zip(mi, mj))
+            if sum(prod) <= ring.h:
+                table[i, j] = nf[prod]
+    return table
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_mult_table_matches_pairwise_oracle(F):
+    rings = [ring_from_strings(F, ["x", "y"], ["x^2 - y^2", "x*y"]),
+             ring_from_strings(F, ["x"], ["x^4"]),
+             ring_from_strings(F, ["x1", "x2", "x3", "x4"], AGP_RELATIONS)]
+    rng = np.random.default_rng(7)
+    rings += [r for r in (random_ring(F, rng) for _ in range(3)) if r]
+    for ring in rings:
+        nf = reduced_normal_forms(ring)
+        for m, v in nf.items():
+            assert identical(ring.monomial_vector(m), v)
+        assert identical(ring.table, pairwise_table(ring, nf))
