@@ -18,10 +18,11 @@ from .instancefile import serialize_instance
 from .linalg import GF101
 from .modules import quotient_module, random_module
 from .ring import (
+    GradedRing,
     NotArtinianError,
     PresentationError,
     RingPresentation,
-    build_ring,
+    graded_pieces,
     monomials,
 )
 
@@ -106,13 +107,14 @@ def random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
             poly = {m: int(c) for m, c in zip(quad, coeffs) if int(c) != 0}
             if poly:
                 rels.append(poly)
+        pres = RingPresentation(field, names, rels)
         try:
-            ring = build_ring(RingPresentation(field, names, rels),
-                              degree_cap=3 * e + 1)
+            degrees, h = graded_pieces(pres, degree_cap=3 * e + 1)
         except (PresentationError, NotArtinianError):
             continue
-        if ring.h >= h_min and ring.length <= lam_max:
-            return ring
+        # reject on the Hilbert function, before the tables are built
+        if h >= h_min and sum(len(deg[0]) for deg in degrees) <= lam_max:
+            return GradedRing(pres, degrees, h)
     return None
 
 
@@ -163,11 +165,11 @@ def explore(seed, budget, cutoff=12, p=2, q=2, e_range=(2, 4), nu_max=2,
             continue
         M, N = pair
         report.trials += 1
-        prof = tor_profile(M, N, cutoff, early_exit=True)
+        prof = tor_profile(M, N, cutoff)
         key = prof.first_nonzero
         report.histogram[key] = report.histogram.get(key, 0) + 1
         if prof.all_zero:
-            recheck = tor_profile(M, N, 2 * cutoff, early_exit=True)
+            recheck = tor_profile(M, N, 2 * cutoff)
             dossier = serialize_instance(ring, {"M": M, "N": N})
             report.candidates.append(
                 Candidate(trial, dossier, prof.dims, recheck.dims,

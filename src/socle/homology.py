@@ -122,22 +122,16 @@ def realize(ring, delta, coeff_module):
         rows * n, cols * n)
 
 
-def _complex_maps(M, N, i):
-    """Realized differentials d_i and d_{i+1} of F(M) (x) N."""
-    res = resolve(M, i + 1)
-    ring = M.ring
-    n = N.dim
-
-    def dmat(j):
-        if j < 1:
-            raise ValueError
-        if j <= res.length:
-            return realize(ring, res.deltas[j - 1], N)
-        b_from = res.betti_number(j)
-        b_to = res.betti_number(j - 1)
-        return ring.field.zeros((b_to * n, b_from * n))
-
-    return dmat(i) if i >= 1 else None, dmat(i + 1)
+def _differential(res, j, N, hom=False):
+    """Realized d_j: F_j (x) N -> F_{j-1} (x) N of the resolution F, or
+    with hom the map d^j: Hom(F_{j-1}, N) -> Hom(F_j, N).  It is the zero
+    map for j = 0 and past the end of a finite resolution."""
+    if 1 <= j <= res.length:
+        delta = res.deltas[j - 1]
+        return realize(res.ring, delta.transpose(1, 0, 2) if hom else delta, N)
+    shape = (res.betti_number(j - 1) * N.dim if j else 0,
+             res.betti_number(j) * N.dim)
+    return res.ring.field.zeros(shape[::-1] if hom else shape)
 
 
 def tor_dim(M, N, i):
@@ -147,19 +141,13 @@ def tor_dim(M, N, i):
     F = M.ring.field
     if M.dim == 0 or N.dim == 0:
         return 0
-    d_i, d_next = _complex_maps(M, N, i)
-    if i == 0:
-        res = resolve(M, 1)
-        return res.betti_number(0) * N.dim - rank(F, d_next)
-    nullity = d_i.shape[1] - rank(F, d_i)
-    return nullity - rank(F, d_next)
+    res = resolve(M, i + 1)
+    d = _differential(res, i, N)
+    return d.shape[1] - rank(F, d) - rank(F, _differential(res, i + 1, N))
 
 
 @dataclass
 class TorProfile:
-    left: FiniteModule
-    right: FiniteModule
-    cutoff: int
     dims: list
     first_nonzero: int  # 0 if the whole window [1, cutoff] vanishes
 
@@ -168,23 +156,15 @@ class TorProfile:
         return self.first_nonzero == 0
 
 
-def tor_profile(M, N, n, early_exit=False):
-    """Tor dimensions on [1, n]; with early_exit, stop at the first
-    nonzero value (the remaining entries are not computed)."""
+def tor_profile(M, N, n):
+    """Tor dimensions on [1, n], stopping at the first nonzero value (the
+    remaining entries are not computed)."""
     dims = []
-    first = 0
     for i in range(1, n + 1):
-        d = tor_dim(M, N, i)
-        dims.append(d)
-        if d and not first:
-            first = i
-            if early_exit:
-                break
-    return TorProfile(M, N, n, dims, first)
-
-
-def tor_window_zero(M, N, lo, hi):
-    return all(tor_dim(M, N, i) == 0 for i in range(lo, hi + 1))
+        dims.append(tor_dim(M, N, i))
+        if dims[-1]:
+            return TorProfile(dims, i)
+    return TorProfile(dims, 0)
 
 
 def ext_dim(M, N, i):
@@ -200,58 +180,24 @@ def ext_dim_direct(M, N, i):
     if M.dim == 0 or N.dim == 0:
         return 0
     res = resolve(M, i + 1)
-    ring = M.ring
-    n = N.dim
-
-    def dmat(j):
-        # d^j: Hom(F_{j-1}, N) -> Hom(F_j, N), blocks transposed
-        if j <= res.length:
-            delta = res.deltas[j - 1]
-            return realize(ring, delta.transpose(1, 0, 2), N)
-        return F.zeros((res.betti_number(j) * n, res.betti_number(j - 1) * n))
-
-    up = dmat(i + 1)
-    if i == 0:
-        return up.shape[1] - rank(F, up)
-    down = dmat(i)
-    nullity = up.shape[1] - rank(F, up)
-    return nullity - rank(F, down)
+    up = _differential(res, i + 1, N, hom=True)
+    return up.shape[1] - rank(F, up) - rank(F, _differential(res, i, N, hom=True))
 
 
 def tor_induced_k(f, i):
     """Rank of Tor_i(k, f) for an R-linear map f: A -> B."""
     A, B = f.source, f.target
-    ring = A.ring
-    F = ring.field
-    k = residue_field(ring)
-    res = resolve(k, i + 1)
+    F = A.ring.field
+    res = resolve(residue_field(A.ring), i + 1)
     bi = res.betti_number(i)
     if bi == 0 or A.dim == 0:
         return 0
-
-    def cycles(mod):
-        if i == 0:
-            return F.eye(res.betti_number(0) * mod.dim)
-        if i <= res.length:
-            D = realize(ring, res.deltas[i - 1], mod)
-            return kernel_basis(F, D)
-        return F.eye(bi * mod.dim)
-
-    def boundaries(mod):
-        if i + 1 <= res.length:
-            D = realize(ring, res.deltas[i], mod)
-            return D.T
-        return F.zeros((0, bi * mod.dim))
-
-    ZA = cycles(A)
-    BB = boundaries(B)
-    big = F.zeros((bi * B.dim, bi * B.dim))
-    fmap = F.zeros((bi * B.dim, bi * A.dim))
-    for j in range(bi):
-        fmap[j * B.dim:(j + 1) * B.dim, j * A.dim:(j + 1) * A.dim] = f.matrix
-    mapped = F.matmul(fmap, ZA.T).T  # images of A-cycles in B-chains
-    stacked = np.vstack([BB, mapped]) if BB.shape[0] else mapped
-    return rank(F, stacked) - rank(F, BB)
+    ZA = kernel_basis(F, _differential(res, i, A))  # cycles of F (x) A
+    BB = _differential(res, i + 1, B).T  # boundaries of F (x) B, as rows
+    # images of the A-cycles in F_i (x) B: f applied block by block
+    mapped = F.matmul(ZA.reshape(-1, A.dim), f.matrix.T).reshape(
+        len(ZA), bi * B.dim)
+    return rank(F, np.vstack([BB, mapped])) - rank(F, BB)
 
 
 @dataclass

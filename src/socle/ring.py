@@ -73,7 +73,7 @@ class RingPresentation:
 
 
 class GradedRing:
-    """Immutable after build_ring; all bookkeeping is precomputed."""
+    """Immutable after construction; all bookkeeping is precomputed."""
 
     def __init__(self, presentation, degrees, h):
         self.presentation = presentation
@@ -172,8 +172,10 @@ class GradedRing:
         )
 
 
-def build_ring(presentation, degree_cap=30):
-    """Construct the graded quotient, stopping at the first zero degree."""
+def graded_pieces(presentation, degree_cap=30):
+    """The quotient degree by degree, stopping at the first zero degree:
+    (degrees, h) as GradedRing takes them, where degrees[d] holds the
+    standard monomials, all monomials and the normal-form matrix of R_d."""
     if degree_cap < 2:
         raise PresentationError("degree_cap must be >= 2")
     F = presentation.field
@@ -219,7 +221,12 @@ def build_ring(presentation, degree_cap=30):
         span = Subspace(F, len(mons), red[: len(piv)], tuple(piv))
         degrees.append((std, mons, span.projection().T))
         d += 1
-    return GradedRing(presentation, degrees, h)
+    return degrees, h
+
+
+def build_ring(presentation, degree_cap=30):
+    """Construct the graded quotient."""
+    return GradedRing(presentation, *graded_pieces(presentation, degree_cap))
 
 
 # -- convenience constructors used by tests and the canned corpus ------

@@ -7,6 +7,9 @@ statements the passing status is NO_COUNTEREXAMPLE instead of PASS.
 
 Proved statements can only FAIL on an engine defect, so any FAIL is a
 bug report in disguise; the suite runner treats it as fatal.
+
+Every Tor or Ext window a hypothesis needs goes through `_scan`, which
+honours the work cap and computes each index at most once.
 """
 
 import math
@@ -17,12 +20,10 @@ import numpy as np
 
 from .homology import (
     betti_numbers,
-    ext_dim,
     koszul_test,
     resolve,
     tor_dim,
     tor_induced_k,
-    tor_window_zero,
 )
 from .linalg import Subspace, kernel_subspace
 from .modules import (
@@ -134,28 +135,24 @@ def _afford(M, i):
     return _max_depth(M, i + 1) > i
 
 
-def _first_zero_window(M, N, width, lo, hi):
-    """Smallest j in [lo, hi] with Tor_{j..j+width-1}(M, N) = 0; the
-    scan stops early (returning None) if the cap is hit first."""
-    run = 0
-    for i in range(lo, hi + width):
-        if not _afford(M, i):
-            return None
-        if tor_dim(M, N, i) == 0:
-            run += 1
-            if run >= width:
-                return i - width + 1
-        else:
-            run = 0
+def _scan(M, Ns, lo, hi, width=1):
+    """Smallest j in [lo, hi] with Tor_i(M, N) = 0 for every N in Ns and
+    every i in [j, j+width-1], or None.
+
+    Each index is computed once, in increasing order: a nonzero Tor_i
+    moves the next candidate start to i+1.  The scan stops (returning
+    None) at the first candidate window whose last index the work cap
+    rejects, or once no window can start in [lo, hi]; an empty range
+    computes nothing.  Ext^i(M, X) is Tor_i(M, X^v), so Ext windows are
+    scanned against Matlis duals."""
+    start = lo
+    while start <= hi and _afford(M, start + width - 1):
+        bad = next((i for i in range(start, start + width)
+                    if any(tor_dim(M, N, i) for N in Ns)), None)
+        if bad is None:
+            return start
+        start = bad + 1
     return None
-
-
-def _window_ok(M, N, lo, hi):
-    """Verified-all-zero check on [lo, hi], honoring the work cap."""
-    for i in range(lo, hi + 1):
-        if not _afford(M, i) or tor_dim(M, N, i) != 0:
-            return False
-    return True
 
 
 def _subspaces_equal(a, b):
@@ -194,9 +191,8 @@ def _s1(inst, n):
     M, N = inst.module("M"), inst.module("N")
     _need(not N.is_zero(), "N is zero")
     _need(not N.is_free(), "N has finite projective dimension")
-    i = inst.params.get("i") or _first_zero_window(M, N, 1, 1, n)
+    i = _scan(M, [N], 1, n)
     _need(i is not None, f"no vanishing Tor index in [1,{n}]")
-    _need(tor_dim(M, N, i) == 0, f"Tor_{i}(M,N) != 0")
     res = resolve(M, i)
     bad = [j for j in range(i)
            if res.syzygy_module(j).has_k_summand()]
@@ -206,8 +202,8 @@ def _s1(inst, n):
 
 def _s2(inst, n):
     M, N = inst.module("M"), inst.module("N")
-    n = inst.params.get("n", min(n, 6))
-    _need(_window_ok(M, N, 1, n), f"Tor window [1,{n}] not verified zero")
+    n = min(n, 6)
+    _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
     T = tensor_over_R(M, N)
     n = min(n, _max_depth(M, n), _max_depth(N, n), _max_depth(T, n))
     _need(n >= 1, "resolution work cap leaves no checkable window")
@@ -237,7 +233,7 @@ def _s4(inst, n):
     M, N = inst.module("M"), inst.module("N")
     _need(not M.is_zero(), "M is zero")
     _need(not N.is_free(), "N is free")
-    i = inst.params.get("i") or _first_zero_window(M, N, 1, 1, n)
+    i = _scan(M, [N], 1, n)
     _need(i is not None, f"no vanishing Tor index in [1,{n}]")
     resN = resolve(N, i)
     b = betti_numbers(N, i)
@@ -258,10 +254,6 @@ def _s4(inst, n):
         part2 = TMi.mm().dim == 0 and b[i] == (gM - gTp) * b[i - 1]
         ok &= part2
         report.append(f"(2) m(M(x)N_i)=0 and exact ratio {part2}")
-        if i > 1 and tor_dim(M, N, i - 1) == 0:
-            part3 = b[i] == gM * b[i - 1]
-            ok &= part3
-            report.append(f"(3) b_i = gamma(M) b_(i-1) {part3}")
     return ok, "; ".join(report), {"i": i}
 
 
@@ -273,7 +265,7 @@ def _s5(inst, n):
     ok = True
     ran = False
     nu = N.min_gens()
-    if nu <= n and _window_ok(M, N, 1, nu):
+    if nu <= n and _scan(M, [N], 1, 1, width=nu):
         ran = True
         good = M.gamma() >= 1
         ok &= good
@@ -282,7 +274,7 @@ def _s5(inst, n):
         b1 = betti_numbers(N, 1)[1]
         if b1 >= 1:
             depth = int(math.floor(math.log2(b1))) + 2
-            if depth <= n and _window_ok(M, N, 1, depth):
+            if depth <= n and _scan(M, [N], 1, 1, width=depth):
                 ran = True
                 good = M.gamma().denominator == 1
                 ok &= good
@@ -296,7 +288,7 @@ def _s6(inst, n):
     _need(not M.is_free(), "M is free")
     _need(not N.is_free(), "N is free")
     _need(_kills_m_squared(M), "m^2 M != 0")
-    _need(tor_window_zero(M, N, 1, 2), "Tor_1 or Tor_2 nonzero")
+    _need(_scan(M, [N], 1, 1, width=2), "Tor_1 or Tor_2 nonzero")
     b = betti_numbers(M, 1)
     gM = M.gamma()
     eq1 = b[1] == (M.ring.e - gM) * b[0]
@@ -315,7 +307,7 @@ def _s7(inst, n):
     for name, L in (("M", M), ("N", N)):
         _need(not L.is_free(), f"{name} is free")
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
-    _need(tor_window_zero(M, N, 1, 2), "Tor_1 or Tor_2 nonzero")
+    _need(_scan(M, [N], 1, 1, width=2), "Tor_1 or Tor_2 nonzero")
     T = tensor_over_R(M, N)
     ok = M.gamma() + N.gamma() - T.gamma() == M.ring.e
     return ok, f"gamma(M)+gamma(N)-gamma(M(x)N) = {M.gamma()+N.gamma()-T.gamma()} vs e={M.ring.e}", {}
@@ -323,11 +315,11 @@ def _s7(inst, n):
 
 def _s8(inst, n):
     M, N = inst.module("M"), inst.module("N")
-    n = inst.params.get("n", min(n, 6))
+    n = min(n, 6)
     for name, L in (("M", M), ("N", N)):
         _need(not L.is_free(), f"{name} is free")
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
-    _need(_window_ok(M, N, 1, n), f"Tor window [1,{n}] not verified zero")
+    _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
     k = inst.module("k")
     n = min(n, _max_depth(k, n))
     _need(n >= 1, "resolution work cap leaves no checkable window")
@@ -349,9 +341,8 @@ def _s8(inst, n):
 def _s9(inst, n):
     M, N = inst.module("M"), inst.module("N")
     _need(inst.ring.h <= 1, "m^2 != 0")
-    i = inst.params.get("i") or _first_zero_window(M, N, 1, 2, n)
-    _need(i is not None and i > 1, f"no vanishing Tor index in [2,{n}]")
-    _need(tor_dim(M, N, i) == 0, f"Tor_{i} != 0")
+    i = _scan(M, [N], 2, n)
+    _need(i is not None, f"no vanishing Tor index in [2,{n}]")
     ok = M.is_free() or N.is_free()
     return ok, f"M free: {M.is_free()}, N free: {N.is_free()}", {"i": i}
 
@@ -364,7 +355,7 @@ def _s10(inst, n):
     _need(inst.ring.h == 2, "need m^3 = 0 and m^2 != 0")
     _need(not M.is_free(), "M is free")
     _need(_kills_m_squared(M), "m^2 M != 0")
-    depth = min(inst.params.get("depth", 5), n, _max_depth(M, n + 1) - 1)
+    depth = min(5, n, _max_depth(M, n + 1) - 1)
     _need(depth >= 1, "resolution work cap leaves no checkable depth")
     res = resolve(M, depth + 1)
     b = [res.betti_number(i) for i in range(depth + 2)]
@@ -403,9 +394,8 @@ def _s12(inst, n):
     _need(inst.ring.h <= 2, "m^3 != 0")
     _need(not M.is_free(), "M is free")
     _need(not N.is_free(), "N is free")
-    i = inst.params.get("i") or _first_zero_window(M, N, 1, 3, n)
-    _need(i is not None and i >= 3, f"no vanishing Tor index in [3,{n}]")
-    _need(tor_dim(M, N, i) == 0, f"Tor_{i} != 0")
+    i = _scan(M, [N], 3, n)
+    _need(i is not None, f"no vanishing Tor index in [3,{n}]")
     soc = inst.ring.socle_subspace()
     ok = _subspaces_equal(soc, _m_square_part(inst.ring))
     return ok, f"Soc(R) dim {soc.dim} vs m^2 dim {_m_square_part(inst.ring).dim}", {"i": i}
@@ -417,9 +407,8 @@ def _three_tor_hyp(inst, n):
     for name, L in (("M", M), ("N", N)):
         _need(not L.is_free(), f"{name} is free")
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
-    j = inst.params.get("j") or _first_zero_window(M, N, 3, 1, n - 2)
-    _need(j is not None and j > 0, f"no triple-zero Tor window in [1,{n}]")
-    _need(_window_ok(M, N, j, j + 2), f"Tor_[{j},{j+2}] not all zero")
+    j = _scan(M, [N], 1, n - 2, width=3)
+    _need(j is not None, f"no triple-zero Tor window in [1,{n}]")
     _need(_max_depth(N, j + 2) >= j + 2, "N resolution exceeds work cap")
     return M, N, j
 
@@ -453,7 +442,7 @@ def _s13(inst, n):
 
 def _s14(inst, n):
     M, N, j = _three_tor_hyp(inst, n)
-    l = inst.params.get("l", min(n, j + 4))
+    l = min(n, j + 4)
     _need(l >= j + 3, f"l={l} < j+3={j+3}")
     _need(_afford(M, l) and _max_depth(N, l) >= l,
           f"resolution work cap below l={l}")
@@ -499,9 +488,8 @@ def _s16(inst, n):
     _need(not ring.gorenstein, "ring is Gorenstein")
     _need(not M.is_free(), "M is free")
     _need(_kills_m_squared(M), "m^2 M != 0")
-    j = inst.params.get("j") or _first_zero_window(M, omega, 3, 2, n - 2)
-    _need(j is not None and j >= 2, f"no triple-zero Tor(M,omega) window from 2 in [2,{n}]")
-    _need(_window_ok(M, omega, j, j + 2), f"Tor_[{j},{j+2}](M,omega) not all zero")
+    j = _scan(M, [omega], 2, n - 2, width=3)
+    _need(j is not None, f"no triple-zero Tor(M,omega) window from 2 in [2,{n}]")
     e, a = ring.e, ring.a
     omega1 = inst.module("omega1")
     b = betti_numbers(M, j + 2)
@@ -524,24 +512,21 @@ def _s17(inst, n):
     report = []
     ok = True
     if ring.gorenstein:
-        bad = [i for i in range(1, n + 1) if tor_dim(omega, omega, i) != 0]
-        ok = not bad
+        # omega is free here, so the scan never meets the work cap
+        ok = bool(_scan(omega, [omega], 1, 1, width=n))
         report.append(f"Gorenstein: Tor_i(omega,omega)=0 through {n}: {ok}")
     else:
-        t1 = tor_dim(omega, omega, 1)
-        t2 = tor_dim(omega, omega, 2)
-        t3 = tor_dim(omega, omega, 3)
         if part in (None, 2):
+            t1 = tor_dim(omega, omega, 1)
             good = t1 > 0
             ok &= good
             report.append(f"(2=>1) Tor_1(omega,omega)={t1} > 0: {good}")
         if part in (None, 3):
-            good = not (t2 == 0 and t3 == 0)
+            good = bool(tor_dim(omega, omega, 2) or tor_dim(omega, omega, 3))
             ok &= good
             report.append(f"(3=>1) Tor_2,Tor_3 not both zero: {good}")
         if part in (None, 4):
-            window = _first_zero_window(omega, omega, 3, 3, n - 2)
-            good = window is None
+            good = _scan(omega, [omega], 3, n - 2, width=3) is None
             ok &= good
             report.append(f"(4=>1) no triple-zero window from j>=3 through {n}: {good}")
     return ok, "; ".join(report), {}
@@ -576,13 +561,13 @@ def _s19(inst, n):
     if _kills_m_squared(M):
         b1 = betti_numbers(N, 1)[1]
         c = max(4, int(math.floor(math.log2(b1))) + 2) if b1 >= 1 else 4
-        if c <= n and _window_ok(M, N, 1, c):
+        if c <= n and _scan(M, [N], 1, 1, width=c):
             ran = True
             good = M.is_free() or N.is_free()
             ok &= good
             report.append(f"(1) c(N)={c}: M or N free: {good}")
     if ring.h <= 2:
-        j = _first_zero_window(M, N, 3, 2, n - 2)
+        j = _scan(M, [N], 2, n - 2, width=3)
         if j is not None:
             ran = True
             good = M.is_free() or N.is_free()
@@ -592,41 +577,24 @@ def _s19(inst, n):
     return ok, "; ".join(report), {}
 
 
-def _ext_self_and_ring_zero(M, lo, hi):
-    R1 = regular_module(M.ring)
-    return all(ext_dim(M, M, i) == 0 and ext_dim(M, R1, i) == 0
-               for i in range(lo, hi + 1))
-
-
 def _s20(inst, n):
     ring = inst.ring
     M = inst.module("M")
     _need(ring.h <= 2, "m^3 != 0")
     report = []
     ok = True
-    ran = False
-    start = inst.params.get("i")
-    starts = [start] if start else range(2, n - 2)
-    for s in starts:
-        if not _afford(M, s + 3):
-            break
-        if _ext_self_and_ring_zero(M, s, s + 3):
-            ran = True
-            good = M.is_free()
-            ok &= good
-            report.append(f"(1) Ext(M,M+R)=0 on [{s},{s+3}]: M free: {good}")
-            break
-    if ring.gorenstein:
-        for i in range(1, n + 1):
-            if not _afford(M, i):
-                break
-            if ext_dim(M, M, i) == 0:
-                ran = True
-                good = M.is_free()
-                ok &= good
-                report.append(f"(2) Gorenstein, Ext^{i}(M,M)=0: M free: {good}")
-                break
-    _need(ran, "no vanishing Ext window satisfied")
+    dual = matlis_dual(M)
+    s = _scan(M, [dual, canonical_module(ring)], 2, n - 3, width=4)
+    if s is not None:
+        good = M.is_free()
+        ok &= good
+        report.append(f"(1) Ext(M,M+R)=0 on [{s},{s+3}]: M free: {good}")
+    i = _scan(M, [dual], 1, n) if ring.gorenstein else None
+    if i is not None:
+        good = M.is_free()
+        ok &= good
+        report.append(f"(2) Gorenstein, Ext^{i}(M,M)=0: M free: {good}")
+    _need(report, "no vanishing Ext window satisfied")
     return ok, "; ".join(report), {}
 
 
@@ -637,7 +605,8 @@ def _s21(inst, n):
     bound = max(3, M.min_gens(), _nu_of_subquotient(M, 1))
     _need(bound <= n, f"window bound {bound} exceeds cutoff {n}")
     _need(_afford(M, bound), f"resolution work cap below {bound}")
-    _need(_ext_self_and_ring_zero(M, 1, bound),
+    Ns = [matlis_dual(M), canonical_module(M.ring)]
+    _need(_scan(M, Ns, 1, 1, width=bound),
           f"Ext(M, M+R) window [1,{bound}] not all zero")
     ok = M.is_free()
     return ok, f"M free: {ok} (window [1,{bound}])", {}
@@ -649,8 +618,7 @@ def _s22(inst, n):
     _need(ring.h >= 2, "m^2 = 0")
     _need(not M.is_zero(), "M is zero")
     _need(_kills_m_squared(M), "m^2 M != 0")
-    i = next((i for i in range(1, n + 1)
-              if _afford(M, i) and ext_dim(M, M, i) == 0), None)
+    i = _scan(M, [matlis_dual(M)], 1, n)
     _need(i is not None, f"no vanishing Ext^i(M,M) in [1,{n}]")
     gM = M.gamma()
     if gM == 0:
@@ -665,21 +633,16 @@ def _s23(inst, n):
     M = inst.module("M")
     _need(not M.is_zero(), "M is zero")
     _need(_kills_m_squared(M), "m^2 M != 0")
-    ran = False
-    bound = max(3, M.min_gens(), _nu_of_subquotient(M, 1))
-    if bound <= n and _afford(M, bound) and \
-            all(ext_dim(M, M, i) == 0 for i in range(1, bound + 1)):
-        ran = True
-    if not ran and ring.h <= 2:
-        for s in range(1, n - 1):
-            if not _afford(M, s + 2):
-                break
-            if all(ext_dim(M, M, i) == 0 for i in range(s, s + 3)):
-                ran = True
-                break
+    dual = matlis_dual(M)
+    if ring.h <= 2:
+        # a zero window [1, bound] with bound >= 3 holds the triple at 1
+        ran = _scan(M, [dual], 1, n - 2, width=3)
+    else:
+        bound = max(3, M.min_gens(), _nu_of_subquotient(M, 1))
+        ran = bound <= n and _scan(M, [dual], 1, 1, width=bound)
     _need(ran, "no vanishing Ext window satisfied")
     flat = ring.h <= 1
-    dual_free = matlis_dual(M).is_free()
+    dual_free = dual.is_free()
     ok = flat and (M.is_free() or dual_free)
     return ok, f"m^2=0: {flat}; M free: {M.is_free()}; M injective: {dual_free}", {}
 
@@ -689,7 +652,7 @@ def _s24(inst, n):
     _need(not M.is_zero() and not N.is_zero(), "a module is zero")
     _need(_kills_m_squared(M), "m^2 M != 0")
     _need(_kills_m_squared(N), "m^2 N != 0")
-    _need(_window_ok(M, N, 1, n), f"Tor window [1,{n}] not verified zero")
+    _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
     ok = inst.ring.h <= 2
     return ok, f"m^3=0: {ok} (window verified through {n})", {"conjecture": True}
 
@@ -706,11 +669,10 @@ def _s26(inst, n):
     M, N = inst.module("M"), inst.module("N")
     _need(_kills_m_squared(M), "m^2 M != 0")
     _need(not N.is_free(), "N is free")
-    j = inst.params.get("j", n)
     k = inst.module("k")
-    j = min(j, _max_depth(k, j))
+    j = min(n, _max_depth(k, n))
     _need(j >= 2, "j < 2 (or residue-field resolution exceeds work cap)")
-    _need(_window_ok(M, N, 1, j), f"Tor window [1,{j}] not verified zero")
+    _need(_scan(M, [N], 1, 1, width=j), f"Tor window [1,{j}] not verified zero")
     mN = N.msub(1)
     _, incl = submodule_module(N, mN)
     bad = [i for i in range(j) if tor_induced_k(incl, i) != 0]

@@ -93,14 +93,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("example_agp", ["example", "agp"]),
-    ("suite_to6", ["suite", "--to", "6"]),
-    ("explore_seed42_budget200", ["explore", "--seed", "42", "--budget", "200"]),
+    ("example_agp", ["example", "agp", "--machine"]),
+    ("suite_to6", ["suite", "--to", "6", "--machine"]),
+    ("explore_seed42_budget200",
+     ["explore", "--seed", "42", "--budget", "200", "--machine"]),
+    # the human report carries every verdict's clause text
+    ("suite_to6_human", ["suite", "--to", "6"]),
 ])
 def test_machine_output_matches_golden(capsys, name, argv):
     # every basis choice downstream of rref shows in these reports, so a
     # refactor that keeps them byte for byte keeps the engine's answers
-    code, out = run(capsys, *argv, "--machine")
+    code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 

@@ -1,10 +1,21 @@
 """Randomized counterexample explorer: determinism and constraints."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from conftest import identical
 
-from socle.explorer import explore, random_ring
-from socle.linalg import GF101
+from socle.explorer import REJECTION_CAP, explore, random_ring
+from socle.linalg import GF101, QQ
+from socle.ring import (
+    GradedRing,
+    NotArtinianError,
+    PresentationError,
+    RingPresentation,
+    build_ring,
+    monomials,
+)
 
 
 def test_budget_zero_is_empty():
@@ -56,3 +67,59 @@ def test_random_ring_deterministic():
     if r1 is not None:
         assert r1.hilbert == r2.hilbert
         assert np.array_equal(r1.table, r2.table)
+
+
+def old_random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
+    """Every draw built as a whole ring, then rejected."""
+    lo, hi = e_range
+    for _ in range(REJECTION_CAP):
+        e = int(rng.integers(lo, hi + 1))
+        names = [f"x{i+1}" for i in range(e)]
+        quad = monomials(e, 2)
+        rels = [{tuple(3 if j == i else 0 for j in range(e)): 1}
+                for i in range(e)]
+        for _ in range(int(rng.integers(max(1, e - 2), e + 1))):
+            if field.p is not None:
+                coeffs = rng.integers(0, field.p, size=len(quad))
+            else:
+                coeffs = rng.integers(-5, 6, size=len(quad))
+            poly = {m: int(c) for m, c in zip(quad, coeffs) if int(c) != 0}
+            if poly:
+                rels.append(poly)
+        try:
+            ring = build_ring(RingPresentation(field, names, rels),
+                              degree_cap=3 * e + 1)
+        except (PresentationError, NotArtinianError):
+            continue
+        if ring.h >= h_min and ring.length <= lam_max:
+            return ring
+    return None
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=str)
+def test_random_ring_matches_build_first_oracle(field):
+    built = []
+    real_init = GradedRing.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    for seed in range(6):
+        for h_min, lam_max in ((2, 30), (3, 30), (3, 12)):
+            rng, old_rng = (np.random.default_rng((seed, h_min)),
+                            np.random.default_rng((seed, h_min)))
+            built.clear()
+            with patch.object(GradedRing, "__init__", counting_init):
+                ring = random_ring(field, rng, h_min=h_min, lam_max=lam_max)
+            want = old_random_ring(field, old_rng, h_min=h_min,
+                                   lam_max=lam_max)
+            # the same draws, and only the accepted ring is built
+            assert rng.bit_generator.state == old_rng.bit_generator.state
+            assert built == ([] if ring is None else [ring])
+            assert (ring is None) == (want is None)
+            if ring is not None:
+                assert ring.hilbert == want.hilbert
+                assert ring.presentation.relations == \
+                    want.presentation.relations
+                assert identical(ring.table, want.table)

@@ -1,9 +1,15 @@
 """Executable statement registry: verdicts on canned instances."""
 
-import pytest
+from unittest.mock import patch
 
-from socle.linalg import GF101
-from socle.modules import canonical_module, regular_module
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from socle import theorems
+from socle.linalg import GF101, Field
+from socle.modules import (
+    canonical_module, matlis_dual, random_module, regular_module)
+from socle.ring import ring_from_strings
 from socle.theorems import (
     FAIL,
     NO_COUNTEREXAMPLE,
@@ -94,3 +100,132 @@ def test_verdict_str_readable(gor):
     inst = Instance("gor", gor, {"M": regular_module(gor)})
     v = check("S3", inst, 6)
     assert str(v).startswith("S3: PASS")
+
+
+# -- the window scanner against the mechanisms it replaced ---------------
+
+SPAN = range(7)  # lo and hi
+WIDTHS = range(1, 5)
+
+
+class RecordedTor:
+    """theorems.tor_dim, memoized, logging each (N, i) it is asked for."""
+
+    def __init__(self, tor_dim):
+        self.tor_dim = tor_dim
+        self.memo = {}
+        self.log = []
+
+    def __call__(self, M, N, i):
+        self.log.append((id(N), i))
+        key = (id(M), id(N), i)
+        if key not in self.memo:
+            self.memo[key] = self.tor_dim(M, N, i)
+        return self.memo[key]
+
+    def run(self, fn, *args):
+        """fn(*args) and the (N, i) pairs it asked for."""
+        self.log = []
+        out = fn(*args)
+        return out, self.log
+
+
+def old_first_zero_window(M, N, width, lo, hi):
+    run = 0
+    for i in range(lo, hi + width):
+        if not theorems._afford(M, i):
+            return None
+        if theorems.tor_dim(M, N, i) == 0:
+            run += 1
+            if run >= width:
+                return i - width + 1
+        else:
+            run = 0
+    return None
+
+
+def old_window_ok(M, N, lo, hi):
+    for i in range(lo, hi + 1):
+        if not theorems._afford(M, i) or theorems.tor_dim(M, N, i) != 0:
+            return False
+    return True
+
+
+def old_tor_window_zero(M, N, lo, hi):
+    return all(theorems.tor_dim(M, N, i) == 0 for i in range(lo, hi + 1))
+
+
+def old_start_loop(M, Ns, lo, hi, width):
+    """The S20/S23 loops: each start's whole window is re-evaluated
+    (Ext^i(M, X) written as Tor_i(M, X^v))."""
+    for s in range(lo, hi + 1):
+        if not theorems._afford(M, s + width - 1):
+            break
+        if all(theorems.tor_dim(M, N, i) == 0
+               for i in range(s, s + width) for N in Ns):
+            return s
+    return None
+
+
+def old_first_index(M, Ns, lo, hi):
+    """S22's search, which skips over unaffordable indices."""
+    return next((i for i in range(lo, hi + 1) if theorems._afford(M, i)
+                 and all(theorems.tor_dim(M, N, i) == 0 for N in Ns)), None)
+
+
+def assert_scan_matches_oracles(M, N):
+    tor = RecordedTor(theorems.tor_dim)
+    dual = matlis_dual(M)
+    families = [[N], [dual, canonical_module(M.ring)], [dual]]
+    with patch.object(theorems, "tor_dim", tor):
+        for lo in SPAN:
+            for hi in SPAN:
+                for Ns in families:
+                    for w in WIDTHS:
+                        got, asked = tor.run(theorems._scan, M, Ns, lo, hi, w)
+                        # every index once, in increasing order
+                        assert len(set(asked)) == len(asked)
+                        assert [i for _, i in asked] == \
+                            sorted(i for _, i in asked)
+                        if hi < lo:
+                            assert got is None and not asked
+                        want, old = tor.run(old_start_loop, M, Ns, lo, hi, w)
+                        assert got == want and set(asked) <= set(old)
+                        if Ns == [N]:
+                            want, old = tor.run(
+                                old_first_zero_window, M, N, w, lo, hi)
+                            assert got == want and set(asked) <= set(old)
+                    got, asked = tor.run(theorems._scan, M, Ns, lo, hi)
+                    want, old = tor.run(old_first_index, M, Ns, lo, hi)
+                    assert got == want and set(asked) <= set(old)
+                # all-zero windows [lo, hi]; statements ask for [1, n],
+                # which is empty at cutoff 0
+                if hi < lo and lo != 1:
+                    continue
+                ok, asked = tor.run(theorems._scan, M, [N], lo, lo, hi - lo + 1)
+                want, old = tor.run(old_window_ok, M, N, lo, hi)
+                assert (ok is not None) == want and set(asked) <= set(old)
+                if theorems._afford(M, hi):
+                    assert (ok is not None) == old_tor_window_zero(M, N, lo, hi)
+
+
+@pytest.mark.parametrize("cap", [theorems._WORK_CAP, 40])
+def test_scan_matches_oracles_on_canned(cap):
+    with patch.object(theorems, "_WORK_CAP", cap):
+        for inst in canned_corpus(GF101):
+            assert_scan_matches_oracles(inst.module("M"), inst.module("N"))
+
+
+@given(st.sampled_from([GF101, Field(2)]),
+       st.sampled_from([["x^2", "y^2"], ["x^2", "x*y", "y^2"],
+                        ["x^2 - y^2", "x*y"], ["x^3", "y^2"]]),
+       st.integers(0, 2**16), st.integers(0, 2**16), st.booleans(),
+       st.sampled_from([theorems._WORK_CAP, 40]))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_oracles_on_random_pairs(F, rels, s1, s2, square_zero,
+                                              cap):
+    ring = ring_from_strings(F, ["x", "y"], rels)
+    M = random_module(ring, s1, square_zero=square_zero)
+    N = random_module(ring, s2)
+    with patch.object(theorems, "_WORK_CAP", cap):
+        assert_scan_matches_oracles(M, N)
