@@ -128,7 +128,7 @@ def cmd_check(args):
     try:
         verdict = check(args.statement, inst, cutoff=args.to)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])
     machine = [
         f"check.{verdict.statement}.status={verdict.status}",
         f"check.{verdict.statement}.cutoff={verdict.cutoff}",
@@ -153,7 +153,10 @@ def cmd_suite(args):
         corpus = canned_corpus(field=_default_field(args.field))
     ids = args.statement.split(",") if args.statement else \
         [s.id for s in registry()]
-    report = check_suite(corpus, ids, cutoff=args.to)
+    try:
+        report = check_suite(corpus, ids, cutoff=args.to)
+    except KeyError as exc:
+        raise UsageError(exc.args[0])
     machine = []
     human = []
     for name, v in report.verdicts:
@@ -213,9 +216,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file_arg=True):
-        if file_arg:
-            p.add_argument("file", help="instance file path")
+    def common(p):
+        p.add_argument("file", help="instance file path")
         p.add_argument("--to", type=int, default=None,
                        help="homological cutoff (default 12)")
         p.add_argument("--machine", action="store_true",

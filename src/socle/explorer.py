@@ -129,20 +129,19 @@ def _loewy_truncate(mod, power):
     return out
 
 
-def _trial_modules(ring, rng, p, q, nu_max):
+def _trial_modules(ring, rng, p, q):
     for _ in range(REJECTION_CAP):
         s1 = int(rng.integers(0, 2 ** 31))
         s2 = int(rng.integers(0, 2 ** 31))
-        M = _loewy_truncate(random_module(ring, s1, nu_max=nu_max), p)
-        N = _loewy_truncate(random_module(ring, s2, nu_max=nu_max), q)
+        M = _loewy_truncate(random_module(ring, s1), p)
+        N = _loewy_truncate(random_module(ring, s2), q)
         if M.is_zero() or N.is_zero() or M.is_free() or N.is_free():
             continue
         return M, N
     return None
 
 
-def explore(seed, budget, cutoff=12, p=2, q=2, e_range=(2, 4), nu_max=2,
-            field=None):
+def explore(seed, budget, cutoff=12, p=2, q=2, e_range=(2, 4), field=None):
     """Run `budget` random trials; report the first-nonzero-Tor histogram
     and any candidate counterexamples (re-tested at doubled cutoff)."""
     field = field or GF101
@@ -159,7 +158,7 @@ def explore(seed, budget, cutoff=12, p=2, q=2, e_range=(2, 4), nu_max=2,
         if ring is None:
             report.rejected_rings += 1
             continue
-        pair = _trial_modules(ring, rng, p, q, nu_max)
+        pair = _trial_modules(ring, rng, p, q)
         if pair is None:
             report.rejected_rings += 1
             continue

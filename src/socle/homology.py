@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Subspace, kernel_basis, kernel_subspace, rank
+from .linalg import kernel_basis, kernel_subspace, rank
 from .modules import (
     FiniteModule,
     ModuleError,
@@ -80,6 +80,16 @@ class Resolution:
             self.betti.append(delta.shape[1])
         return self
 
+    def delta(self, i):
+        """RMatrix of delta_i: R^{b_i} -> R^{b_{i-1}} of a resolution
+        computed through stage i.  delta_0 is the zero map R^{b_0} -> 0,
+        and past the end of a finite resolution delta_i has zero columns."""
+        if 1 <= i <= self.length:
+            return self.deltas[i - 1]
+        rows = self.betti_number(i - 1) if i else 0
+        return self.ring.field.zeros(
+            (rows, self.betti_number(i), self.ring.length))
+
     def syzygy_module(self, i):
         """The i-th syzygy M_i as a FiniteModule (M_0 = M itself): the
         R-span of delta_i's columns inside R^{b_{i-1}}, acted on blockwise
@@ -87,11 +97,7 @@ class Resolution:
         if i == 0:
             return self.module
         self.extend(i)
-        if self.finite and i > self.length:
-            span = Subspace(self.ring.field, 0)
-        else:
-            span = column_span(self.ring, self.deltas[i - 1])
-        sub = free_submodule(self.ring, span)
+        sub = free_submodule(self.ring, column_span(self.ring, self.delta(i)))
         sub.is_syzygy = True
         return sub
 
@@ -124,14 +130,9 @@ def realize(ring, delta, coeff_module):
 
 def _differential(res, j, N, hom=False):
     """Realized d_j: F_j (x) N -> F_{j-1} (x) N of the resolution F, or
-    with hom the map d^j: Hom(F_{j-1}, N) -> Hom(F_j, N).  It is the zero
-    map for j = 0 and past the end of a finite resolution."""
-    if 1 <= j <= res.length:
-        delta = res.deltas[j - 1]
-        return realize(res.ring, delta.transpose(1, 0, 2) if hom else delta, N)
-    shape = (res.betti_number(j - 1) * N.dim if j else 0,
-             res.betti_number(j) * N.dim)
-    return res.ring.field.zeros(shape[::-1] if hom else shape)
+    with hom the map d^j: Hom(F_{j-1}, N) -> Hom(F_j, N)."""
+    delta = res.delta(j)
+    return realize(res.ring, delta.transpose(1, 0, 2) if hom else delta, N)
 
 
 def tor_dim(M, N, i):

@@ -207,7 +207,11 @@ def kernel_basis(F, m):
 
 @dataclass
 class Subspace:
-    """Subspace of a coordinate space, held as an rref row basis."""
+    """Subspace of a coordinate space, held as a row basis dual to its
+    pivot coordinates: basis[j][pivots[k]] = delta_jk, which is all that
+    reduce, coords and projection rely on.  Bases built by from_rows are
+    in rref; kernel_subspace's are not (its pivots are the free columns
+    of the matrix)."""
 
     field: Field
     ambient: int

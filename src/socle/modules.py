@@ -16,7 +16,6 @@ from .linalg import (
     Subspace,
     image_basis,
     kernel_basis,
-    kernel_subspace,
     rank,
     rref,
 )
@@ -118,9 +117,6 @@ class FiniteModule:
             rows = [self.field.matmul(A, S.basis.T).T for A in self.actions]
             S = Subspace.from_rows(self.field, np.vstack(rows), self.dim)
         return S
-
-    def length(self):
-        return self.dim
 
     def min_gens(self):
         return self.dim - self.mm().dim
@@ -262,8 +258,8 @@ def quotient_module(amb, S):
     F = amb.field
     proj = S.projection()
     _require_closed(F, [F.matmul(S.basis, A.T) for A in amb.actions], proj)
-    sec = S.section()
-    acts = [F.matmul(F.matmul(proj, A), sec) for A in amb.actions]
+    comp = S.complement_coords()
+    acts = [F.matmul(proj, A[:, comp]) for A in amb.actions]
     return FiniteModule(amb.ring, acts, validate=False), proj
 
 
@@ -320,12 +316,13 @@ def free_action(ring, rows, b):
 
 
 def presentation_of(mod):
-    """A minimal presentation matrix R^{b1} -> R^{b0} with cokernel M."""
-    if mod.presentation is not None:
-        return mod.presentation
-    _, _, pres = syzygy(mod)
-    mod.presentation = pres
-    return pres
+    """A presentation matrix with cokernel M: the one M was built from,
+    else delta_1 of M's minimal resolution, stored on M."""
+    if mod.presentation is None:
+        from .homology import resolve
+
+        mod.presentation = resolve(mod, 1).delta(1)
+    return mod.presentation
 
 
 # -- duals ---------------------------------------------------------------
@@ -440,13 +437,12 @@ def min_gen_rmatrix(ring, K):
 
 
 def syzygy(mod):
-    """First syzygy: (M1, cover map, minimal presentation RMatrix)."""
-    _, cover = cover_map(mod)
-    K = kernel_subspace(mod.field, cover.matrix)
-    pres = min_gen_rmatrix(mod.ring, K)
-    m1 = free_submodule(mod.ring, K)
-    m1.is_syzygy = True
-    return m1, cover, pres
+    """First syzygy: (M1, cover map, minimal presentation RMatrix), read
+    off M's cached minimal resolution."""
+    from .homology import resolve
+
+    res = resolve(mod, 1)
+    return res.syzygy_module(1), cover_map(mod)[1], res.delta(1)
 
 
 # -- isomorphism ---------------------------------------------------------
@@ -463,7 +459,7 @@ def _same_ring_structure(r1, r2):
     )
 
 
-def is_isomorphic(a, b, trials=24):
+def is_isomorphic(a, b):
     """Randomized R-module isomorphism test: search Hom_R(a,b) for an
     invertible element.  Deterministic via a fixed seed; one-sided (a
     False can in principle be a miss, but over GF(p) with p=101 the miss
@@ -483,7 +479,7 @@ def is_isomorphic(a, b, trials=24):
         if rank(F, B) == a.dim:
             return True
     rng = np.random.default_rng(1729)
-    for _ in range(trials):
+    for _ in range(24):
         if F.p is not None:
             coeffs = rng.integers(0, F.p, size=len(basis))
         else:
@@ -509,7 +505,7 @@ def exterior_square(mod):
         zero = free_module(ring, 0)
         return zero, ModuleMap(zero, free_module(ring, 0), F.zeros((0, 0)),
                                validate=False)
-    tensor, proj, sec = _tensor_with_maps(mod, mod)
+    tensor, proj, comp = _tensor_with_maps(mod, mod)
     t = tensor.dim
     # symmetric relators: u(x)u spans, over any field of odd characteristic
     sym_rows = []
@@ -525,9 +521,8 @@ def exterior_square(mod):
     for i in range(m):
         for j in range(m):
             swap[i * m + j, j * m + i] = F.one
-    anti = F.matmul(F.matmul(proj, F.eye(m * m) - swap), sec)
-    wsec = sym.section()
-    iota_mat = F.matmul(anti, wsec)
+    anti = F.matmul(proj, (F.eye(m * m) - swap)[:, comp])
+    iota_mat = anti[:, sym.complement_coords()]
     # well-definedness: the symmetric part must map to zero
     for row in sym.basis:
         if np.any(F.matmul(anti, row)):
@@ -537,13 +532,14 @@ def exterior_square(mod):
 
 
 def _tensor_with_maps(a, b):
-    """M (x)_R N, with the quotient map from M (x)_k N and a section of it."""
+    """M (x)_R N, with the quotient map from M (x)_k N and the coordinates
+    of M (x)_k N that the quotient keeps."""
     if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
         raise ModuleError("modules over different rings")
     F = a.field
     m, n = a.dim, b.dim
     if m == 0 or n == 0:
-        return free_module(a.ring, 0), F.zeros((0, m * n)), F.zeros((m * n, 0))
+        return free_module(a.ring, 0), F.zeros((0, m * n)), []
     rel_rows = []
     eyem, eyen = F.eye(m), F.eye(n)
     for Aa, Ab in zip(a.actions, b.actions):
@@ -551,10 +547,10 @@ def _tensor_with_maps(a, b):
         rel_rows.append(F.mod(W).T)
     Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
     proj = Wspan.projection()
-    sec = Wspan.section()
-    acts = [F.matmul(F.matmul(proj, F.mod(np.kron(Aa, eyen))), sec)
+    comp = Wspan.complement_coords()
+    acts = [F.matmul(proj, F.mod(np.kron(Aa, eyen)[:, comp]))
             for Aa in a.actions]
-    return FiniteModule(a.ring, acts, validate=False), proj, sec
+    return FiniteModule(a.ring, acts, validate=False), proj, comp
 
 
 def wedge_image(ring, phi):
@@ -604,20 +600,18 @@ def _perm_sign(perm):
 # -- randomized generation ----------------------------------------------
 
 
-def random_module(ring, seed, nu_max=2, cols_max=3, degree_range=(1, 2),
-                  square_zero=False):
-    """Deterministically seeded cokernel of a random matrix with entries
-    in m; optionally quotiented so that m^2 M = 0."""
+def random_module(ring, seed, square_zero=False):
+    """Deterministically seeded cokernel of a random matrix with 1 or 2
+    rows and 1 to 3 columns, whose entries combine the basis elements of
+    degree 1 and 2; optionally quotiented so that m^2 M = 0."""
     rng = np.random.default_rng(seed)
     F = ring.field
     lam = ring.length
-    n = int(rng.integers(1, nu_max + 1))
-    m = int(rng.integers(1, cols_max + 1))
-    lo, hi = degree_range
-    hi = min(hi, ring.h)
+    n = int(rng.integers(1, 3))
+    m = int(rng.integers(1, 4))
     pres = F.zeros((n, m, lam))
     degs = np.array([d for d, _ in ring.basis])
-    eligible = np.flatnonzero((degs >= max(lo, 1)) & (degs <= hi))
+    eligible = np.flatnonzero((degs >= 1) & (degs <= 2))
     for r in range(n):
         for c in range(m):
             for b in eligible:

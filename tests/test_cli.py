@@ -74,9 +74,40 @@ def test_check_statement(capsys, flat_file):
     assert "check.S3.status=PASS" in out
 
 
+AGP_FILE = str(Path(__file__).resolve().parents[1] / "examples" / "agp.ring")
+
+
 def test_check_unknown_statement_is_usage_error(capsys, flat_file):
     code, _ = run(capsys, "check", flat_file, "--statement", "S99")
     assert code == 2
+
+
+@pytest.mark.parametrize("sid", ["S17.9", "S3.2", "S17.x"])
+def test_check_rejects_unknown_statement_parts(capsys, sid):
+    code = main(["check", AGP_FILE, "--statement", sid])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sid in err
+
+
+def test_check_accepts_s17_parts(capsys):
+    code, out = run(capsys, "check", AGP_FILE, "--statement", "S17.3",
+                    "--to", "4", "--machine")
+    assert code == 0
+    assert "check.S17.3.status=PASS" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["--statement", "S99"],
+                                  ["--statement", "S1,,S2"],
+                                  ["--statement", "S3,S17.9", "FLAT"]])
+def test_suite_rejects_unknown_statement_before_running(capsys, flat_file,
+                                                        argv):
+    argv = [flat_file if a == "FLAT" else a for a in argv]
+    code = main(["suite", "--machine", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_example_agp_machine(capsys):

@@ -1,0 +1,225 @@
+"""One route to each derived module, tested against the routes it replaced.
+
+The first syzygy and the minimal presentation of a module are read off its
+cached resolution, nu(m^j M) is a difference of two lengths, and quotients
+keep the complement coordinates of a subspace instead of multiplying by a
+0/1 section matrix.  Each old route is kept here as an oracle."""
+
+import numpy as np
+import pytest
+from conftest import identical
+from hypothesis import given, settings, strategies as st
+
+from socle import homology
+from socle.homology import resolve
+from socle.linalg import QQ, Field, Subspace, kernel_subspace
+from socle.modules import (
+    FiniteModule,
+    ModuleError,
+    ModuleMap,
+    canonical_module,
+    cover_map,
+    direct_sum,
+    exterior_square,
+    free_module,
+    free_submodule,
+    min_gen_rmatrix,
+    presentation_of,
+    quotient_module,
+    random_module,
+    regular_module,
+    residue_field,
+    submodule_module,
+    syzygy,
+    tensor_over_R,
+    _require_closed,
+    _tensor_with_maps,
+)
+from socle.ring import ring_from_strings
+from socle.theorems import _nu_of_subquotient
+
+FIELDS = [Field(2), Field(3), Field(101), Field(2**31 - 1), QQ]
+HOSTS = [["x^2", "y^2"], ["x^2", "x*y", "y^2"], ["x^2 - y^2", "x*y"],
+         ["x^2", "y^3"]]
+MODULES = (st.sampled_from(FIELDS), st.sampled_from(HOSTS),
+           st.integers(0, 2**16), st.booleans())
+
+
+def old_syzygy(mod):
+    """(M1, cover map, presentation, K): the cover map's own kernel K,
+    with M1 acted on in K's basis."""
+    _, cover = cover_map(mod)
+    K = kernel_subspace(mod.field, cover.matrix)
+    pres = min_gen_rmatrix(mod.ring, K)
+    m1 = free_submodule(mod.ring, K)
+    m1.is_syzygy = True
+    return m1, cover, pres, K
+
+
+def old_nu_of_subquotient(mod, j):
+    """nu(m^j M) counted on the closure-checked submodule m^j M."""
+    S = mod.msub(j)
+    if S.dim == 0:
+        return 0
+    sub, _ = submodule_module(mod, S)
+    return sub.min_gens()
+
+
+def old_quotient_module(amb, S):
+    F = amb.field
+    proj = S.projection()
+    _require_closed(F, [F.matmul(S.basis, A.T) for A in amb.actions], proj)
+    sec = S.section()
+    acts = [F.matmul(F.matmul(proj, A), sec) for A in amb.actions]
+    return FiniteModule(amb.ring, acts, validate=False), proj
+
+
+def old_tensor_with_maps(a, b):
+    F = a.field
+    m, n = a.dim, b.dim
+    if m == 0 or n == 0:
+        return free_module(a.ring, 0), F.zeros((0, m * n)), F.zeros((m * n, 0))
+    rel_rows = []
+    eyem, eyen = F.eye(m), F.eye(n)
+    for Aa, Ab in zip(a.actions, b.actions):
+        rel_rows.append(F.mod(np.kron(Aa, eyen) - np.kron(eyem, Ab)).T)
+    Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
+    proj = Wspan.projection()
+    sec = Wspan.section()
+    acts = [F.matmul(F.matmul(proj, F.mod(np.kron(Aa, eyen))), sec)
+            for Aa in a.actions]
+    return FiniteModule(a.ring, acts, validate=False), proj, sec
+
+
+def old_exterior_square(mod):
+    F = mod.field
+    m = mod.dim
+    tensor, proj, sec = old_tensor_with_maps(mod, mod)
+    sym_rows = []
+    eye = F.eye(m)
+    for i in range(m):
+        sym_rows.append(np.kron(eye[i], eye[i]))
+        for j in range(i):
+            sym_rows.append(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
+    sym = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym_rows).T).T,
+                             tensor.dim)
+    wedge, _ = old_quotient_module(tensor, sym)
+    swap = F.zeros((m * m, m * m))
+    for i in range(m):
+        for j in range(m):
+            swap[i * m + j, j * m + i] = F.one
+    anti = F.matmul(F.matmul(proj, F.eye(m * m) - swap), sec)
+    for row in sym.basis:
+        if np.any(F.matmul(anti, row)):
+            raise ModuleError("iota is not well-defined")
+    return wedge, ModuleMap(wedge, tensor, F.matmul(anti, sym.section()),
+                            validate=False)
+
+
+def same_actions(a, b):
+    return (a.dim == b.dim and len(a.actions) == len(b.actions)
+            and all(identical(x, y) for x, y in zip(a.actions, b.actions)))
+
+
+def draw(F, rels, seed, square_zero):
+    ring = ring_from_strings(F, ["x", "y"], rels)
+    return ring, random_module(ring, seed, square_zero=square_zero)
+
+
+@given(*MODULES)
+@settings(max_examples=40, deadline=None)
+def test_syzygy_is_read_off_the_resolution(F, rels, seed, square_zero):
+    ring, M = draw(F, rels, seed, square_zero)
+    old_m1, old_cover, old_pres, K = old_syzygy(M)
+    m1, cover, pres = syzygy(M)
+    assert identical(pres, old_pres)
+    assert identical(cover.matrix, old_cover.matrix)
+    assert m1.is_syzygy
+    assert same_actions(m1, resolve(M, 1).syzygy_module(1))
+    # the same submodule of R^{b_0}, in the rref basis of K's span
+    assert same_actions(m1, free_submodule(
+        ring, Subspace.from_rows(F, K.basis, K.ambient)))
+    # a module built without a presentation stores delta_1 as one
+    assert old_m1.presentation is None
+    assert identical(presentation_of(old_m1), old_syzygy(old_m1)[2])
+    assert presentation_of(old_m1) is resolve(old_m1, 1).delta(1)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_syzygy_and_presentation_compute_no_second_kernel(F, monkeypatch):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
+    omega = canonical_module(ring)
+    want = old_syzygy(omega)
+    resolve(omega, 1)
+
+    def no_kernel(*args):
+        raise AssertionError("stage-0 kernel computed twice")
+
+    monkeypatch.setattr(homology, "kernel_subspace", no_kernel)
+    m1, _, pres = syzygy(omega)
+    assert identical(pres, want[2]) and m1.dim == want[0].dim
+    assert presentation_of(omega) is pres
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_delta_past_the_ends_has_no_columns(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    lam = ring.length
+    res = resolve(free_module(ring, 2), 3)
+    assert res.finite and res.length == 0
+    assert res.delta(0).shape == (0, 2, lam)
+    assert res.delta(1).shape == (2, 0, lam)
+    assert res.delta(3).shape == (0, 0, lam)
+    assert res.syzygy_module(1).dim == res.syzygy_module(3).dim == 0
+    flat = ring_from_strings(F, ["x", "y"], HOSTS[1])
+    res = resolve(canonical_module(flat), 2)
+    assert not res.finite
+    assert res.delta(2) is res.deltas[1]
+    with pytest.raises(IndexError):
+        res.delta(3)
+
+
+@given(*MODULES)
+@settings(max_examples=40, deadline=None)
+def test_nu_of_subquotient_is_a_difference_of_lengths(F, rels, seed,
+                                                      square_zero):
+    ring, M = draw(F, rels, seed, square_zero)
+    for mod in (M, resolve(M, 1).syzygy_module(1), canonical_module(ring)):
+        for j in range(4):
+            assert _nu_of_subquotient(mod, j) == old_nu_of_subquotient(mod, j)
+
+
+@given(*MODULES)
+@settings(max_examples=40, deadline=None)
+def test_quotients_select_complement_coordinates(F, rels, seed, square_zero):
+    ring, M = draw(F, rels, seed, square_zero)
+    for S in (M.msub(1), M.msub(2), M.socle(), Subspace(F, M.dim),
+              Subspace.full(F, M.dim)):
+        new, proj = quotient_module(M, S)
+        old, old_proj = old_quotient_module(M, S)
+        assert same_actions(new, old) and identical(proj, old_proj)
+
+
+@given(*MODULES, st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_tensor_and_exterior_square_select_complement_coordinates(
+        F, rels, seed, square_zero, seed2):
+    ring, M = draw(F, rels, seed, square_zero)
+    N = random_module(ring, seed2)
+    for a, b in ((M, N), (M, regular_module(ring)), (M, free_module(ring, 0))):
+        new, proj, comp = _tensor_with_maps(a, b)
+        old, old_proj, sec = old_tensor_with_maps(a, b)
+        assert same_actions(new, old) and identical(proj, old_proj)
+        assert identical(F.eye(a.dim * b.dim)[:, comp], sec)
+        assert same_actions(tensor_over_R(a, b), old)
+    # Lambda^2(M + k) = Lambda^2(M) + M/mM, so iota gets nu(M) more columns
+    for X in (M, direct_sum(M, residue_field(ring))):
+        try:
+            old_wedge, old_iota = old_exterior_square(X)
+        except ModuleError:  # u (x) u need not span a submodule in char 2
+            with pytest.raises(ModuleError):
+                exterior_square(X)
+            continue
+        wedge, iota = exterior_square(X)
+        assert same_actions(wedge, old_wedge)
+        assert identical(iota.matrix, old_iota.matrix)

@@ -8,10 +8,11 @@ from conftest import identical
 from hypothesis import given, settings, strategies as st
 
 from socle.homology import realize, resolve
-from socle.linalg import QQ, Field, kernel_subspace, rref
+from socle.linalg import QQ, Field, Subspace, kernel_subspace, rref
 from socle.modules import (
     FiniteModule,
     canonical_module,
+    column_span,
     cover_matrix,
     free_action,
     free_module,
@@ -59,7 +60,7 @@ def old_syzygy(mod):
     pres = F.zeros((nu, len(gens), lam))
     for c, gi in enumerate(gens):
         pres[:, c, :] = K.basis[gi].reshape(nu, lam)
-    return m1, pres
+    return m1, pres, K
 
 
 def old_min_gen_rows(ring, K):
@@ -80,7 +81,7 @@ def old_resolution(M, n):
     betti, deltas = [M.min_gens()], []
     if M.dim == 0:
         return betti, deltas, True
-    m1, pres = old_syzygy(M)
+    m1, pres, _ = old_syzygy(M)
     if m1.dim == 0:
         return betti, deltas, True
     deltas.append(pres)
@@ -109,12 +110,19 @@ def assert_same_resolution(M, n=DEPTH):
     for got, want in zip(res.deltas, want_deltas):
         assert identical(got, want)
     assert identical(cover_matrix(M), old_cover_matrix(M))
+    # syzygy() reads M_1 off the resolution: the old kernel K's span, in
+    # its rref basis rather than K's own
     m1, _, pres = syzygy(M)
-    old_m1, old_pres = old_syzygy(M)
+    _, old_pres, K = old_syzygy(M)
     assert identical(pres, old_pres)
-    assert m1.dim == old_m1.dim and m1.is_syzygy
-    for a, b in zip(m1.actions, old_m1.actions):
+    want = resolve(M, 1).syzygy_module(1)
+    assert m1.dim == want.dim == K.dim and m1.is_syzygy
+    for a, b in zip(m1.actions, want.actions):
         assert identical(a, b)
+    span = column_span(M.ring, pres)
+    old_span = Subspace.from_rows(M.field, K.basis, K.ambient)
+    assert span.pivots == old_span.pivots
+    assert identical(span.basis, old_span.basis)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)

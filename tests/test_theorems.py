@@ -35,8 +35,14 @@ def test_registry_shape():
 def test_unknown_statement_raises(agp):
     ring, M = agp
     inst = Instance("x", ring, {"M": M})
-    with pytest.raises(KeyError):
-        check("S99", inst)
+    for sid in ("S99", "S0", "S17.9", "S3.2", "S17.x", "S17.", "S17.02", "",
+                "s1"):
+        with pytest.raises(KeyError):
+            check(sid, inst)
+        # the suite rejects its ids before it checks anything
+        with patch.object(theorems, "check", side_effect=AssertionError):
+            with pytest.raises(KeyError):
+                check_suite([inst], ["S1", sid])
 
 
 def test_s16_on_agp():
@@ -58,6 +64,10 @@ def test_s17_part_on_flat(flat):
     inst = Instance("flat", flat, {})
     v = check("S17.2", inst, 6)
     assert v.status == PASS
+    whole = check("S17", inst, 6).conclusion.split("; ")
+    for part, text in zip((2, 3, 4), whole):
+        v = check(f"S17.{part}", inst, 6)
+        assert v.statement == f"S17.{part}" and v.conclusion == text
 
 
 def test_s13_vacuous_on_free(gor):
