@@ -69,7 +69,7 @@ def _get_module(ring, modules, name):
     try:
         return inst.module(name)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])
 
 
 def cmd_invariants(args):

@@ -41,6 +41,7 @@ class Resolution:
         self.ring = module.ring
         self.betti = [module.min_gens()]
         self.deltas = []
+        self._zero_deltas = {}  # delta_0 and those past a finite end
         self.finite = False  # some b_i hit zero: finite projective dimension
 
     @property
@@ -83,12 +84,15 @@ class Resolution:
     def delta(self, i):
         """RMatrix of delta_i: R^{b_i} -> R^{b_{i-1}} of a resolution
         computed through stage i.  delta_0 is the zero map R^{b_0} -> 0,
-        and past the end of a finite resolution delta_i has zero columns."""
+        and past the end of a finite resolution delta_i has zero columns;
+        each such zero map is built once and returned on every call."""
         if 1 <= i <= self.length:
             return self.deltas[i - 1]
-        rows = self.betti_number(i - 1) if i else 0
-        return self.ring.field.zeros(
-            (rows, self.betti_number(i), self.ring.length))
+        if i not in self._zero_deltas:
+            rows = self.betti_number(i - 1) if i else 0
+            self._zero_deltas[i] = self.ring.field.zeros(
+                (rows, self.betti_number(i), self.ring.length))
+        return self._zero_deltas[i]
 
     def syzygy_module(self, i):
         """The i-th syzygy M_i as a FiniteModule (M_0 = M itself): the

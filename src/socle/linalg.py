@@ -1,10 +1,15 @@
 """Exact linear algebra over GF(p) or the rationals.
 
 Matrices are plain numpy arrays: dtype int64 reduced mod p for prime
-fields, dtype object holding Fraction for the rationals.  Inside the one
-elimination kernel behind rref and rank, rows are held sparse, as
-{column: value} dicts of exact Python scalars, so only nonzero entries
-are ever touched.  Every basis choice made downstream is fixed by the
+fields, dtype object holding Fraction for the rationals.  Rational zeros
+built here (zeros, eye, the zero entries of a product) are all one shared
+Fraction(0), so a scan for nonzeros can pass over them by identity; any
+other zero still fails the truth test, so no answer depends on it.
+
+Inside the one elimination kernel behind rref and rank, rows are held
+sparse, as {column: value} dicts of exact Python scalars, so only nonzero
+entries are ever touched, and rows are inserted in descending order of
+leading column.  Every basis choice made downstream is fixed by the
 reduced row-echelon form, and a row space has exactly one: the answer
 does not depend on the order in which rows are eliminated or on any
 tie-breaking rule.
@@ -19,6 +24,9 @@ import numpy as np
 
 class DimensionError(ValueError):
     pass
+
+
+_QZERO = Fraction(0)  # the one rational zero that zeros() writes
 
 
 class Field:
@@ -46,7 +54,7 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _QZERO
 
     @property
     def one(self):
@@ -81,7 +89,7 @@ class Field:
         if self.p is not None:
             return np.zeros(shape, dtype=np.int64)
         a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
+        a[...] = _QZERO
         return a
 
     def eye(self, n):
@@ -97,13 +105,20 @@ class Field:
         p; once (p-1)^2 times the inner dimension could pass 2^63, the
         inner dimension is summed in chunks and reduced after each.  Over
         Q, both factors are scaled to integers, so the products are
-        integer products and only the result entries become Fractions."""
+        integer products; only the nonzero result entries become new
+        Fractions, and the rest are the shared zero of zeros()."""
         if self.p is None:
             ia, da = _integral(a)
             ib, db = _integral(b)
             prod = np.asarray(ia @ ib)
             d = da * db
-            return _objects([Fraction(x, d) for x in prod.flat], prod.shape)
+            out = self.zeros(prod.shape)
+            flat, vals = out.reshape(-1), prod.reshape(-1)
+            nz = np.flatnonzero(vals)
+            xs = vals[nz].tolist()
+            flat[nz] = ([Fraction(x, d) for x in xs] if d != 1
+                        else list(map(Fraction, xs)))
+            return out
         n = a.shape[-1]
         if n <= self._chunk:
             return (a @ b) % self.p
@@ -116,9 +131,14 @@ class Field:
 
 
 def _integral(a):
-    """(n, d): an object array n of integers and an integer d with a = n/d."""
-    d = math.lcm(*(x.denominator for x in a.flat)) if a.size else 1
-    return _objects([x.numerator * (d // x.denominator) for x in a.flat],
+    """(n, d): an object array n of integers and an integer d with a = n/d;
+    d is the lcm of the distinct denominators, and when it is 1 the
+    numerators are taken as they are."""
+    xs = a.ravel().tolist()
+    d = math.lcm(*{x.denominator for x in xs})
+    if d == 1:
+        return _objects([x.numerator for x in xs], a.shape), 1
+    return _objects([x.numerator * (d // x.denominator) for x in xs],
                     a.shape), d
 
 
@@ -141,16 +161,29 @@ def _pivot_rows(F, m):
     the others.  A new row is therefore reduced in one pass (its entry at
     each pivot column is the multiple of that pivot row to subtract),
     scaled so that its leading entry is 1, and its leading column is
-    cleared from the earlier pivot rows.  Only nonzero entries are
-    touched, and Python ints are exact at every accepted p."""
+    cleared from the earlier pivot rows.  Rows go in by descending
+    leading column, the sparser first among equal leads, so a new lead
+    usually lies left of every pivot; then no pivot row holds that column
+    and the clearing pass is skipped.  Only nonzero entries are touched
+    (over Q the shared zero of zeros() is passed over by identity), and
+    Python ints are exact at every accepted p."""
     p = F.p
     m = F.mod(np.asarray(m))
-    nz = np.nonzero(m)
-    rows = {}
-    for r, c, v in zip(nz[0].tolist(), nz[1].tolist(), m[nz].tolist()):
-        rows.setdefault(r, {})[c] = v
+    if m.dtype == object:
+        rows = [{c: v for c, v in enumerate(row) if v is not _QZERO and v}
+                for row in m.tolist()]
+        rows = [row for row in rows if row]
+    else:
+        nz = np.nonzero(m)
+        rows = {}
+        for r, c, v in zip(nz[0].tolist(), nz[1].tolist(), m[nz].tolist()):
+            rows.setdefault(r, {})[c] = v
+        rows = list(rows.values())
+    # each row's keys ascend, so its first key is its leading column
+    rows.sort(key=lambda row: (-next(iter(row)), len(row)))
     piv = {}
-    for row in rows.values():
+    left = m.shape[1]  # leftmost pivot column so far
+    for row in rows:
         for c in [c for c in row if c in piv]:
             _subtract(row, row[c], piv[c], p)
         live = [k for k, v in row.items() if v]
@@ -159,12 +192,14 @@ def _pivot_rows(F, m):
         lead = min(live)
         inv = F.inv(row[lead])
         row = {k: F.mod(row[k] * inv) for k in live}
-        for prow in piv.values():
-            if lead in prow:
-                _subtract(prow, prow[lead], row, p)
-                for k in row:
-                    if not prow[k]:
-                        del prow[k]
+        if lead > left:
+            for prow in piv.values():
+                if lead in prow:
+                    _subtract(prow, prow[lead], row, p)
+                    for k in row:
+                        if not prow[k]:
+                            del prow[k]
+        left = min(left, lead)
         piv[lead] = row
     return piv
 

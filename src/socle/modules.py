@@ -75,16 +75,21 @@ class FiniteModule:
 
     def ops(self):
         """Action of every ring basis element, stacked (lambda, dim, dim);
-        an algebra map R -> End(M)."""
+        an algebra map R -> End(M).
+
+        Each basis monomial's action is one product with its predecessor,
+        the monomial less its first variable: the standard monomials are
+        closed under division, so the predecessor is a basis element of
+        lower degree, already filled in."""
         if self._ops is None:
             F = self.field
-            ops = F.zeros((self.ring.length, self.dim, self.dim))
-            for b, (d, mon) in enumerate(self.ring.basis):
-                A = F.eye(self.dim)
-                for g, k in enumerate(mon):
-                    for _ in range(k):
-                        A = F.matmul(A, self.actions[g])
-                ops[b] = A
+            ring = self.ring
+            ops = F.zeros((ring.length, self.dim, self.dim))
+            ops[0] = F.eye(self.dim)  # basis element 0 is the monomial 1
+            for b, (_, mon) in enumerate(ring.basis[1:], 1):
+                g = next(g for g, k in enumerate(mon) if k)
+                pred = mon[:g] + (mon[g] - 1,) + mon[g + 1:]
+                ops[b] = F.matmul(ops[ring.index[pred]], self.actions[g])
             self._ops = ops
         return self._ops
 
@@ -496,7 +501,7 @@ def is_isomorphic(a, b):
 
 
 def exterior_square(mod):
-    """Lambda^2_R(M) = (M (x)_R M) / span{u (x) u}, together with the map
+    """Lambda^2_R(M) = (M (x)_R M) / R-span{u (x) u}, together with the map
     iota: x ^ y -> x (x) y - y (x) x into M (x)_R M."""
     F = mod.field
     m = mod.dim
@@ -507,7 +512,7 @@ def exterior_square(mod):
                                validate=False)
     tensor, proj, comp = _tensor_with_maps(mod, mod)
     t = tensor.dim
-    # symmetric relators: u(x)u spans, over any field of odd characteristic
+    # the u (x) u span the same k-space as these symmetric relators
     sym_rows = []
     eye = F.eye(m)
     for i in range(m):
@@ -515,6 +520,11 @@ def exterior_square(mod):
         for j in range(i):
             sym_rows.append(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
     sym = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym_rows).T).T, t)
+    # their R-span: in odd characteristic the k-span is already closed (2
+    # r.u (x) u is a combination of three u (x) u), in characteristic 2 it
+    # need not be
+    sym = Subspace.from_rows(
+        F, np.vstack([F.matmul(sym.basis, A.T) for A in tensor.ops()]), t)
     wedge, wproj = quotient_module(tensor, sym)
     # swap on M(x)M descends to the R-tensor; antisymmetrize
     swap = F.zeros((m * m, m * m))

@@ -110,6 +110,18 @@ def test_suite_rejects_unknown_statement_before_running(capsys, flat_file,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "--module", "Q"],
+    ["tor", "--left", "Q", "--right", "M"],
+    ["ext", "--left", "M", "--right", "Q"],
+])
+def test_unknown_module_is_usage_error(capsys, argv):
+    code = main([argv[0], AGP_FILE, *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: instance 'file' has no module 'Q'\n"
+
+
 def test_example_agp_machine(capsys):
     code, out = run(capsys, "example", "agp", "--to", "6", "--machine")
     assert code == 0

@@ -1,8 +1,9 @@
 """Differential tests of the elimination kernel, the kernel extraction,
-the quotient projection, socles, the blockwise free-module action and
-word-size products, each against the slow path it replaced or an
-object-dtype oracle."""
+the quotient projection, socles, the blockwise free-module action,
+word-size and rational products and module actions, each against the
+slow path it replaced or an object-dtype oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +11,28 @@ import pytest
 from conftest import identical
 from hypothesis import given, settings, strategies as st
 
+from socle import linalg
 from socle.homology import realize
 from socle.linalg import (
     QQ,
     Field,
     Subspace,
+    _QZERO,
     kernel_basis,
     kernel_subspace,
     rank,
     rref,
 )
-from socle.modules import FiniteModule, free_action, random_module
+from socle.modules import (
+    FiniteModule,
+    canonical_module,
+    free_action,
+    random_module,
+    regular_module,
+    residue_field,
+)
 from socle.ring import ring_from_strings
+from socle.theorems import canned_corpus
 
 P_MAX = 2**31 - 1  # the largest prime Field accepts
 FIELDS = [Field(2), Field(3), Field(101), Field(P_MAX), QQ]
@@ -389,3 +400,164 @@ def test_ring_multiply_and_realize_at_largest_prime():
             block = np.tensordot(delta[r, c].astype(object), ops, axes=1)
             want[r * n:(r + 1) * n, c * n:(c + 1) * n] = block % P_MAX
     assert realize(ring, delta, M).tolist() == want.tolist()
+
+
+# -- rational products ----------------------------------------------------
+
+
+def old_q_matmul(a, b):
+    """QQ.matmul as it was: both factors scaled by the lcm of all their
+    denominators, and every result entry a new Fraction(x, d)."""
+    def integral(x):
+        d = math.lcm(*(v.denominator for v in x.flat)) if x.size else 1
+        out = np.empty(x.shape, dtype=object)
+        out.flat = [v.numerator * (d // v.denominator) for v in x.flat]
+        return out, d
+
+    ia, da = integral(a)
+    ib, db = integral(b)
+    prod = np.asarray(ia @ ib)
+    out = np.empty(prod.shape, dtype=object)
+    out.flat = [Fraction(x, da * db) for x in prod.flat]
+    return out
+
+
+@st.composite
+def rational_pairs(draw):
+    """Operands of QQ.matmul: zero-heavy, integer-only or fractional, with
+    empty dimensions, a 1-D or 3-D left factor (free_action passes a
+    3-D one) and a 1-D or 2-D right factor.  Drawn zero values are new
+    Fraction(0) objects, not the shared zero."""
+    kind = draw(st.sampled_from(["zero-heavy", "integer", "fractional"]))
+    k, n, m = (draw(st.integers(0, 5)) for _ in range(3))
+    left = draw(st.sampled_from([(n,), (k, n), (2, k, n)]))
+    right = draw(st.sampled_from([(n,), (n, m)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = 0.1 if kind == "zero-heavy" else 0.8
+
+    def fill(shape):
+        out = QQ.zeros(shape)
+        for idx in zip(*np.nonzero(rng.random(shape) < density)):
+            den = 1 if kind == "integer" else int(rng.integers(1, 8))
+            out[idx] = Fraction(int(rng.integers(-9, 10)), den)
+        return out
+
+    return fill(left), fill(right)
+
+
+@given(rational_pairs())
+@settings(max_examples=300, deadline=None)
+def test_rational_matmul_matches_per_entry_oracle(pair):
+    a, b = pair
+    got = QQ.matmul(a, b)
+    assert identical(got, old_q_matmul(a, b))
+    # every zero of the product is the shared zero of QQ.zeros
+    assert all(x is _QZERO for x in got.flat if not x)
+
+
+def test_rational_zeros_are_shared():
+    assert QQ.zero is _QZERO
+    assert all(x is _QZERO for x in QQ.zeros((2, 3)).flat)
+    assert all(x is _QZERO for x in QQ.eye(3).flat if not x)
+
+
+# -- elimination order ----------------------------------------------------
+
+
+def _lead(row):
+    nz = np.flatnonzero(row)
+    return int(nz[0]) if nz.size else row.size
+
+
+@given(field_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rows_in_ascending_lead_order_match_oracles(case):
+    # the order that needs a back-clearing pass after every new pivot
+    F, m = case
+    m = F.mod(m)
+    order = sorted(range(m.shape[0]), key=lambda i: _lead(m[i]))
+    assert_matches_oracles(F, m[order])
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 12), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_duplicate_leads_match_oracles(F, rows, cols, seed):
+    # rows sharing a lead are reduced by the first one's pivot row, so
+    # their new leads lie right of pivots and take the clearing pass
+    rng = np.random.default_rng(seed)
+    leads = rng.integers(0, min(cols, 2), size=rows)
+    vals = rng.integers(1, F.p or 5, size=(rows, cols))
+    mask = (rng.random((rows, cols)) < 0.5) & (np.arange(cols) > leads[:, None])
+    m = F.array(np.where(mask | (np.arange(cols) == leads[:, None]), vals, 0))
+    assert_matches_oracles(F, m)
+
+
+@given(field_matrices([QQ]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_noncanonical_rational_zeros_match_oracles(case, seed):
+    # zeros that are not the shared object still fail the truth test
+    _, m = case
+    rng = np.random.default_rng(seed)
+    odd = m.copy()
+    for idx in zip(*np.nonzero(m == 0)):
+        odd[idx] = [-Fraction(0), Fraction(0), _QZERO][int(rng.integers(3))]
+    assert_matches_oracles(QQ, odd)
+    r, piv = rref(QQ, odd)
+    want_r, want_piv = rref(QQ, m)
+    assert piv == want_piv and identical(r, want_r)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_distinct_leads_need_no_clearing(F, n, monkeypatch):
+    # rows e_i + e_{i+1}, listed by ascending lead: inserted in that order
+    # every new pivot column would be cleared from all earlier pivot
+    # rows; by descending lead each row is reduced once and nothing else
+    m = F.mod(F.eye(n) + np.eye(n, k=1, dtype=np.int64))
+    calls = []
+    subtract = linalg._subtract
+    monkeypatch.setattr(linalg, "_subtract",
+                        lambda *a: calls.append(1) or subtract(*a))
+    assert rank(F, m) == n
+    assert len(calls) == n - 1
+
+
+# -- module actions ---------------------------------------------------------
+
+
+def loop_ops(mod):
+    """Every basis monomial's action as a product of generator actions,
+    starting from the identity."""
+    F = mod.field
+    ops = F.zeros((mod.ring.length, mod.dim, mod.dim))
+    for b, (_, mon) in enumerate(mod.ring.basis):
+        A = F.eye(mod.dim)
+        for g, k in enumerate(mon):
+            for _ in range(k):
+                A = F.matmul(A, mod.actions[g])
+        ops[b] = A
+    return ops
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_ops_match_identity_chain_on_canned_rings(F):
+    for inst in canned_corpus(F):
+        ring = inst.ring
+        mods = [*inst.modules.values(), residue_field(ring),
+                regular_module(ring), canonical_module(ring)]
+        for mod in mods:
+            assert identical(mod.ops(), loop_ops(mod))
+
+
+@given(st.sampled_from(FIELDS),
+       st.sampled_from([["x^2", "y^2"], ["x^2", "x*y", "y^3"],
+                        ["x^2 - y^2", "x*y"], ["x^3", "y^2", "z^2", "x*z"]]),
+       st.integers(0, 2**16), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_ops_match_identity_chain_on_random_modules(F, rels, seed,
+                                                    square_zero):
+    names = ["x", "y", "z"] if any("z" in r for r in rels) else ["x", "y"]
+    ring = ring_from_strings(F, names, rels)
+    M = random_module(ring, seed, square_zero=square_zero)
+    assert identical(M.ops(), loop_ops(M))
