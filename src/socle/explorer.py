@@ -120,8 +120,6 @@ def random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
 
 def _loewy_truncate(mod, power):
     """Quotient so that m^power kills the module."""
-    if mod.dim == 0:
-        return mod
     S = mod.msub(power)
     if S.dim == 0:
         return mod

@@ -124,8 +124,6 @@ def realize(ring, delta, coeff_module):
     F = ring.field
     rows, cols, lam = delta.shape
     n = coeff_module.dim
-    if rows == 0 or cols == 0 or n == 0:
-        return F.zeros((rows * n, cols * n))
     ops = coeff_module.ops().reshape(lam, n * n)
     out = F.matmul(delta.reshape(rows * cols, lam), ops)
     return out.reshape(rows, cols, n, n).transpose(0, 2, 1, 3).reshape(

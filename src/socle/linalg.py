@@ -264,8 +264,6 @@ class Subspace:
             rows = rows.reshape(1, -1)
         if ambient is None:
             ambient = rows.shape[1]
-        if rows.shape[0] == 0:
-            return Subspace(F, ambient)
         r, piv = rref(F, rows)
         return Subspace(F, ambient, r[: len(piv)], tuple(piv))
 
@@ -354,18 +352,17 @@ def kernel_subspace(F, m):
     Row k of the basis is 1 at the k-th free (non-pivot) column f of m and
     -rref(m)[j, f] at the j-th pivot column.  That identity block on the
     free columns is the dual-basis property Subspace needs
-    (basis[j][pivots[k]] = delta_jk), with the free columns as pivots."""
-    rows, cols = m.shape
-    if cols == 0:
-        return Subspace(F, 0)
-    if rows == 0:
-        return Subspace.full(F, cols)
+    (basis[j][pivots[k]] = delta_jk), with the free columns as pivots.
+    Only the nonzero entries are negated, so over Q every zero of the
+    basis is the shared zero of zeros()."""
+    cols = m.shape[1]
     r, pivots = rref(F, m)
     free = np.setdiff1d(np.arange(cols), pivots)
     out = F.zeros((free.size, cols))
     out[np.arange(free.size), free] = F.one
-    if pivots:
-        out[:, pivots] = F.mod(-r[: len(pivots), free].T)
+    block = r[: len(pivots), free].T
+    k, j = np.nonzero(block)
+    out[k, np.asarray(pivots, dtype=np.intp)[j]] = F.mod(-block[k, j])
     return Subspace(F, cols, out, tuple(int(f) for f in free))
 
 

@@ -26,11 +26,10 @@ class ModuleError(ValueError):
 
 
 class FiniteModule:
-    def __init__(self, ring, actions, free_rank=None, validate=True):
+    def __init__(self, ring, actions, validate=True):
         self.ring = ring
         self.field = ring.field
         self.actions = [np.asarray(A) for A in actions]
-        self.free_rank = free_rank
         self.dim = 0 if not actions else self.actions[0].shape[0]
         if len(self.actions) != ring.e:
             raise ModuleError("one action matrix per ring generator required")
@@ -104,11 +103,7 @@ class FiniteModule:
     def mm(self):
         """The subspace mM."""
         if self._mm is None:
-            if self.dim == 0:
-                self._mm = Subspace(self.field, 0)
-            else:
-                cols = np.hstack(self.actions)
-                self._mm = image_basis(self.field, cols)
+            self._mm = image_basis(self.field, np.hstack(self.actions))
         return self._mm
 
     def msub(self, j):
@@ -149,16 +144,10 @@ class FiniteModule:
     def has_k_summand(self):
         """True iff Soc(M) is not contained in mM: a socle element that is
         a minimal generator splits off a copy of k."""
-        if self.dim == 0:
-            return False
         soc, mm = self.socle(), self.mm()
         return soc.add(mm).dim > mm.dim
 
     def is_free(self):
-        if self.free_rank is not None:
-            return True
-        if self.dim == 0:
-            return True
         # the minimal cover R^nu -> M is onto; equal lengths force it bijective
         return self.dim == self.min_gens() * self.ring.length
 
@@ -168,8 +157,6 @@ class FiniteModule:
     def annihilator_is_zero(self):
         """Faithfulness: no nonzero ring element kills the whole module."""
         F = self.field
-        if self.dim == 0:
-            return self.ring.length == 0
         ops = self.ops()
         flat = np.vstack([A.reshape(-1) for A in ops]).T  # (dim^2, lambda)
         return rank(F, flat) == self.ring.length
@@ -214,14 +201,14 @@ def regular_module(ring):
     return _cached_on_ring(
         ring, "_regular_module",
         lambda: FiniteModule(ring, [ring.left_mult[g] for g in ring.gen_index],
-                             free_rank=1, validate=False))
+                             validate=False))
 
 
 def free_module(ring, n):
     """R^n, each generator acting as the dense block diagonal kron(I_n, L_g)."""
     eye = ring.field.eye(n)
     acts = [np.kron(eye, ring.left_mult[g]) for g in ring.gen_index]
-    return FiniteModule(ring, acts, free_rank=n, validate=False)
+    return FiniteModule(ring, acts, validate=False)
 
 
 def residue_field(ring):
@@ -376,26 +363,23 @@ def tensor_over_R(a, b):
 
 
 def hom_over_R(a, b):
-    """Hom_R(M, N): the solution space of F A_g^M = A_g^N F, with the
-    module structure given by post-composition on N."""
+    """Hom_R(M, N): the solution space of F A_g^M = A_g^N F, as a
+    submodule of Hom_k(M, N), on which R acts by post-composition."""
     if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
         raise ModuleError("modules over different rings")
     F = a.field
     m, n = a.dim, b.dim
-    if m == 0 or n == 0:
-        return free_module(a.ring, 0)
-    blocks = []
     eyem, eyen = F.eye(m), F.eye(n)
-    for Aa, Ab in zip(a.actions, b.actions):
-        blocks.append(F.mod(np.kron(eyen, Aa.T) - np.kron(Ab, eyem)))
+    # Hom_k(M, N) on row-major flattened (n x m) maps; F -> A_g^N F is
+    # kron(A_g^N, I_m)
+    hom_k = FiniteModule(a.ring, [np.kron(Ab, eyem) for Ab in b.actions],
+                         validate=False)
+    blocks = []
+    for Aa, post in zip(a.actions, hom_k.actions):
+        blocks.append(F.mod(np.kron(eyen, Aa.T) - post))
     K = kernel_basis(F, np.vstack(blocks))  # rows: flattened (n x m) maps
     S = Subspace.from_rows(F, K, n * m)
-    acts = []
-    for Ab in b.actions:
-        post = F.mod(np.kron(Ab, eyem))
-        W = F.matmul(post, S.basis.T)
-        acts.append(W[list(S.pivots), :])
-    hom = FiniteModule(a.ring, acts, validate=False)
+    hom, _ = submodule_module(hom_k, S)
     hom.hom_basis = [S.basis[i].reshape(n, m) for i in range(S.dim)]
     return hom
 
@@ -548,19 +532,17 @@ def _tensor_with_maps(a, b):
         raise ModuleError("modules over different rings")
     F = a.field
     m, n = a.dim, b.dim
-    if m == 0 or n == 0:
-        return free_module(a.ring, 0), F.zeros((0, m * n)), []
-    rel_rows = []
     eyem, eyen = F.eye(m), F.eye(n)
-    for Aa, Ab in zip(a.actions, b.actions):
-        W = np.kron(Aa, eyen) - np.kron(eyem, Ab)
+    # M (x)_k N, with R acting on the left factor
+    tensor_k = FiniteModule(a.ring, [np.kron(Aa, eyen) for Aa in a.actions],
+                            validate=False)
+    rel_rows = []
+    for left, Ab in zip(tensor_k.actions, b.actions):
+        W = left - np.kron(eyem, Ab)
         rel_rows.append(F.mod(W).T)
     Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
-    proj = Wspan.projection()
-    comp = Wspan.complement_coords()
-    acts = [F.matmul(proj, F.mod(np.kron(Aa, eyen)[:, comp]))
-            for Aa in a.actions]
-    return FiniteModule(a.ring, acts, validate=False), proj, comp
+    tensor, proj = quotient_module(tensor_k, Wspan)
+    return tensor, proj, Wspan.complement_coords()
 
 
 def wedge_image(ring, phi):

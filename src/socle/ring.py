@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .linalg import Field, Subspace, kernel_basis, rref
+from .linalg import Field, Subspace, rref
 
 
 class PresentationError(ValueError):
@@ -128,10 +128,9 @@ class GradedRing:
         self.left_mult = [self.table[i].T.copy() for i in range(n)]
 
     def _invariants(self):
-        F = self.field
-        gens = [self.left_mult[g] for g in self.gen_index]
-        self._socle = Subspace.from_rows(
-            F, kernel_basis(F, np.vstack(gens)), self.length)
+        from .modules import regular_module  # the layer above this one
+
+        self._socle = regular_module(self).socle()
         self.a = self._socle.dim
         self.r = self.hilbert[2] if self.h >= 2 else 0
         self.gorenstein = self.a == 1

@@ -49,6 +49,10 @@ NO_COUNTEREXAMPLE = "NO_COUNTEREXAMPLE"
 DEFAULT_CUTOFF = 12
 
 
+class MissingModule(KeyError):
+    """An instance does not provide a module a statement asks for."""
+
+
 @dataclass
 class Instance:
     name: str
@@ -69,7 +73,8 @@ class Instance:
         elif name == "omega1":
             mod = resolve(self.module("omega"), 1).syzygy_module(1)
         else:
-            raise KeyError(f"instance {self.name!r} has no module {name!r}")
+            raise MissingModule(
+                f"instance {self.name!r} has no module {name!r}")
         self.modules[name] = mod
         return mod
 
@@ -111,8 +116,6 @@ _WORK_CAP = 1500
 
 def _max_depth(mod, n):
     """Deepest resolution depth <= n affordable under the work cap."""
-    if mod.dim == 0:
-        return n
     lam = mod.ring.length
     res = resolve(mod, 1)
     depth = 1
@@ -354,14 +357,15 @@ def _s10(inst, n):
     e, a = inst.ring.e, inst.ring.a
     report = []
     ok = True
+    Mnext = res.syzygy_module(0)
     for i in range(depth):
-        Mi = res.syzygy_module(i)
+        Mi, Mnext = Mnext, res.syzygy_module(i + 1)
         nu_m = _nu_of_subquotient(Mi, 1)
         lhs, rhs = b[i + 1], e * b[i] - nu_m
         if lhs < rhs:
             ok = False
             report.append(f"(1) b_{i+1}={lhs} < e*b_{i}-nu(mM_{i})={rhs}")
-        summand = res.syzygy_module(i + 1).has_k_summand()
+        summand = Mnext.has_k_summand()
         if (lhs == rhs) != (not summand):
             ok = False
             report.append(f"(1) equality/k-summand mismatch at i={i}")
@@ -401,7 +405,7 @@ def _three_tor_hyp(inst, n):
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
     j = _scan(M, [N], 1, n - 2, width=3)
     _need(j is not None, f"no triple-zero Tor window in [1,{n}]")
-    _need(_max_depth(N, j + 2) >= j + 2, "N resolution exceeds work cap")
+    _need(_afford(N, j + 1), "N resolution exceeds work cap")
     return M, N, j
 
 
@@ -436,7 +440,7 @@ def _s14(inst, n):
     M, N, j = _three_tor_hyp(inst, n)
     l = min(n, j + 4)
     _need(l >= j + 3, f"l={l} < j+3={j+3}")
-    _need(_afford(M, l) and _max_depth(N, l) >= l,
+    _need(_afford(M, l) and _afford(N, l - 1),
           f"resolution work cap below l={l}")
     _need(tor_dim(M, N, l) == 0, f"Tor_{l} != 0")
     gM, gN = M.gamma(), N.gamma()
@@ -528,10 +532,10 @@ def _s18(inst, n):
     resM = resolve(M, j + 1)
     report = []
     ok = True
+    Tnext = tensor_over_R(resM.syzygy_module(0), N)
     for i in range(j + 1):
         lhs = tor_dim(M, N, i + 1) == 0
-        Ti = tensor_over_R(resM.syzygy_module(i), N)
-        Tnext = tensor_over_R(resM.syzygy_module(i + 1), N)
+        Ti, Tnext = Tnext, tensor_over_R(resM.syzygy_module(i + 1), N)
         rhs = Ti.mm().dim == 0 and Tnext.mm().dim == 0
         if lhs != rhs:
             ok = False
@@ -589,11 +593,17 @@ def _s20(inst, n):
     return ok, "; ".join(report), {}
 
 
+def _ar_bound(M):
+    """max(3, nu(M), nu(mM)): the length of the Ext window from 1 that
+    S21 and S23 ask to vanish."""
+    return max(3, M.min_gens(), _nu_of_subquotient(M, 1))
+
+
 def _s21(inst, n):
     M = inst.module("M")
     _need(_kills_m_squared(M), "m^2 M != 0")
     _need(not M.is_zero(), "M is zero")
-    bound = max(3, M.min_gens(), _nu_of_subquotient(M, 1))
+    bound = _ar_bound(M)
     _need(bound <= n, f"window bound {bound} exceeds cutoff {n}")
     _need(_afford(M, bound), f"resolution work cap below {bound}")
     Ns = [matlis_dual(M), canonical_module(M.ring)]
@@ -629,7 +639,7 @@ def _s23(inst, n):
         # a zero window [1, bound] with bound >= 3 holds the triple at 1
         ran = _scan(M, [dual], 1, n - 2, width=3)
     else:
-        bound = max(3, M.min_gens(), _nu_of_subquotient(M, 1))
+        bound = _ar_bound(M)
         ran = bound <= n and _scan(M, [dual], 1, 1, width=bound)
     _need(ran, "no vanishing Ext window satisfied")
     flat = ring.h <= 1
@@ -825,7 +835,7 @@ def check(statement_id, inst, cutoff=DEFAULT_CUTOFF):
         ok, concl, data = stmt.body(inst, cutoff)
     except _Vacuous as v:
         return Verdict(statement_id, VACUOUS, v.clause, "", cutoff)
-    except KeyError as exc:
+    except MissingModule as exc:
         # a statement asking for a module the instance does not provide
         # has an unverifiable hypothesis
         return Verdict(statement_id, VACUOUS, f"missing module: {exc}", "",
@@ -866,6 +876,9 @@ class SuiteReport:
         return [(n, v) for n, v in self.verdicts if v.status == FAIL]
 
 
+# examples/agp.ring holds the same ring and module: the package cannot
+# read examples/ once installed, so the canned example keeps its own copy
+# (test_agp_copies_agree checks that the two agree)
 AGP_RELATIONS = [
     "x1^2", "x1*x2 - x3*x4", "x1*x2 - x4^2", "x1*x3 - x2*x4",
     "x1*x4 - x2^2", "x1*x4 - x2*x3", "x1*x4 - x3^2",

@@ -142,6 +142,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
      ["explore", "--seed", "42", "--budget", "200", "--machine"]),
     # the human report carries every verdict's clause text
     ("suite_to6_human", ["suite", "--to", "6"]),
+    ("suite_to12", ["suite", "--to", "12", "--machine"]),
 ])
 def test_machine_output_matches_golden(capsys, name, argv):
     # every basis choice downstream of rref shows in these reports, so a

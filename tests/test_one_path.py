@@ -1,0 +1,434 @@
+"""One code path per routine, tested against the second paths it lost.
+
+Zero-size branches in linalg, realize, FiniteModule, theorems and the
+explorer were dropped because the general code returns the same thing;
+the cached free_rank hint gave way to the dimension test; Hom_R and
+(x)_R are built as a submodule and a quotient of their k-linear
+counterparts; the ring socle is the socle of the regular module.  Each
+old path is kept here as an oracle, over GF(2), GF(3), GF(101),
+GF(2^31-1) and Q, on zero-size inputs as well as ordinary ones."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from conftest import cyclic, identical
+
+from socle import linalg, theorems
+from socle.explorer import _loewy_truncate, random_ring
+from socle.homology import Resolution, realize, resolve, tor_dim
+from socle.linalg import QQ, Field, Subspace, image_basis, kernel_basis, rref
+from socle.modules import (
+    FiniteModule,
+    _tensor_with_maps,
+    canonical_module,
+    free_module,
+    from_presentation,
+    hom_over_R,
+    quotient_module,
+    random_module,
+    regular_module,
+    residue_field,
+)
+from socle.ring import monomial_square_zero_rings, ring_from_strings
+from socle.theorems import (
+    VACUOUS,
+    Instance,
+    _afford,
+    _max_depth,
+    canned_corpus,
+    check,
+)
+
+FIELDS = [Field(2), Field(3), Field(101), Field(2**31 - 1), QQ]
+HOSTS = [["x^2", "y^2"], ["x^2", "x*y", "y^2"], ["x^2 - y^2", "x*y"],
+         ["x^2", "y^3"]]
+SEEDS = range(4)
+
+
+# -- the old paths --------------------------------------------------------
+
+
+def old_from_rows(F, rows, ambient=None):
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows.reshape(1, -1)
+    if ambient is None:
+        ambient = rows.shape[1]
+    if rows.shape[0] == 0:
+        return Subspace(F, ambient)
+    r, piv = rref(F, rows)
+    return Subspace(F, ambient, r[: len(piv)], tuple(piv))
+
+
+def old_kernel_subspace(F, m):
+    rows, cols = m.shape
+    if cols == 0:
+        return Subspace(F, 0)
+    if rows == 0:
+        return Subspace.full(F, cols)
+    r, pivots = rref(F, m)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    out = F.zeros((free.size, cols))
+    out[np.arange(free.size), free] = F.one
+    if pivots:
+        out[:, pivots] = F.mod(-r[: len(pivots), free].T)
+    return Subspace(F, cols, out, tuple(int(f) for f in free))
+
+
+def old_realize(ring, delta, coeff_module):
+    rows, cols, _ = delta.shape
+    n = coeff_module.dim
+    if rows == 0 or cols == 0 or n == 0:
+        return ring.field.zeros((rows * n, cols * n))
+    return realize(ring, delta, coeff_module)
+
+
+def old_mm(mod):
+    if mod.dim == 0:
+        return Subspace(mod.field, 0)
+    return image_basis(mod.field, np.hstack(mod.actions))
+
+
+def old_has_k_summand(mod):
+    if mod.dim == 0:
+        return False
+    return mod.socle().add(mod.mm()).dim > mod.mm().dim
+
+
+def old_is_free(mod, free_rank=None):
+    if free_rank is not None or mod.dim == 0:
+        return True
+    return mod.dim == mod.min_gens() * mod.ring.length
+
+
+def old_annihilator_is_zero(mod):
+    if mod.dim == 0:
+        return mod.ring.length == 0
+    return mod.annihilator_is_zero()
+
+
+def old_max_depth(mod, n):
+    if mod.dim == 0:
+        return n
+    return _max_depth(mod, n)
+
+
+def old_loewy_truncate(mod, power):
+    if mod.dim == 0:
+        return mod
+    return _loewy_truncate(mod, power)
+
+
+def old_hom_over_R(a, b):
+    """Hom_R(M, N) with its post-composition action written out inline."""
+    F = a.field
+    m, n = a.dim, b.dim
+    if m == 0 or n == 0:
+        hom = free_module(a.ring, 0)
+        hom.hom_basis = []
+        return hom
+    blocks = []
+    eyem, eyen = F.eye(m), F.eye(n)
+    for Aa, Ab in zip(a.actions, b.actions):
+        blocks.append(F.mod(np.kron(eyen, Aa.T) - np.kron(Ab, eyem)))
+    K = kernel_basis(F, np.vstack(blocks))
+    S = Subspace.from_rows(F, K, n * m)
+    acts = []
+    for Ab in b.actions:
+        post = F.mod(np.kron(Ab, eyem))
+        W = F.matmul(post, S.basis.T)
+        acts.append(W[list(S.pivots), :])
+    hom = FiniteModule(a.ring, acts, validate=False)
+    hom.hom_basis = [S.basis[i].reshape(n, m) for i in range(S.dim)]
+    return hom
+
+
+def old_tensor_with_maps(a, b):
+    """M (x)_R N as the quotient written out inline, without the closure
+    check."""
+    F = a.field
+    m, n = a.dim, b.dim
+    if m == 0 or n == 0:
+        return free_module(a.ring, 0), F.zeros((0, m * n)), []
+    rel_rows = []
+    eyem, eyen = F.eye(m), F.eye(n)
+    for Aa, Ab in zip(a.actions, b.actions):
+        W = np.kron(Aa, eyen) - np.kron(eyem, Ab)
+        rel_rows.append(F.mod(W).T)
+    Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
+    proj = Wspan.projection()
+    comp = Wspan.complement_coords()
+    acts = [F.matmul(proj, F.mod(np.kron(Aa, eyen)[:, comp]))
+            for Aa in a.actions]
+    return FiniteModule(a.ring, acts, validate=False), proj, comp
+
+
+def old_ring_socle(ring):
+    F = ring.field
+    gens = [ring.left_mult[g] for g in ring.gen_index]
+    return Subspace.from_rows(F, kernel_basis(F, np.vstack(gens)), ring.length)
+
+
+# -- helpers --------------------------------------------------------------
+
+
+def same_space(a, b):
+    return (a.ambient == b.ambient and tuple(a.pivots) == tuple(b.pivots)
+            and identical(a.basis, b.basis))
+
+
+def same_actions(a, b):
+    return (a.dim == b.dim and len(a.actions) == len(b.actions)
+            and all(identical(x, y) for x, y in zip(a.actions, b.actions)))
+
+
+def random_matrix(F, shape, seed, density=0.4):
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(-4, 5, size=shape) * (rng.random(shape) < density)
+    return F.array(vals) if vals.size else F.zeros(shape)
+
+
+def zero_modules(ring):
+    """The zero module as the engine builds it along different routes."""
+    M = random_module(ring, 1)
+    unit = ring.field.zeros((1, 1, ring.length))
+    unit[0, 0, 0] = ring.field.one
+    return [
+        free_module(ring, 0),
+        quotient_module(M, Subspace.full(ring.field, M.dim))[0],
+        resolve(free_module(ring, 2), 1).syzygy_module(1),
+        from_presentation(ring, unit),
+    ]
+
+
+def some_modules(ring):
+    mods = [residue_field(ring), regular_module(ring), free_module(ring, 2),
+            canonical_module(ring)]
+    mods += [random_module(ring, s, square_zero=s % 2 == 0) for s in SEEDS]
+    return mods
+
+
+def rings(F):
+    return [ring_from_strings(F, ["x", "y"], rels) for rels in HOSTS]
+
+
+SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (5, 3), (6, 6)]
+
+
+# -- linalg ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_from_rows_on_empty_and_ordinary_inputs(F):
+    for shape in SHAPES:
+        for seed in SEEDS:
+            m = random_matrix(F, shape, seed)
+            for ambient in (None, shape[1]):
+                assert same_space(Subspace.from_rows(F, m, ambient),
+                                  old_from_rows(F, m, ambient))
+    assert same_space(Subspace.from_rows(F, F.zeros((0, 3)), 3),
+                      Subspace(F, 3))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_kernel_subspace_matches_its_branches(F):
+    for shape in SHAPES:
+        for seed in SEEDS:
+            for density in (0.0, 0.4, 1.0):
+                m = random_matrix(F, shape, seed, density)
+                assert same_space(linalg.kernel_subspace(F, m),
+                                  old_kernel_subspace(F, m))
+    assert same_space(linalg.kernel_subspace(F, F.zeros((0, 4))),
+                      Subspace.full(F, 4))
+    assert same_space(linalg.kernel_subspace(F, F.zeros((4, 0))),
+                      Subspace(F, 0))
+
+
+def test_rational_kernel_zeros_are_shared():
+    # a zero the kernel writes is the one shared zero, so elimination and
+    # products pass over it by identity
+    mats = [random_matrix(QQ, shape, seed, density)
+            for shape in SHAPES for seed in SEEDS for density in (0.4, 1.0)]
+    ring = ring_from_strings(QQ, ["x", "y"], HOSTS[1])
+    res = resolve(canonical_module(ring), 3)
+    mats += [realize(ring, d, regular_module(ring)) for d in res.deltas]
+    for m in mats:
+        basis = linalg.kernel_subspace(QQ, m).basis
+        zeros = [v for v in basis.reshape(-1).tolist() if not v]
+        assert all(v is linalg._QZERO for v in zeros)
+    assert any(v is linalg._QZERO
+               for v in linalg.kernel_subspace(QQ, mats[-1]).basis.flat)
+
+
+# -- homology -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_realize_on_zero_maps_and_zero_modules(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[2])
+    coeffs = some_modules(ring)[:3] + zero_modules(ring)
+    # delta_0, the zero maps past a finite resolution, and ordinary ones
+    deltas = []
+    for M in (free_module(ring, 2), residue_field(ring),
+              random_module(ring, 3)):
+        res = resolve(M, 3)
+        end = res.length + (3 if res.finite else 1)
+        deltas += [res.delta(i) for i in range(end)]
+    assert any(0 in d.shape for d in deltas)
+    for delta in deltas:
+        for N in coeffs:
+            assert identical(realize(ring, delta, N),
+                             old_realize(ring, delta, N))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_tor_past_a_finite_resolution_is_zero(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    for N in some_modules(ring)[:3] + zero_modules(ring)[:1]:
+        for i in range(1, 4):
+            assert tor_dim(free_module(ring, 2), N, i) == 0
+
+
+# -- modules --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_module_invariants_match_their_zero_branches(F):
+    for ring in rings(F):
+        for mod in zero_modules(ring) + some_modules(ring):
+            assert same_space(mod.mm(), old_mm(mod))
+            assert mod.has_k_summand() == old_has_k_summand(mod)
+            assert mod.is_free() == old_is_free(mod)
+            assert mod.annihilator_is_zero() == old_annihilator_is_zero(mod)
+        for mod in zero_modules(ring):
+            assert not mod.has_k_summand() and mod.is_free()
+            assert not mod.annihilator_is_zero()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_free_modules_are_free_without_a_rank_hint(F):
+    for ring in rings(F):
+        for n in range(4):
+            mod = free_module(ring, n)
+            assert mod.is_free() == old_is_free(mod, free_rank=n)
+            assert mod.min_gens() == n
+        assert regular_module(ring).is_free()
+        assert not hasattr(free_module(ring, 1), "free_rank")
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_hom_is_a_submodule_of_the_k_linear_hom(F):
+    for ring in rings(F)[1:3]:
+        mods = some_modules(ring)[:6] + zero_modules(ring)[:2]
+        for a in mods:
+            for b in mods[:4] + mods[-1:]:
+                new, old = hom_over_R(a, b), old_hom_over_R(a, b)
+                assert same_actions(new, old)
+                assert len(new.hom_basis) == len(old.hom_basis) == new.dim
+                assert all(identical(x, y)
+                           for x, y in zip(new.hom_basis, old.hom_basis))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_tensor_is_a_quotient_of_the_k_linear_tensor(F):
+    for ring in rings(F)[1:3]:
+        mods = some_modules(ring)[:6] + zero_modules(ring)[:2]
+        for a in mods:
+            for b in mods[:4] + mods[-1:]:
+                new, proj, comp = _tensor_with_maps(a, b)
+                old, old_proj, old_comp = old_tensor_with_maps(a, b)
+                assert same_actions(new, old)
+                assert identical(proj, old_proj) and comp == old_comp
+
+
+# -- ring, theorems, explorer ----------------------------------------------
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_ring_socle_is_the_regular_module_socle(F):
+    rs = rings(F) + monomial_square_zero_rings(F, e_max=2)
+    rng = np.random.default_rng(5)
+    rs += [r for r in (random_ring(F, rng, h_min=2) for _ in range(3)) if r]
+    rs += [inst.ring for inst in canned_corpus(F, randoms=0)]
+    for ring in rs:
+        assert same_space(ring.socle_subspace(), old_ring_socle(ring))
+        assert ring.a == old_ring_socle(ring).dim
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_max_depth_and_truncation_match_their_zero_branches(F):
+    for ring in rings(F):
+        for mod in zero_modules(ring) + some_modules(ring):
+            for n in range(5):
+                assert _max_depth(mod, n) == old_max_depth(mod, n)
+                # _afford is the one way to ask for affordable depth
+                assert (_max_depth(mod, n + 1) >= n + 1) == _afford(mod, n)
+            for power in range(4):
+                new = _loewy_truncate(mod, power)
+                old = old_loewy_truncate(mod, power)
+                assert same_actions(new, old)
+                if mod.dim == 0:
+                    assert new is mod
+
+
+def test_plain_key_error_in_a_body_propagates(agp, monkeypatch):
+    # only a missing module reads as VACUOUS; any other KeyError is a bug
+    ring, M = agp
+    inst = Instance("x", ring, {"M": M})
+
+    def broken(inst, n):
+        return {}["no such key"]
+
+    monkeypatch.setitem(theorems._BY_ID, "S3",
+                        replace(theorems._BY_ID["S3"], body=broken))
+    with pytest.raises(KeyError) as info:
+        check("S3", inst)
+    assert not isinstance(info.value, theorems.MissingModule)
+
+
+def test_missing_module_verdict_text(agp):
+    ring, M = agp
+    v = check("S1", Instance("x", ring, {"M": M}))
+    assert v.status == VACUOUS
+    assert str(v) == ("S1: VACUOUS (missing module: "
+                      "\"instance 'x' has no module 'N'\")")
+
+
+def count_builds(monkeypatch):
+    """Record every (resolution, i) syzygy build, and count the tensor
+    products, while a statement runs."""
+    syz, left = [], []
+    real_syzygy = Resolution.syzygy_module
+    real_tensor = theorems.tensor_over_R
+
+    def syzygy_module(res, i):
+        syz.append((id(res), i))
+        return real_syzygy(res, i)
+
+    def tensor(a, b):
+        left.append(a.dim)
+        return real_tensor(a, b)
+
+    monkeypatch.setattr(Resolution, "syzygy_module", syzygy_module)
+    monkeypatch.setattr(theorems, "tensor_over_R", tensor)
+    return syz, left
+
+
+def test_s10_builds_each_syzygy_once(agp, monkeypatch):
+    ring, M = agp
+    inst = Instance("agp", ring, {"M": M})
+    syz, _ = count_builds(monkeypatch)
+    assert check("S10", inst, 8).status != VACUOUS
+    assert len(syz) == len(set(syz)) > 1
+
+
+def test_s18_builds_each_syzygy_and_tensor_once(gor3, monkeypatch):
+    inst = Instance("gorenstein-cube", gor3,
+                    {"M": cyclic(gor3, ["x"]), "N": cyclic(gor3, ["x + y"])})
+    syz, left = count_builds(monkeypatch)
+    v = check("S18", inst, 12)
+    assert v.status != VACUOUS
+    assert len(syz) == len(set(syz))
+    # M_0 (x) N through M_(j+1) (x) N
+    assert len(left) == v.data["j"] + 2

@@ -132,7 +132,8 @@ def test_free_module_matches_block_loop(F):
     ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
     for n in (0, 1, 3):
         mod = free_module(ring, n)
-        assert mod.dim == n * ring.length and mod.free_rank == n
+        assert mod.dim == n * ring.length and mod.min_gens() == n
+        assert mod.is_free()
         for a, b in zip(mod.actions, old_free_module_actions(ring, n)):
             assert identical(a, b)
 
