@@ -2,7 +2,9 @@
 resolutions over Gorenstein rings, and the Koszul numeric test.
 
 Resolutions are cached on the module and extended incrementally: asking
-for more stages resumes from the last differential computed.
+for more stages resumes from the last differential computed.  Tor and
+Ext in degree i resolve only through stage i and read d_{i+1} off the
+kernel of delta_i, which the resolution caches until it lifts it.
 """
 
 import weakref
@@ -23,6 +25,7 @@ from .modules import (
     min_gen_rmatrix,
     regular_module,
     residue_field,
+    rmatrix_of_rows,
 )
 
 
@@ -31,6 +34,13 @@ class Resolution:
 
     deltas[i] is the RMatrix of delta_{i+1}: R^{b_{i+1}} -> R^{b_i},
     shaped (b_i, b_{i+1}, lambda) with every entry in m.
+
+    Beyond the last lifted stage the resolution may hold a frontier
+    kernel: the kernel of delta_length (of the cover R^{b_0} -> M at
+    length 0) as a k-subspace of R^{b_length}.  It is computed only when
+    image_generators asks for it, is always ker delta_length, and is
+    dropped once extend lifts it, so deltas, betti and every basis choice
+    are the same whether or not it was ever cached.
 
     The module caches its resolution, so the resolution refers back to
     it weakly: a dropped module is freed without the cyclic collector.
@@ -42,6 +52,7 @@ class Resolution:
         self.betti = [module.min_gens()]
         self.deltas = []
         self._zero_deltas = {}  # delta_0 and those past a finite end
+        self._frontier = None  # ker delta_length, until it is lifted
         self.finite = False  # some b_i hit zero: finite projective dimension
 
     @property
@@ -59,27 +70,50 @@ class Resolution:
             return 0
         raise IndexError("resolution not computed that far")
 
-    def extend(self, n):
-        """Ensure differentials delta_1..delta_n are available.
-
-        Every stage is one step: the kernel K of the realized previous
-        map (the minimal cover R^{b_0} -> M at stage 0), then minimal
-        generators of K as the next differential."""
-        ring = self.ring
-        while self.length < n and not self.finite:
+    def _frontier_kernel(self):
+        """ker delta_length as a Subspace of R^{b_length}, computed once:
+        the kernel of the realized last differential, or of the minimal
+        cover R^{b_0} -> M at length 0."""
+        if self._frontier is None:
+            ring = self.ring
             if self.deltas:
                 D = realize(ring, self.deltas[-1], regular_module(ring))
             else:
                 D = cover_matrix(self.module)
-            K = kernel_subspace(ring.field, D)
-            del D  # the realized map can be large; free it before lifting
+            self._frontier = kernel_subspace(ring.field, D)
+        return self._frontier
+
+    def extend(self, n):
+        """Ensure differentials delta_1..delta_n are available.
+
+        Every stage is one step: the frontier kernel K = ker delta_length
+        (taken from the cache when image_generators already computed it),
+        then minimal generators of K as the next differential.  K is
+        dropped as it is lifted."""
+        while self.length < n and not self.finite:
+            K = self._frontier_kernel()
+            self._frontier = None
             if K.dim == 0:
                 self.finite = True
                 break
-            delta = min_gen_rmatrix(ring, K)
+            delta = min_gen_rmatrix(self.ring, K)
             self.deltas.append(delta)
             self.betti.append(delta.shape[1])
         return self
+
+    def image_generators(self, j):
+        """RMatrix whose columns generate im delta_j as an R-module, for
+        j <= length + 1: delta_j itself once lifted (and the zero map past
+        a finite end); at j = length + 1 the k-basis of the frontier
+        kernel ker delta_{j-1}, as an RMatrix (b_{j-1}, dim K, lambda).
+
+        Right-exactness makes im(delta_j (x) N) = im(K (x) N), and a
+        map out of F_{j-1} kills im delta_j iff it kills K, so this
+        RMatrix gives Tor and Ext the same ranks as delta_j without
+        lifting minimal generators of K."""
+        if j != self.length + 1 or self.finite:
+            return self.delta(j)
+        return rmatrix_of_rows(self.ring, self._frontier_kernel().basis)
 
     def delta(self, i):
         """RMatrix of delta_i: R^{b_i} -> R^{b_{i-1}} of a resolution
@@ -132,19 +166,23 @@ def realize(ring, delta, coeff_module):
 
 def _differential(res, j, N, hom=False):
     """Realized d_j: F_j (x) N -> F_{j-1} (x) N of the resolution F, or
-    with hom the map d^j: Hom(F_{j-1}, N) -> Hom(F_j, N)."""
-    delta = res.delta(j)
+    with hom the map d^j: Hom(F_{j-1}, N) -> Hom(F_j, N), realized from
+    res.image_generators(j): exact for j <= res.length, and at
+    res.length + 1 exact in the image of d_j and the kernel of d^j."""
+    delta = res.image_generators(j)
     return realize(res.ring, delta.transpose(1, 0, 2) if hom else delta, N)
 
 
 def tor_dim(M, N, i):
-    """dim_k Tor_i(M, N), computed from a minimal resolution of M."""
+    """dim_k Tor_i(M, N), computed from a minimal resolution of M through
+    stage i: the cycles from the exact d_i, the boundaries from the
+    frontier kernel of delta_i unless delta_{i+1} is already lifted."""
     if M.ring is not N.ring:
         raise ModuleError("modules over different rings")
     F = M.ring.field
     if M.dim == 0 or N.dim == 0:
         return 0
-    res = resolve(M, i + 1)
+    res = resolve(M, i)
     d = _differential(res, i, N)
     return d.shape[1] - rank(F, d) - rank(F, _differential(res, i + 1, N))
 
@@ -176,22 +214,29 @@ def ext_dim(M, N, i):
 
 
 def ext_dim_direct(M, N, i):
-    """dim_k Ext^i(M, N) as homology of Hom(F, N) directly."""
+    """dim_k Ext^i(M, N) as homology of Hom(F, N) directly, from a
+    resolution through stage i: the cocycles are the kernel of the
+    transposed frontier map (or of d^{i+1} once delta_{i+1} is lifted),
+    the coboundaries the image of the exact d^i."""
     if M.ring is not N.ring:
         raise ModuleError("modules over different rings")
     F = M.ring.field
     if M.dim == 0 or N.dim == 0:
         return 0
-    res = resolve(M, i + 1)
+    res = resolve(M, i)
     up = _differential(res, i + 1, N, hom=True)
     return up.shape[1] - rank(F, up) - rank(F, _differential(res, i, N, hom=True))
 
 
 def tor_induced_k(f, i):
-    """Rank of Tor_i(k, f) for an R-linear map f: A -> B."""
+    """Rank of Tor_i(k, f) for an R-linear map f: A -> B, from the
+    resolution of k through stage i: cycles of F (x) A from the exact d_i,
+    boundaries of F (x) B through the frontier kernel of delta_i unless
+    delta_{i+1} is already lifted."""
     A, B = f.source, f.target
     F = A.ring.field
-    res = resolve(residue_field(A.ring), i + 1)
+    k = residue_field(A.ring)  # held: at length 0 the frontier needs it
+    res = resolve(k, i)
     bi = res.betti_number(i)
     if bi == 0 or A.dim == 0:
         return 0

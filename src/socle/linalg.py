@@ -323,13 +323,16 @@ class Subspace:
 
         Column k is the residual of e_k on those coordinates: e_k itself
         when k is not a pivot, and e_k - basis[j] when k is pivot j (the
-        basis is 1 at its own pivot and 0 at the others)."""
+        basis is 1 at its own pivot and 0 at the others).  Only the
+        nonzero entries are negated, so over Q every zero is the shared
+        zero of zeros()."""
         comp = self.complement_coords()
         F = self.field
         proj = F.zeros((len(comp), self.ambient))
         proj[np.arange(len(comp)), comp] = F.one
-        if self.pivots:
-            proj[:, list(self.pivots)] = F.mod(-self.basis[:, comp].T)
+        block = self.basis[:, comp].T
+        k, j = np.nonzero(block)
+        proj[k, np.asarray(self.pivots, dtype=np.intp)[j]] = F.mod(-block[k, j])
         return proj
 
     def section(self):

@@ -205,9 +205,16 @@ def regular_module(ring):
 
 
 def free_module(ring, n):
-    """R^n, each generator acting as the dense block diagonal kron(I_n, L_g)."""
-    eye = ring.field.eye(n)
-    acts = [np.kron(eye, ring.left_mult[g]) for g in ring.gen_index]
+    """R^n, each generator acting as the dense block diagonal kron(I_n, L_g):
+    L_g placed in the n diagonal lambda x lambda blocks of zeros(), so
+    over Q every zero is the shared one."""
+    lam = ring.length
+    diag = np.arange(n)
+    acts = []
+    for g in ring.gen_index:
+        A = ring.field.zeros((n, lam, n, lam))
+        A[diag, :, diag, :] = ring.left_mult[g]
+        acts.append(A.reshape(n * lam, n * lam))
     return FiniteModule(ring, acts, validate=False)
 
 
@@ -408,6 +415,13 @@ def cover_map(mod):
     return Fr, ModuleMap(Fr, mod, cover_matrix(mod), validate=False)
 
 
+def rmatrix_of_rows(ring, rows):
+    """RMatrix (n x k x lambda) whose columns are the k rows, vectors of
+    R^n in free_action's coordinates."""
+    k, width = rows.shape
+    return rows.reshape(k, width // ring.length, ring.length).transpose(1, 0, 2)
+
+
 def min_gen_rmatrix(ring, K):
     """RMatrix (n x b x lambda) whose columns are minimal generators of an
     action-closed subspace K of R^n: the rows of K's basis that lift the
@@ -418,8 +432,7 @@ def min_gen_rmatrix(ring, K):
                     for g in ring.gen_index])
     _, piv = rref(F, mK)
     gens = [c for c in range(K.dim) if c not in piv]
-    delta = K.basis[gens].reshape(
-        len(gens), K.ambient // ring.length, ring.length).transpose(1, 0, 2)
+    delta = rmatrix_of_rows(ring, K.basis[gens])
     if not rmatrix_entries_in_m(delta):
         raise ModuleError("non-minimal differential (unit entry)")
     return delta

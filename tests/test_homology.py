@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cyclic
+from conftest import cyclic, identical
 from socle.homology import (
     betti_numbers,
     complete_betti,
@@ -349,3 +349,71 @@ def test_random_homology_matches_oracles(F, rels, s1, s2, square_zero):
     M = random_module(ring, s1, square_zero=square_zero)
     N = random_module(ring, s2)
     assert_homology_matches_oracles(M, N)
+
+
+# -- d_{i+1} read off the frontier kernel ---------------------------------
+
+
+def fresh_pairs(F, rels, seed):
+    """A fresh ring with its residue field (held, so its resolution keeps
+    its module) and fresh (M, N) pairs: a random M, and the free R and
+    R^2, whose resolutions end at length 0 with a zero frontier kernel."""
+    ring = ring_from_strings(F, ["x", "y"], rels)
+    N = random_module(ring, seed + 1)
+    Ms = [random_module(ring, seed), canonical_module(ring),
+          regular_module(ring), free_module(ring, 2)]
+    return residue_field(ring), [(M, N) for M in Ms]
+
+
+@pytest.mark.parametrize("rels", HOSTS, ids="/".join)
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_frontier_route_matches_oracles(F, rels):
+    # each degree on fresh modules, new route first: the oracles lift
+    # stage i+1, which would leave the new route nothing to read
+    for i in range(4):
+        k, pairs = fresh_pairs(F, rels, 7 * i)
+        for M, N in pairs:
+            got = (tor_dim(M, N, i), ext_dim_direct(M, N, i))
+            res = resolve(M, i)
+            assert res.length == i or (res.finite and res.length == 0)
+            assert got == (old_tor_dim(M, N, i), old_ext_dim_direct(M, N, i))
+        N = pairs[0][1]
+        got = [tor_induced_k(f, i) for f in module_maps(N)]
+        assert resolve(k, i).length == i
+        assert got == [old_tor_induced_k(f, i) for f in module_maps(N)]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_free_modules_past_the_end_of_the_frontier(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
+    N = canonical_module(ring)
+    for M in (regular_module(ring), free_module(ring, 2)):
+        # a fresh free module: length 0, not yet known to be finite, and
+        # its frontier kernel ker(R^b -> M) is 0
+        assert tor_dim(M, N, 0) == M.min_gens() * N.dim
+        res = resolve(M, 0)
+        assert (res.length, res.finite) == (0, False)
+        assert res.image_generators(1).shape == (M.min_gens(), 0, ring.length)
+        assert old_tor_dim(M, N, 0) == M.min_gens() * N.dim
+        for i in range(1, 4):
+            assert tor_dim(M, N, i) == ext_dim_direct(M, N, i) == 0
+            assert res.finite and res.image_generators(i + 1).shape[1] == 0
+
+
+@pytest.mark.parametrize("rels", HOSTS, ids="/".join)
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_tor_does_not_lift_the_next_stage(F, rels):
+    # after Tor_i only stage i is lifted; lifting i+1 from the cached
+    # frontier gives delta_{i+1} exactly as a resolution that never
+    # cached one, and the stage after it starts from a new kernel
+    for i in range(3):
+        M, M2 = (random_module(ring_from_strings(F, ["x", "y"], rels), 11 + i)
+                 for _ in range(2))
+        tor_dim(M, canonical_module(M.ring), i)
+        assert resolve(M, i).length == i
+        assert M2._resolution is None
+        assert identical(resolve(M, i + 1).delta(i + 1),
+                         resolve(M2, i + 1).delta(i + 1))
+        assert identical(resolve(M, i + 2).delta(i + 2),
+                         resolve(M2, i + 2).delta(i + 2))
+        assert resolve(M, i + 2).betti == resolve(M2, i + 2).betti

@@ -261,6 +261,22 @@ def test_rational_kernel_zeros_are_shared():
                for v in linalg.kernel_subspace(QQ, mats[-1]).basis.flat)
 
 
+def test_rational_projection_and_free_module_zeros_are_shared():
+    # the quotient map negates only nonzero entries and R^n places L_g
+    # into zeros(), so neither writes a zero other than the shared one
+    spaces = [make(QQ, random_matrix(QQ, shape, seed, density))
+              for make in (lambda F, m: Subspace.from_rows(F, m, m.shape[1]),
+                           linalg.kernel_subspace)
+              for shape in SHAPES for seed in SEEDS for density in (0.4, 1.0)]
+    for S in spaces:
+        assert all(v is linalg._QZERO for v in S.projection().flat if not v)
+    for rels in HOSTS:
+        ring = ring_from_strings(QQ, ["x", "y"], rels)
+        for n in (0, 1, 3):
+            for A in free_module(ring, n).actions:
+                assert all(v is linalg._QZERO for v in A.flat if not v)
+
+
 # -- homology -------------------------------------------------------------
 
 
