@@ -14,7 +14,7 @@ from .homology import betti_numbers, ext_dim, tor_dim
 from .instancefile import (
     ParseError, parse_instance, serialize_instance, _parse_field)
 from .ring import NotArtinianError, PresentationError
-from .theorems import agp_example
+from .theorems import DEFAULT_CUTOFF, agp_example
 
 EXAMPLES = {"agp": agp_example}
 
@@ -26,7 +26,7 @@ class UsageError(Exception):
 def _default_cutoff():
     raw = os.environ.get("SOCLE_CUTOFF")
     if raw is None:
-        return 12
+        return DEFAULT_CUTOFF
     try:
         return int(raw)
     except ValueError:

@@ -24,6 +24,7 @@ from .modules import (
     matlis_dual,
     min_gen_rmatrix,
     regular_module,
+    require_same_ring,
     residue_field,
     rmatrix_of_rows,
 )
@@ -177,8 +178,7 @@ def tor_dim(M, N, i):
     """dim_k Tor_i(M, N), computed from a minimal resolution of M through
     stage i: the cycles from the exact d_i, the boundaries from the
     frontier kernel of delta_i unless delta_{i+1} is already lifted."""
-    if M.ring is not N.ring:
-        raise ModuleError("modules over different rings")
+    require_same_ring(M, N)
     F = M.ring.field
     if M.dim == 0 or N.dim == 0:
         return 0
@@ -218,8 +218,7 @@ def ext_dim_direct(M, N, i):
     resolution through stage i: the cocycles are the kernel of the
     transposed frontier map (or of d^{i+1} once delta_{i+1} is lifted),
     the coboundaries the image of the exact d^i."""
-    if M.ring is not N.ring:
-        raise ModuleError("modules over different rings")
+    require_same_ring(M, N)
     F = M.ring.field
     if M.dim == 0 or N.dim == 0:
         return 0

@@ -235,6 +235,19 @@ def rank(F, m):
     return len(_pivot_rows(F, m))
 
 
+def kron(F, a, b):
+    """The Kronecker product of matrices a and b.  Only the products of
+    nonzero entries are written, into zeros(), so over Q every zero is the
+    shared one; over GF(p) each product of residues is below 2^62."""
+    (p, q), (r, s) = a.shape, b.shape
+    out = F.zeros((p, r, q, s))
+    ia, ja = np.nonzero(a)
+    ib, jb = np.nonzero(b)
+    out[ia[:, None], ib, ja[:, None], jb] = F.mod(
+        np.multiply.outer(a[ia, ja], b[ib, jb]))
+    return out.reshape(p * r, q * s)
+
+
 def kernel_basis(F, m):
     """Rows form a basis of the right null space: m @ row = 0."""
     return kernel_subspace(F, m).basis
@@ -316,7 +329,8 @@ class Subspace:
         return Subspace.from_rows(F, np.vstack(rows), n)
 
     def complement_coords(self):
-        return [c for c in range(self.ambient) if c not in self.pivots]
+        pivots = set(self.pivots)
+        return [c for c in range(self.ambient) if c not in pivots]
 
     def projection(self):
         """Matrix of the quotient map onto the non-pivot coordinates.
@@ -350,23 +364,14 @@ class Subspace:
 
 
 def kernel_subspace(F, m):
-    """Right null space of m as a Subspace, without re-reducing.
+    """Right null space of m as a Subspace, without re-reducing: the rows
+    of the quotient map onto the free (non-pivot) columns of rref(m).
 
-    Row k of the basis is 1 at the k-th free (non-pivot) column f of m and
-    -rref(m)[j, f] at the j-th pivot column.  That identity block on the
-    free columns is the dual-basis property Subspace needs
-    (basis[j][pivots[k]] = delta_jk), with the free columns as pivots.
-    Only the nonzero entries are negated, so over Q every zero of the
-    basis is the shared zero of zeros()."""
-    cols = m.shape[1]
-    r, pivots = rref(F, m)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    out = F.zeros((free.size, cols))
-    out[np.arange(free.size), free] = F.one
-    block = r[: len(pivots), free].T
-    k, j = np.nonzero(block)
-    out[k, np.asarray(pivots, dtype=np.intp)[j]] = F.mod(-block[k, j])
-    return Subspace(F, cols, out, tuple(int(f) for f in free))
+    Row k is 1 at the k-th free column f and -rref(m)[j, f] at the j-th
+    pivot column.  That identity block on the free columns is the
+    dual-basis property Subspace needs, with the free columns as pivots."""
+    S = Subspace.from_rows(F, m)
+    return Subspace(F, S.ambient, S.projection(), tuple(S.complement_coords()))
 
 
 def image_basis(F, m):

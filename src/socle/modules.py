@@ -16,6 +16,7 @@ from .linalg import (
     Subspace,
     image_basis,
     kernel_basis,
+    kron,
     rank,
     rref,
 )
@@ -340,20 +341,11 @@ def canonical_module(ring):
     return matlis_dual(regular_module(ring))
 
 
-def gorenstein_by_reflexivity(ring):
-    """R is Gorenstein iff omega is isomorphic to its R-double-dual."""
-    omega = canonical_module(ring)
-    R1 = regular_module(ring)
-    dd = hom_over_R(hom_over_R(omega, R1), R1)
-    return is_isomorphic(omega, dd)
-
-
 # -- binary operations ---------------------------------------------------
 
 
 def direct_sum(a, b):
-    if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
-        raise ModuleError("modules over different rings")
+    require_same_ring(a, b)
     F = a.field
     acts = []
     for Aa, Ab in zip(a.actions, b.actions):
@@ -370,24 +362,15 @@ def tensor_over_R(a, b):
 
 
 def hom_over_R(a, b):
-    """Hom_R(M, N): the solution space of F A_g^M = A_g^N F, as a
-    submodule of Hom_k(M, N), on which R acts by post-composition."""
-    if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
-        raise ModuleError("modules over different rings")
+    """Hom_R(M, N): the maps F with A_g^N F = F A_g^M, as a submodule of
+    Hom_k(M, N) = N (x)_k M^dual (row-major flattened n x m maps), on
+    which R acts by post-composition.  W_g sends F to A_g^N F - F A_g^M,
+    so Hom_R is their common kernel."""
+    hom_k, W = _kron_pair(b, matlis_dual(a))
     F = a.field
-    m, n = a.dim, b.dim
-    eyem, eyen = F.eye(m), F.eye(n)
-    # Hom_k(M, N) on row-major flattened (n x m) maps; F -> A_g^N F is
-    # kron(A_g^N, I_m)
-    hom_k = FiniteModule(a.ring, [np.kron(Ab, eyem) for Ab in b.actions],
-                         validate=False)
-    blocks = []
-    for Aa, post in zip(a.actions, hom_k.actions):
-        blocks.append(F.mod(np.kron(eyen, Aa.T) - post))
-    K = kernel_basis(F, np.vstack(blocks))  # rows: flattened (n x m) maps
-    S = Subspace.from_rows(F, K, n * m)
+    S = Subspace.from_rows(F, kernel_basis(F, np.vstack(W)), hom_k.dim)
     hom, _ = submodule_module(hom_k, S)
-    hom.hom_basis = [S.basis[i].reshape(n, m) for i in range(S.dim)]
+    hom.hom_basis = [S.basis[i].reshape(b.dim, a.dim) for i in range(S.dim)]
     return hom
 
 
@@ -450,15 +433,16 @@ def syzygy(mod):
 # -- isomorphism ---------------------------------------------------------
 
 
-def _same_ring_structure(r1, r2):
-    """Two rings built from the same presentation have identical bases and
-    structure constants, so their modules are directly comparable."""
-    return (
-        r1.field.p == r2.field.p
-        and r1.varnames == r2.varnames
-        and r1.hilbert == r2.hilbert
-        and np.array_equal(r1.table, r2.table)
-    )
+def require_same_ring(a, b):
+    """Raise unless modules a and b are over one ring: the same object, or
+    two rings built from the same presentation, which have identical bases
+    and structure constants, so their modules are directly comparable."""
+    r1, r2 = a.ring, b.ring
+    if r1 is not r2 and not (r1.field.p == r2.field.p
+                             and r1.varnames == r2.varnames
+                             and r1.hilbert == r2.hilbert
+                             and np.array_equal(r1.table, r2.table)):
+        raise ModuleError("modules over different rings")
 
 
 def is_isomorphic(a, b):
@@ -466,7 +450,9 @@ def is_isomorphic(a, b):
     invertible element.  Deterministic via a fixed seed; one-sided (a
     False can in principle be a miss, but over GF(p) with p=101 the miss
     probability per trial is at most 1/p on isomorphic pairs)."""
-    if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
+    try:
+        require_same_ring(a, b)
+    except ModuleError:
         return False
     if a.dim != b.dim:
         return False
@@ -502,21 +488,15 @@ def exterior_square(mod):
     iota: x ^ y -> x (x) y - y (x) x into M (x)_R M."""
     F = mod.field
     m = mod.dim
-    ring = mod.ring
-    if m == 0:
-        zero = free_module(ring, 0)
-        return zero, ModuleMap(zero, free_module(ring, 0), F.zeros((0, 0)),
-                               validate=False)
     tensor, proj, comp = _tensor_with_maps(mod, mod)
     t = tensor.dim
-    # the u (x) u span the same k-space as these symmetric relators
-    sym_rows = []
-    eye = F.eye(m)
-    for i in range(m):
-        sym_rows.append(np.kron(eye[i], eye[i]))
-        for j in range(i):
-            sym_rows.append(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
-    sym = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym_rows).T).T, t)
+    eye = F.eye(m * m)
+    # the u (x) u span the same k-space as the symmetric relators
+    # e_i (x) e_j + e_j (x) e_i for j < i and e_i (x) e_i
+    i, j = np.tril_indices(m)
+    sym_rows = eye[i * m + j]
+    sym_rows[np.arange(i.size), j * m + i] = F.one
+    sym = Subspace.from_rows(F, F.matmul(proj, sym_rows.T).T, t)
     # their R-span: in odd characteristic the k-span is already closed (2
     # r.u (x) u is a combination of three u (x) u), in characteristic 2 it
     # need not be
@@ -524,11 +504,8 @@ def exterior_square(mod):
         F, np.vstack([F.matmul(sym.basis, A.T) for A in tensor.ops()]), t)
     wedge, wproj = quotient_module(tensor, sym)
     # swap on M(x)M descends to the R-tensor; antisymmetrize
-    swap = F.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            swap[i * m + j, j * m + i] = F.one
-    anti = F.matmul(proj, (F.eye(m * m) - swap)[:, comp])
+    swap = eye[np.arange(m * m).reshape(m, m).T.reshape(-1)]
+    anti = F.matmul(proj, (eye - swap)[:, comp])
     iota_mat = anti[:, sym.complement_coords()]
     # well-definedness: the symmetric part must map to zero
     for row in sym.basis:
@@ -538,22 +515,24 @@ def exterior_square(mod):
     return wedge, iota
 
 
-def _tensor_with_maps(a, b):
-    """M (x)_R N, with the quotient map from M (x)_k N and the coordinates
-    of M (x)_k N that the quotient keeps."""
-    if a.ring is not b.ring and not _same_ring_structure(a.ring, b.ring):
-        raise ModuleError("modules over different rings")
+def _kron_pair(a, b):
+    """A (x)_k B with R acting on the left factor, and for each generator g
+    the operator W_g = A_g (x) 1 - 1 (x) B_g on it."""
+    require_same_ring(a, b)
     F = a.field
-    m, n = a.dim, b.dim
-    eyem, eyen = F.eye(m), F.eye(n)
-    # M (x)_k N, with R acting on the left factor
-    tensor_k = FiniteModule(a.ring, [np.kron(Aa, eyen) for Aa in a.actions],
-                            validate=False)
-    rel_rows = []
-    for left, Ab in zip(tensor_k.actions, b.actions):
-        W = left - np.kron(eyem, Ab)
-        rel_rows.append(F.mod(W).T)
-    Wspan = Subspace.from_rows(F, np.vstack(rel_rows), m * n)
+    eyea, eyeb = F.eye(a.dim), F.eye(b.dim)
+    left = [kron(F, Aa, eyeb) for Aa in a.actions]
+    W = [F.mod(L - kron(F, eyea, Ab)) for L, Ab in zip(left, b.actions)]
+    return FiniteModule(a.ring, left, validate=False), W
+
+
+def _tensor_with_maps(a, b):
+    """M (x)_R N = (M (x)_k N) / sum of the images of the W_g, with the
+    quotient map from M (x)_k N and the coordinates of M (x)_k N that the
+    quotient keeps."""
+    tensor_k, W = _kron_pair(a, b)
+    Wspan = Subspace.from_rows(a.field, np.vstack([w.T for w in W]),
+                               tensor_k.dim)
     tensor, proj = quotient_module(tensor_k, Wspan)
     return tensor, proj, Wspan.complement_coords()
 

@@ -4,31 +4,41 @@ Zero-size branches in linalg, realize, FiniteModule, theorems and the
 explorer were dropped because the general code returns the same thing;
 the cached free_rank hint gave way to the dimension test; Hom_R and
 (x)_R are built as a submodule and a quotient of their k-linear
-counterparts; the ring socle is the socle of the regular module.  Each
-old path is kept here as an oracle, over GF(2), GF(3), GF(101),
-GF(2^31-1) and Q, on zero-size inputs as well as ordinary ones."""
+counterparts, which are one Kronecker pair built by one kron; the ring
+socle is the socle of the regular module; one rule decides when two
+modules are over the same ring.  Each old path is kept here as an oracle,
+over GF(2), GF(3), GF(101), GF(2^31-1) and Q, on zero-size inputs as well
+as ordinary ones."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import cyclic, identical
+from test_derived_routes import kspan_exterior_square, old_exterior_square
 
 from socle import linalg, theorems
 from socle.explorer import _loewy_truncate, random_ring
-from socle.homology import Resolution, realize, resolve, tor_dim
+from socle.homology import Resolution, ext_dim_direct, realize, resolve, tor_dim
 from socle.linalg import QQ, Field, Subspace, image_basis, kernel_basis, rref
 from socle.modules import (
     FiniteModule,
+    ModuleError,
+    _kron_pair,
     _tensor_with_maps,
     canonical_module,
+    direct_sum,
+    exterior_square,
     free_module,
     from_presentation,
     hom_over_R,
+    is_isomorphic,
+    matlis_dual,
     quotient_module,
     random_module,
     regular_module,
     residue_field,
+    tensor_over_R,
 )
 from socle.ring import monomial_square_zero_rings, ring_from_strings
 from socle.theorems import (
@@ -245,6 +255,52 @@ def test_kernel_subspace_matches_its_branches(F):
                       Subspace(F, 0))
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_kron_matches_numpy(F):
+    top = F.mod(-F.array(np.ones((2, 3), dtype=np.int64)))  # all p - 1
+    mats = [random_matrix(F, shape, seed, density) for shape in SHAPES[:5]
+            for seed in SEEDS[:2] for density in (0.0, 0.4, 1.0)]
+    for a in mats + [top]:
+        for b in mats[::3] + [top, F.eye(3)]:
+            assert identical(linalg.kron(F, a, b), F.mod(np.kron(a, b)))
+
+
+def test_rational_kron_zeros_are_shared():
+    # so the Hom_k and (x)_k actions built from them carry no other zero
+    mats = [random_matrix(QQ, shape, seed, density) for shape in SHAPES
+            for seed in SEEDS for density in (0.0, 0.4, 1.0)]
+    for a in mats[::5]:
+        for b in mats[::7]:
+            out = linalg.kron(QQ, a, b)
+            assert all(v is linalg._QZERO for v in out.flat if not v)
+    ring = ring_from_strings(QQ, ["x", "y"], HOSTS[1])
+    mods = some_modules(ring)[:6] + zero_modules(ring)[:1]
+    for a in mods:
+        for b in mods[::2]:
+            for pair in (_kron_pair(a, b), _kron_pair(b, matlis_dual(a))):
+                for A in pair[0].actions:
+                    assert all(v is linalg._QZERO for v in A.flat if not v)
+
+
+def test_rational_hom_and_tensor_read_only_shared_zeros(monkeypatch):
+    # every zero the products inside Hom_R and (x)_R read is the shared one
+    ring = ring_from_strings(QQ, ["x", "y"], HOSTS[1])
+    M, N = random_module(ring, 1), random_module(ring, 2)
+    read = []
+    real = linalg._integral
+
+    def integral(a):
+        read.extend(a.flat)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_integral", integral)
+    for build in (hom_over_R, tensor_over_R):
+        read.clear()
+        build(M, N)
+        zeros = [v for v in read if not v]
+        assert zeros and all(v is linalg._QZERO for v in zeros)
+
+
 def test_rational_kernel_zeros_are_shared():
     # a zero the kernel writes is the one shared zero, so elimination and
     # products pass over it by identity
@@ -356,6 +412,55 @@ def test_tensor_is_a_quotient_of_the_k_linear_tensor(F):
                 old, old_proj, old_comp = old_tensor_with_maps(a, b)
                 assert same_actions(new, old)
                 assert identical(proj, old_proj) and comp == old_comp
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_exterior_square_matches_its_zero_branch_and_oracles(F):
+    for ring in rings(F)[1:3]:
+        # the zero branch returned the zero module and a 0 x 0 iota
+        for mod in zero_modules(ring):
+            wedge, iota = exterior_square(mod)
+            assert same_actions(wedge, free_module(ring, 0))
+            assert identical(iota.matrix, F.zeros((0, 0)))
+        for mod in some_modules(ring)[:6]:
+            wedge, iota = exterior_square(mod)
+            if F.p != 2:  # in characteristic 2 the k-span is not closed
+                old_wedge, old_iota = kspan_exterior_square(mod)
+                assert same_actions(wedge, old_wedge)
+                assert identical(iota.matrix, old_iota)
+            try:
+                old_wedge, old_iota = old_exterior_square(mod)
+            except ModuleError:
+                assert F.p == 2
+                continue
+            assert same_actions(wedge, old_wedge)
+            assert identical(iota.matrix, old_iota.matrix)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_modules_over_twin_rings_combine_and_unrelated_ones_do_not(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
+    twin = ring_from_strings(F, ["x", "y"], HOSTS[1])
+    other = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    assert twin is not ring
+    M, N = random_module(ring, 1), random_module(ring, 2)
+    N2 = random_module(twin, 2)
+    for i in (1, 2):
+        assert tor_dim(M, N2, i) == tor_dim(M, N, i)
+        assert tor_dim(N2, M, i) == tor_dim(N, M, i)
+        assert ext_dim_direct(M, N2, i) == ext_dim_direct(M, N, i)
+    for build in (hom_over_R, tensor_over_R, direct_sum):
+        assert build(M, N2).dim == build(M, N).dim
+        assert build(N2, M).dim == build(N, M).dim
+    assert is_isomorphic(N, N2)
+    X = random_module(other, 2)
+    for build in (lambda a, b: tor_dim(a, b, 1),
+                  lambda a, b: ext_dim_direct(a, b, 1),
+                  hom_over_R, tensor_over_R, direct_sum):
+        for a, b in ((M, X), (X, M)):
+            with pytest.raises(ModuleError):
+                build(a, b)
+    assert not is_isomorphic(N, X) and not is_isomorphic(X, N)
 
 
 # -- ring, theorems, explorer ----------------------------------------------
