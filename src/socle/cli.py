@@ -175,6 +175,8 @@ def cmd_explore(args):
 
     if args.budget < 0:
         raise UsageError("budget must be >= 0")
+    if args.p < 1 or args.q < 1:
+        raise UsageError("p and q must be >= 1")
     report = explore(args.seed, args.budget, cutoff=args.to,
                      p=args.p, q=args.q,
                      field=_default_field(args.field))

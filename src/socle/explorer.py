@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .homology import tor_profile
+from .homology import require_cutoff, tor_profile
 from .instancefile import serialize_instance
 from .linalg import GF101
 from .modules import quotient_module, random_module
@@ -139,20 +139,21 @@ def _trial_modules(ring, rng, p, q):
     return None
 
 
-def explore(seed, budget, cutoff=12, p=2, q=2, e_range=(2, 4), field=None):
+def explore(seed, budget, cutoff=12, p=2, q=2, field=None):
     """Run `budget` random trials; report the first-nonzero-Tor histogram
     and any candidate counterexamples (re-tested at doubled cutoff)."""
-    field = field or GF101
-    report = ExploreReport(seed=seed, budget=budget, cutoff=cutoff, p=p, q=q)
+    require_cutoff(cutoff)
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
+    field = field or GF101
+    report = ExploreReport(seed=seed, budget=budget, cutoff=cutoff, p=p, q=q)
     if p == 1 or q == 1:
         report.vacuous = True
         return report
     h_min = p + q - 1
     for trial in range(budget):
         rng = np.random.default_rng((seed, trial))
-        ring = random_ring(field, rng, e_range=e_range, h_min=h_min)
+        ring = random_ring(field, rng, h_min=h_min)
         if ring is None:
             report.rejected_rings += 1
             continue

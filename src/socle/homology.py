@@ -187,6 +187,12 @@ def tor_dim(M, N, i):
     return d.shape[1] - rank(F, d) - rank(F, _differential(res, i + 1, N))
 
 
+def require_cutoff(cutoff):
+    """An empty Tor window would read as vanishing."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+
+
 @dataclass
 class TorProfile:
     dims: list
@@ -200,6 +206,7 @@ class TorProfile:
 def tor_profile(M, N, n):
     """Tor dimensions on [1, n], stopping at the first nonzero value (the
     remaining entries are not computed)."""
+    require_cutoff(n)
     dims = []
     for i in range(1, n + 1):
         dims.append(tor_dim(M, N, i))
@@ -296,8 +303,7 @@ class KoszulReport:
 def koszul_test(ring, n):
     """Necessary numeric condition for Koszulness: the Betti numbers of k
     must match the power-series inverse of Hilb(-t) through degree n."""
-    if n < 1:
-        raise ValueError("cutoff must be >= 1")
+    require_cutoff(n)
     hilb = ring.hilbert
     # coefficients of Hilb(-t)
     h = [Fraction((-1) ** d * hilb[d]) if d < len(hilb) else Fraction(0)

@@ -220,13 +220,13 @@ def parse_instance_text(text, default_field=None):
     return pres, parsed_modules
 
 
-def parse_instance(text, default_field=None, degree_cap=30):
+def parse_instance(text, default_field=None):
     """Build the ring and realize every named module presentation."""
     from .ring import build_ring
     from .modules import from_presentation, rmatrix_from_polys
 
     pres, mods = parse_instance_text(text, default_field=default_field)
-    ring = build_ring(pres, degree_cap=degree_cap)
+    ring = build_ring(pres)
     realized = {}
     for name, rows in mods.items():
         realized[name] = from_presentation(ring, rmatrix_from_polys(ring, rows))

@@ -289,25 +289,22 @@ class Subspace:
         return len(self.pivots)
 
     def reduce(self, v):
-        """Residual of v after eliminating this subspace's pivot coordinates."""
-        v = np.array(v, copy=True)
-        for j, c in enumerate(self.pivots):
-            if v[c] != self.field.zero:
-                v = self.field.mod(v - v[c] * self.basis[j])
-        return v
+        """Residual v - v[pivots] @ basis of v (or of each row of v): zero
+        exactly when v lies in the subspace, as contains and coords read."""
+        v, F = np.asarray(v), self.field
+        return F.mod(v - F.matmul(v[..., list(self.pivots)], self.basis))
 
     def contains(self, v):
         return not np.any(self.reduce(v))
 
     def contains_space(self, other):
-        return all(self.contains(row) for row in other.basis)
+        return self.contains(other.basis)
 
     def coords(self, v):
-        """Coefficients of v in the rref basis; raises if v is outside."""
-        c = np.asarray(v)[list(self.pivots)]
-        if np.any(self.field.mod(np.asarray(v) - c @ self.basis)):
+        """Coefficients of v (or of its rows); raises if v is outside."""
+        if not self.contains(v):
             raise DimensionError("vector not in subspace")
-        return c
+        return np.asarray(v)[..., list(self.pivots)]
 
     def add(self, other):
         self._match(other)

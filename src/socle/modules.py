@@ -18,7 +18,6 @@ from .linalg import (
     kernel_basis,
     kron,
     rank,
-    rref,
 )
 
 
@@ -93,12 +92,6 @@ class FiniteModule:
             self._ops = ops
         return self._ops
 
-    def ring_action(self, coeffs):
-        """Action matrix of the ring element with the given coordinates."""
-        n = self.dim
-        ops = self.ops().reshape(self.ring.length, n * n)
-        return self.field.matmul(np.asarray(coeffs), ops).reshape(n, n)
-
     # -- invariants -----------------------------------------------------
 
     def mm(self):
@@ -145,8 +138,7 @@ class FiniteModule:
     def has_k_summand(self):
         """True iff Soc(M) is not contained in mM: a socle element that is
         a minimal generator splits off a copy of k."""
-        soc, mm = self.socle(), self.mm()
-        return soc.add(mm).dim > mm.dim
+        return not self.mm().contains_space(self.socle())
 
     def is_free(self):
         # the minimal cover R^nu -> M is onto; equal lengths force it bijective
@@ -409,12 +401,10 @@ def min_gen_rmatrix(ring, K):
     """RMatrix (n x b x lambda) whose columns are minimal generators of an
     action-closed subspace K of R^n: the rows of K's basis that lift the
     echelon basis of K/mK, in basis order."""
-    F = ring.field
     # images of the basis rows under each generator, in K's coordinates
     mK = np.vstack([free_action(ring, K.basis, g)[:, list(K.pivots)]
                     for g in ring.gen_index])
-    _, piv = rref(F, mK)
-    gens = [c for c in range(K.dim) if c not in piv]
+    gens = Subspace.from_rows(ring.field, mK, K.dim).complement_coords()
     delta = rmatrix_of_rows(ring, K.basis[gens])
     if not rmatrix_entries_in_m(delta):
         raise ModuleError("non-minimal differential (unit entry)")
@@ -508,9 +498,8 @@ def exterior_square(mod):
     anti = F.matmul(proj, (eye - swap)[:, comp])
     iota_mat = anti[:, sym.complement_coords()]
     # well-definedness: the symmetric part must map to zero
-    for row in sym.basis:
-        if np.any(F.matmul(anti, row)):
-            raise ModuleError("iota is not well-defined")
+    if np.any(F.matmul(anti, sym.basis.T)):
+        raise ModuleError("iota is not well-defined")
     iota = ModuleMap(wedge, tensor, iota_mat, validate=False)
     return wedge, iota
 

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .linalg import Field, Subspace, rref
+from .linalg import Field, Subspace, kernel_subspace
 
 
 class PresentationError(ValueError):
@@ -193,21 +193,17 @@ def graded_pieces(presentation, degree_cap=30):
     while True:
         mons = monomials(e, d)
         idx = {m: i for i, m in enumerate(mons)}
-        span_rows = []
-        for f in rels:
-            d0 = _poly_degree(f)
-            if d0 > d:
-                continue
-            for u in monomials(e, d - d0):
-                row = F.zeros(len(mons))
-                for m, c in f.items():
-                    row[idx[_mono_mul(u, m)]] = c
-                span_rows.append(row)
-        if span_rows:
-            red, piv = rref(F, np.vstack(span_rows))
-        else:
-            red, piv = F.zeros((0, len(mons))), []
-        std = [m for i, m in enumerate(mons) if i not in piv]
+        multiples = [(u, f) for f in rels if _poly_degree(f) <= d
+                     for u in monomials(e, d - _poly_degree(f))]
+        span = F.zeros((len(multiples), len(mons)))
+        for r, (u, f) in enumerate(multiples):
+            for m, c in f.items():
+                span[r, idx[_mono_mul(u, m)]] = c
+        # the kernel basis is the quotient map onto the standard monomials,
+        # its pivots; no multiples leave them all standard, without an rref
+        quot = (kernel_subspace(F, span) if multiples
+                else Subspace.full(F, len(mons)))
+        std = [mons[i] for i in quot.pivots]
         if not std:
             h = d - 1
             break
@@ -215,10 +211,7 @@ def graded_pieces(presentation, degree_cap=30):
             raise NotArtinianError(
                 f"R_{d} is nonzero at degree cap {degree_cap}; quotient not Artinian?"
             )
-        # normal forms: residual of each monomial after elimination by the
-        # span, on the standard (non-pivot) coordinates
-        span = Subspace(F, len(mons), red[: len(piv)], tuple(piv))
-        degrees.append((std, mons, span.projection().T))
+        degrees.append((std, mons, quot.basis.T))
         d += 1
     return degrees, h
 

@@ -22,6 +22,7 @@ import numpy as np
 from .homology import (
     betti_numbers,
     koszul_test,
+    require_cutoff,
     resolve,
     tor_dim,
     tor_induced_k,
@@ -160,12 +161,11 @@ def _subspaces_equal(a, b):
 
 def _m_square_part(ring, n=1):
     """m^2 R^n as a subspace of R^n: the coordinates of degree >= 2 in
-    each length-lambda block."""
-    F = ring.field
-    lam = ring.length
+    each length-lambda block, whose unit rows are already in rref."""
+    F, lam = ring.field, ring.length
     idx = [j * lam + i for j in range(n)
            for i, (d, _) in enumerate(ring.basis) if d >= 2]
-    return Subspace.from_rows(F, F.eye(n * lam)[idx], n * lam)
+    return Subspace(F, n * lam, F.eye(n * lam)[idx], tuple(idx))
 
 
 def _kills_m_squared(mod):
@@ -289,10 +289,9 @@ def _s6(inst, n):
     eq1 = b[1] == (M.ring.e - gM) * b[0]
     # m M_1 = m^2 R^{b0} inside the covering free module
     ring = M.ring
-    F = ring.field
     M1 = column_span(ring, resolve(M, 1).delta(1))
     mM1_rows = [free_action(ring, M1.basis, g) for g in ring.gen_index]
-    mM1 = Subspace.from_rows(F, np.vstack(mM1_rows), M1.ambient)
+    mM1 = Subspace.from_rows(ring.field, np.vstack(mM1_rows), M1.ambient)
     eq2 = _subspaces_equal(mM1, _m_square_part(ring, b[0]))
     return eq1 and eq2, f"b1=(e-gamma)b0: {eq1}; mM1=m^2R^b0: {eq2}", {}
 
@@ -392,9 +391,9 @@ def _s12(inst, n):
     _need(not N.is_free(), "N is free")
     i = _scan(M, [N], 3, n)
     _need(i is not None, f"no vanishing Tor index in [3,{n}]")
-    soc = inst.ring.socle_subspace()
-    ok = _subspaces_equal(soc, _m_square_part(inst.ring))
-    return ok, f"Soc(R) dim {soc.dim} vs m^2 dim {_m_square_part(inst.ring).dim}", {"i": i}
+    soc, m2 = inst.ring.socle_subspace(), _m_square_part(inst.ring)
+    ok = _subspaces_equal(soc, m2)
+    return ok, f"Soc(R) dim {soc.dim} vs m^2 dim {m2.dim}", {"i": i}
 
 
 def _three_tor_hyp(inst, n):
@@ -689,16 +688,12 @@ def _s27(inst, n):
     _need(nrows <= 8, "presentation wider than the 8x8 minor guard")
     img = wedge_image(M.ring, pres)
     report = []
-    ok = True
-    for row in img.basis:
-        if np.any(M.ring_action(row)):
-            ok = False
-            report.append("a minor-span element fails to annihilate coker")
-            break
+    ops = M.ops().reshape(M.ring.length, M.dim * M.dim)
+    if np.any(M.field.matmul(img.basis, ops)):
+        report.append("a minor-span element fails to annihilate coker")
     if M.annihilator_is_zero() and img.dim != 0:
-        ok = False
         report.append("faithful cokernel with nonzero wedge image")
-    return ok, "; ".join(report) or f"wedge span (dim {img.dim}) annihilates coker", {}
+    return not report, "; ".join(report) or f"wedge span (dim {img.dim}) annihilates coker", {}
 
 
 def _s28(inst, n):
@@ -830,6 +825,7 @@ def _statement(statement_id):
 
 def check(statement_id, inst, cutoff=DEFAULT_CUTOFF):
     """Evaluate one statement on one instance."""
+    require_cutoff(cutoff)
     stmt = _statement(statement_id)
     try:
         ok, concl, data = stmt.body(inst, cutoff)
@@ -953,7 +949,8 @@ def canned_corpus(field=None, seed=7, randoms=4):
 
 def check_suite(corpus, ids=None, cutoff=DEFAULT_CUTOFF):
     """Every statement in ids (default: the registry) on every instance;
-    KeyError before anything runs if an id is unknown."""
+    KeyError or ValueError before anything runs for a bad id or cutoff."""
+    require_cutoff(cutoff)
     ids = ids or [s.id for s in _REGISTRY]
     for sid in ids:
         _statement(sid)

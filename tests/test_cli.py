@@ -184,6 +184,15 @@ def test_explore_cli_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [["--p", "0"], ["--q", "-3"],
+                                  ["--budget", "-1"], ["--to", "0"]])
+def test_explore_bad_arguments_are_usage_errors(capsys, argv):
+    code = main(["explore", "--budget", "1", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_explore_budget_zero(capsys):
     code, out = run(capsys, "explore", "--budget", "0", "--machine")
     assert code == 0

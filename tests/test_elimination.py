@@ -1,7 +1,7 @@
 """Differential tests of the elimination kernel, the kernel extraction,
-the quotient projection, socles, the blockwise free-module action,
-word-size and rational products and module actions, each against the
-slow path it replaced or an object-dtype oracle."""
+the quotient projection, subspace membership, socles, the blockwise
+free-module action, word-size and rational products and module actions,
+each against the slow path it replaced or an object-dtype oracle."""
 
 import math
 from fractions import Fraction
@@ -15,6 +15,7 @@ from socle import linalg
 from socle.homology import realize
 from socle.linalg import (
     QQ,
+    DimensionError,
     Field,
     Subspace,
     _QZERO,
@@ -119,15 +120,25 @@ def loop_kernel(F, m):
     return out, tuple(free)
 
 
+def loop_reduce(S, v):
+    """Subspace.reduce as the per-pivot loop it was: one pivot coordinate
+    eliminated at a time, skipping the pivots where v is already zero."""
+    v = np.array(v, copy=True)
+    for j, c in enumerate(S.pivots):
+        if v[c] != S.field.zero:
+            v = S.field.mod(v - v[c] * S.basis[j])
+    return v
+
+
 def loop_projection(S):
     """Quotient-map matrix built one coordinate at a time: column i is
-    S.reduce(e_i) on the non-pivot coordinates."""
+    the per-pivot residual of e_i on the non-pivot coordinates."""
     F = S.field
     comp = S.complement_coords()
     proj = F.zeros((len(comp), S.ambient))
     eye = F.eye(S.ambient)
     for i in range(S.ambient):
-        v = S.reduce(eye[i])
+        v = loop_reduce(S, eye[i])
         for k, c in enumerate(comp):
             proj[k, i] = v[c]
     return proj
@@ -271,6 +282,80 @@ def test_projection_matches_loop_oracle(case):
     F, m = case
     for S in (Subspace.from_rows(F, m, m.shape[1]), kernel_subspace(F, m)):
         assert identical(S.projection(), loop_projection(S))
+
+
+def probe_rows(S, rng):
+    """Rows to test S against, stacked: combinations of its basis rows
+    (members), random vectors (outside, unless S is large) and zero."""
+    F, n = S.field, S.ambient
+
+    def draw(shape):
+        if F.p is not None:
+            return F.array(rng.integers(0, F.p, size=shape))
+        out = F.zeros(shape)
+        for idx in np.ndindex(*shape):
+            x = int(rng.integers(-4, 5))
+            if x:
+                out[idx] = Fraction(x, int(rng.integers(1, 4)))
+        return out
+
+    members = F.matmul(draw((3, S.dim)), S.basis)
+    return np.vstack([members, draw((3, n)), F.zeros((1, n))])
+
+
+def assert_membership_matches_loop(S, rows):
+    """reduce, contains, contains_space and coords of S agree with the
+    per-pivot loop, on each row and on the stack."""
+    F = S.field
+    want = [loop_reduce(S, v) for v in rows]
+    assert identical(S.reduce(rows), np.vstack(want).reshape(rows.shape))
+    inside = np.array([not np.any(w) for w in want], dtype=bool)
+    for v, w, ok in zip(rows, want, inside):
+        assert identical(S.reduce(v), w)
+        assert S.contains(v) == ok
+        if ok:
+            assert identical(F.matmul(S.coords(v), S.basis), v)
+        else:
+            with pytest.raises(DimensionError):
+                S.coords(v)
+    members = rows[inside]
+    c = S.coords(members)
+    assert c.shape == (len(members), S.dim)
+    assert identical(F.matmul(c, S.basis), F.mod(members))
+    if not inside.all():
+        with pytest.raises(DimensionError):
+            S.coords(rows)
+    for T in (Subspace.from_rows(F, rows, S.ambient),
+              Subspace.from_rows(F, members, S.ambient), S):
+        assert S.contains_space(T) == all(
+            not np.any(loop_reduce(S, r)) for r in T.basis)
+
+
+@given(field_matrices(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_membership_matches_per_pivot_loop(case, seed):
+    # rref spans and kernel spans (dual basis, not in rref) alike
+    F, m = case
+    rng = np.random.default_rng(seed)
+    for S in (Subspace.from_rows(F, m, m.shape[1]), kernel_subspace(F, m)):
+        assert_membership_matches_loop(S, probe_rows(S, rng))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_membership_matches_per_pivot_loop_on_module_spans(F):
+    # every field, on the spans the engine asks about: mM, socles and
+    # kernels of stacked actions, and the full and zero spaces
+    rng = np.random.default_rng(3)
+    ring = ring_from_strings(F, ["x", "y"], ["x^2 - y^2", "x*y"])
+    for seed in range(3):
+        M = random_module(ring, seed)
+        spaces = [M.mm(), M.socle(), M.msub(2), Subspace.full(F, M.dim),
+                  Subspace(F, M.dim),
+                  kernel_subspace(F, np.vstack(M.actions))]
+        for S in spaces:
+            assert_membership_matches_loop(S, probe_rows(S, rng))
+        assert M.has_k_summand() == any(
+            np.any(loop_reduce(M.mm(), r)) for r in M.socle().basis)
 
 
 def conjugated(M, seed):

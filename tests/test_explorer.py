@@ -35,6 +35,15 @@ def test_bad_powers_rejected():
         explore(seed=1, budget=1, p=0)
 
 
+@pytest.mark.parametrize("cutoff", [0, -2])
+def test_cutoff_below_one_rejected(cutoff):
+    # an empty Tor window would make every trial an all-zero candidate;
+    # rejected before any trial, even with no budget or a vacuous p
+    for kwargs in ({"budget": 2}, {"budget": 0}, {"budget": 2, "p": 1}):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            explore(3, cutoff=cutoff, **kwargs)
+
+
 def test_machine_report_deterministic():
     a = explore(seed=9, budget=12, cutoff=6)
     b = explore(seed=9, budget=12, cutoff=6)

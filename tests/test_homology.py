@@ -138,6 +138,16 @@ def test_tor_profile_and_window(agp):
     assert prof.first_nonzero == 1
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_empty_windows_rejected(agp, n):
+    # an empty window would read as vanishing (all_zero on no indices)
+    ring, M = agp
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        tor_profile(M, canonical_module(ring), n)
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        koszul_test(ring, n)
+
+
 def test_complete_betti_periodic(gor):
     A = cyclic(gor, ["x"])
     view = complete_betti(A, 5)

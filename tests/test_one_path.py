@@ -6,9 +6,10 @@ the cached free_rank hint gave way to the dimension test; Hom_R and
 (x)_R are built as a submodule and a quotient of their k-linear
 counterparts, which are one Kronecker pair built by one kron; the ring
 socle is the socle of the regular module; one rule decides when two
-modules are over the same ring.  Each old path is kept here as an oracle,
-over GF(2), GF(3), GF(101), GF(2^31-1) and Q, on zero-size inputs as well
-as ordinary ones."""
+modules are over the same ring; m^2 R^n is read off its unit rows, and
+S27 acts by the whole minor span in one product.  Each old path is kept
+here as an oracle, over GF(2), GF(3), GF(101), GF(2^31-1) and Q, on
+zero-size inputs as well as ordinary ones."""
 
 from dataclasses import replace
 
@@ -34,11 +35,13 @@ from socle.modules import (
     hom_over_R,
     is_isomorphic,
     matlis_dual,
+    presentation_of,
     quotient_module,
     random_module,
     regular_module,
     residue_field,
     tensor_over_R,
+    wedge_image,
 )
 from socle.ring import monomial_square_zero_rings, ring_from_strings
 from socle.theorems import (
@@ -178,6 +181,22 @@ def old_ring_socle(ring):
     F = ring.field
     gens = [ring.left_mult[g] for g in ring.gen_index]
     return Subspace.from_rows(F, kernel_basis(F, np.vstack(gens)), ring.length)
+
+
+def old_m_square_part(ring, n=1):
+    F, lam = ring.field, ring.length
+    idx = [j * lam + i for j in range(n)
+           for i, (d, _) in enumerate(ring.basis) if d >= 2]
+    return Subspace.from_rows(F, F.eye(n * lam)[idx], n * lam)
+
+
+def old_minors_annihilate(M, img):
+    """S27's per-row loop: each basis row of the minor span made into one
+    action matrix on M."""
+    n = M.dim
+    ops = M.ops().reshape(M.ring.length, n * n)
+    return not any(np.any(M.field.matmul(row, ops).reshape(n, n))
+                   for row in img.basis)
 
 
 # -- helpers --------------------------------------------------------------
@@ -491,6 +510,35 @@ def test_max_depth_and_truncation_match_their_zero_branches(F):
                 assert same_actions(new, old)
                 if mod.dim == 0:
                     assert new is mod
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_m_square_part_is_its_unit_rows(F):
+    for ring in rings(F) + [theorems.agp_example(F)[0]]:
+        for n in (1, 2, 3):
+            assert same_space(theorems._m_square_part(ring, n),
+                              old_m_square_part(ring, n))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_s27_annihilation_matches_per_row_loop(F, monkeypatch):
+    fails = "a minor-span element fails to annihilate coker"
+    cases = []
+    for ring in rings(F)[:2]:
+        for mod in some_modules(ring)[:6]:
+            inst = Instance("x", ring, {"M": mod})
+            cases.append((inst, wedge_image(ring, presentation_of(mod))))
+    for inst, img in cases:
+        v = check("S27", inst)
+        assert (fails in v.conclusion) == (
+            not old_minors_annihilate(inst.module("M"), img))
+    # a span holding the unit annihilates no nonzero module
+    monkeypatch.setattr(theorems, "wedge_image",
+                        lambda ring, pres: Subspace.full(F, ring.length))
+    for inst, _ in cases:
+        full = Subspace.full(F, inst.ring.length)
+        assert not old_minors_annihilate(inst.module("M"), full)
+        assert fails in check("S27", inst).conclusion
 
 
 def test_plain_key_error_in_a_body_propagates(agp, monkeypatch):

@@ -6,17 +6,18 @@ from conftest import identical
 
 from socle.explorer import random_ring
 from socle.instancefile import parse_poly
-from socle.linalg import QQ, Field, GF101, Subspace
+from socle.linalg import QQ, Field, GF101, Subspace, rref
 from socle.ring import (
     NotArtinianError,
     PresentationError,
     RingPresentation,
     build_ring,
+    graded_pieces,
     monomial_square_zero_rings,
     monomials,
     ring_from_strings,
 )
-from socle.theorems import AGP_RELATIONS
+from socle.theorems import AGP_RELATIONS, canned_corpus
 
 GF5 = Field(5)
 FIELDS = [Field(2), Field(3), GF101, Field(2**31 - 1), QQ]
@@ -174,3 +175,64 @@ def test_mult_table_matches_pairwise_oracle(F):
         for m, v in nf.items():
             assert identical(ring.monomial_vector(m), v)
         assert identical(ring.table, pairwise_table(ring, nf))
+
+
+def old_graded_pieces(presentation):
+    """graded_pieces as it was: one rref of the stacked relation
+    multiples per degree, a branch for degrees without multiples, and the
+    normal forms as the projection of a Subspace built from the rref."""
+    F = presentation.field
+    e = len(presentation.varnames)
+    rels = [{m: F.scalar(c) for m, c in f.items() if F.scalar(c) != F.zero}
+            for f in presentation.relations]
+    rels = [f for f in rels if f]
+    degrees, d = [], 0
+    while True:
+        mons = monomials(e, d)
+        idx = {m: i for i, m in enumerate(mons)}
+        span_rows = []
+        for f in rels:
+            d0 = sum(next(iter(f)))
+            if d0 > d:
+                continue
+            for u in monomials(e, d - d0):
+                row = F.zeros(len(mons))
+                for m, c in f.items():
+                    row[idx[tuple(a + b for a, b in zip(u, m))]] = c
+                span_rows.append(row)
+        if span_rows:
+            red, piv = rref(F, np.vstack(span_rows))
+        else:
+            red, piv = F.zeros((0, len(mons))), []
+        std = [m for i, m in enumerate(mons) if i not in piv]
+        if not std:
+            return degrees, d - 1
+        span = Subspace(F, len(mons), red[: len(piv)], tuple(piv))
+        degrees.append((std, mons, span.projection().T))
+        d += 1
+
+
+def assert_pieces_match_old_path(presentation):
+    degrees, h = graded_pieces(presentation)
+    old, old_h = old_graded_pieces(presentation)
+    assert h == old_h and len(degrees) == len(old)
+    for (std, mons, nf), (ostd, omons, onf) in zip(degrees, old):
+        assert std == ostd and mons == omons
+        assert identical(nf, onf)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_graded_pieces_match_old_rref_path(F):
+    # the monomial m^3 = 0 corpus (relations of degree 2 and 3), the
+    # canned hosts (x^4 leaves degrees 0-3 without multiples) and random
+    # rings with cubic guards
+    rings = monomial_square_zero_rings(F)
+    rings += [inst.ring for inst in canned_corpus(F, randoms=0)]
+    rng = np.random.default_rng(11)
+    rings += [r for r in (random_ring(F, rng) for _ in range(3)) if r]
+    for ring in rings:
+        assert_pieces_match_old_path(ring.presentation)
+    # relations whose coefficients vanish mod p, and a degree-3 start
+    pres = RingPresentation(F, ["x", "y"], [{(2, 0): 6, (1, 1): 3},
+                                            {(0, 3): 1}, {(3, 0): 1}])
+    assert_pieces_match_old_path(pres)

@@ -239,3 +239,17 @@ def test_scan_matches_oracles_on_random_pairs(F, rels, s1, s2, square_zero,
     N = random_module(ring, s2)
     with patch.object(theorems, "_WORK_CAP", cap):
         assert_scan_matches_oracles(M, N)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_cutoff_below_one_rejected(cutoff):
+    # an empty window would read as vanishing: S24 would FAIL on the
+    # chain ring and S25 would run koszul_test on nothing
+    inst = canned_corpus(GF101, randoms=0)[0]
+    for sid in ("S24", "S25", "S3"):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            check(sid, inst, cutoff=cutoff)
+    for corpus in ([inst], []):
+        with patch.object(theorems, "check", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="cutoff must be >= 1"):
+                check_suite(corpus, ["S24"], cutoff=cutoff)
