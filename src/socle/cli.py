@@ -221,7 +221,7 @@ def build_parser():
     def common(p):
         p.add_argument("file", help="instance file path")
         p.add_argument("--to", type=int, default=None,
-                       help="homological cutoff (default 12)")
+                       help=f"homological cutoff (default {DEFAULT_CUTOFF})")
         p.add_argument("--machine", action="store_true",
                        help="key=value report")
         p.add_argument("--field", default=None, help="GF(p) or Q")

@@ -109,7 +109,7 @@ def random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
                 rels.append(poly)
         pres = RingPresentation(field, names, rels)
         try:
-            degrees, h = graded_pieces(pres, degree_cap=3 * e + 1)
+            degrees, h = graded_pieces(pres)
         except (PresentationError, NotArtinianError):
             continue
         # reject on the Hilbert function, before the tables are built

@@ -4,7 +4,9 @@ resolutions over Gorenstein rings, and the Koszul numeric test.
 Resolutions are cached on the module and extended incrementally: asking
 for more stages resumes from the last differential computed.  Tor and
 Ext in degree i resolve only through stage i and read d_{i+1} off the
-kernel of delta_i, which the resolution caches until it lifts it.
+kernel of delta_i, which the resolution caches until it lifts it.  The
+work cap on how deep a resolution may be lifted is decided here, by
+Resolution.reach, and nowhere else.
 """
 
 import weakref
@@ -28,6 +30,11 @@ from .modules import (
     residue_field,
     rmatrix_of_rows,
 )
+
+# Resolutions with rapidly growing Betti numbers are cut off once the
+# realized differential would exceed this many columns; the statements
+# treat an unaffordable window as unverified (VACUOUS), never as evidence.
+WORK_CAP = 1500
 
 
 class Resolution:
@@ -101,6 +108,18 @@ class Resolution:
             self.deltas.append(delta)
             self.betti.append(delta.shape[1])
         return self
+
+    def reach(self, n):
+        """The first j in [1, n) with b_j * lambda > WORK_CAP, or n when
+        there is none (b_j = 0 past a finite end).  Tor_i and Ext^i
+        realize d_i, which has b_i * lambda columns, so degree i is
+        affordable exactly when reach(i + 1) > i.  Lifts stage by stage,
+        and only through the last stage it reads."""
+        for j in range(1, n):
+            self.extend(j)
+            if self.betti_number(j) * self.ring.length > WORK_CAP:
+                return j
+        return n
 
     def image_generators(self, j):
         """RMatrix whose columns generate im delta_j as an R-module, for

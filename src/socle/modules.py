@@ -532,42 +532,30 @@ def wedge_image(ring, phi):
 
     Every element of the span annihilates coker(phi); for faithful
     cokernels the span is zero."""
-    from itertools import combinations, permutations
+    from itertools import combinations
 
-    F = ring.field
     n, g, lam = phi.shape
     if n > 8:
-        raise ModuleError("refusing Leibniz expansion beyond 8 x 8 minors")
-    minors = []
-    for cols in combinations(range(g), n):
-        acc = F.zeros(lam)
-        for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
-            prod = F.zeros(lam)
-            prod[0] = F.one
-            for r in range(n):
-                prod = ring.multiply(prod, phi[r, cols[perm[r]]])
-            acc = F.mod(acc + F.scalar(sign) * prod)
-        minors.append(acc)
+        raise ModuleError("refusing cofactor expansion beyond 8 x 8 minors")
+    minors = [_det(ring, phi, 0, cols) for cols in combinations(range(g), n)]
     if not minors:
-        return Subspace(F, lam)
+        return Subspace(ring.field, lam)
     return column_span(ring, np.vstack(minors)[None])
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def _det(ring, phi, r, cols):
+    """Determinant, in R, of the square block of phi on rows r.. and the
+    columns cols, by cofactor expansion along its first row."""
+    F = ring.field
+    acc = F.zeros(phi.shape[2])
+    if r == phi.shape[0]:
+        acc[0] = F.one
+        return acc
+    for k, c in enumerate(cols):
+        term = ring.multiply(phi[r, c],
+                             _det(ring, phi, r + 1, cols[:k] + cols[k + 1:]))
+        acc = F.mod(acc - term if k % 2 else acc + term)
+    return acc
 
 
 # -- randomized generation ----------------------------------------------

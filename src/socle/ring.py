@@ -15,6 +15,9 @@ import numpy as np
 from .linalg import Field, Subspace, kernel_subspace
 
 
+DEGREE_CAP = 30  # a quotient with R_d != 0 here is taken to be not Artinian
+
+
 class PresentationError(ValueError):
     pass
 
@@ -171,12 +174,10 @@ class GradedRing:
         )
 
 
-def graded_pieces(presentation, degree_cap=30):
+def graded_pieces(presentation):
     """The quotient degree by degree, stopping at the first zero degree:
     (degrees, h) as GradedRing takes them, where degrees[d] holds the
     standard monomials, all monomials and the normal-form matrix of R_d."""
-    if degree_cap < 2:
-        raise PresentationError("degree_cap must be >= 2")
     F = presentation.field
     e = len(presentation.varnames)
     rels = [
@@ -207,18 +208,18 @@ def graded_pieces(presentation, degree_cap=30):
         if not std:
             h = d - 1
             break
-        if d >= degree_cap:
+        if d >= DEGREE_CAP:
             raise NotArtinianError(
-                f"R_{d} is nonzero at degree cap {degree_cap}; quotient not Artinian?"
+                f"R_{d} is nonzero at degree cap {DEGREE_CAP}; quotient not Artinian?"
             )
         degrees.append((std, mons, quot.basis.T))
         d += 1
     return degrees, h
 
 
-def build_ring(presentation, degree_cap=30):
+def build_ring(presentation):
     """Construct the graded quotient."""
-    return GradedRing(presentation, *graded_pieces(presentation, degree_cap))
+    return GradedRing(presentation, *graded_pieces(presentation))
 
 
 # -- convenience constructors used by tests and the canned corpus ------

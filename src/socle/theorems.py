@@ -9,7 +9,9 @@ Proved statements can only FAIL on an engine defect, so any FAIL is a
 bug report in disguise; the suite runner treats it as fatal.
 
 Every Tor or Ext window a hypothesis needs goes through `_scan`, which
-honours the work cap and computes each index at most once.
+honours the work cap and computes each index at most once.  The cap is
+the resolution's: Tor_i is affordable when reach(i + 1) > i, and a Betti
+depth is clamped to reach(n) (see homology.Resolution.reach).
 """
 
 import math
@@ -109,32 +111,6 @@ def _need(cond, clause):
         raise _Vacuous(clause)
 
 
-# Resolutions with rapidly growing Betti numbers are cut off once the
-# realized differential would exceed this many columns; statements treat
-# an unaffordable window as unverified (VACUOUS), never as evidence.
-_WORK_CAP = 1500
-
-
-def _max_depth(mod, n):
-    """Deepest resolution depth <= n affordable under the work cap."""
-    lam = mod.ring.length
-    res = resolve(mod, 1)
-    depth = 1
-    while depth < n:
-        if res.finite:
-            return n
-        if res.betti_number(depth) * lam > _WORK_CAP:
-            return depth
-        res.extend(depth + 1)
-        depth += 1
-    return n
-
-
-def _afford(M, i):
-    """True if Tor_i computed from M's resolution is within the cap."""
-    return _max_depth(M, i + 1) > i
-
-
 def _scan(M, Ns, lo, hi, width=1):
     """Smallest j in [lo, hi] with Tor_i(M, N) = 0 for every N in Ns and
     every i in [j, j+width-1], or None.
@@ -142,11 +118,14 @@ def _scan(M, Ns, lo, hi, width=1):
     Each index is computed once, in increasing order: a nonzero Tor_i
     moves the next candidate start to i+1.  The scan stops (returning
     None) at the first candidate window whose last index the work cap
-    rejects, or once no window can start in [lo, hi]; an empty range
-    computes nothing.  Ext^i(M, X) is Tor_i(M, X^v), so Ext windows are
+    rejects, that is reach(start + width) < start + width, or once no
+    window can start in [lo, hi]; an empty range computes nothing.  M's
+    resolution is lifted only through the last index of the last window
+    the cap admits.  Ext^i(M, X) is Tor_i(M, X^v), so Ext windows are
     scanned against Matlis duals."""
     start = lo
-    while start <= hi and _afford(M, start + width - 1):
+    while start <= hi and \
+            resolve(M, 0).reach(start + width) == start + width:
         bad = next((i for i in range(start, start + width)
                     if any(tor_dim(M, N, i) for N in Ns)), None)
         if bad is None:
@@ -200,8 +179,8 @@ def _s2(inst, n):
     n = min(n, 6)
     _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
     T = tensor_over_R(M, N)
-    n = min(n, _max_depth(M, n), _max_depth(N, n), _max_depth(T, n))
-    _need(n >= 1, "resolution work cap leaves no checkable window")
+    for L in (M, N, T):
+        n = resolve(L, 0).reach(n)
     pT = betti_numbers(T, n)
     pM = betti_numbers(M, n)
     pN = betti_numbers(N, n)
@@ -315,8 +294,7 @@ def _s8(inst, n):
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
     _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
     k = inst.module("k")
-    n = min(n, _max_depth(k, n))
-    _need(n >= 1, "resolution work cap leaves no checkable window")
+    n = resolve(k, 0).reach(n)
     T = tensor_over_R(M, N)
     gM, gN, gT = M.gamma(), N.gamma(), T.gamma()
     # truncated expansion of (1 - gT t) / ((1 - gM t)(1 - gN t))
@@ -349,7 +327,7 @@ def _s10(inst, n):
     _need(inst.ring.h == 2, "need m^3 = 0 and m^2 != 0")
     _need(not M.is_free(), "M is free")
     _need(_kills_m_squared(M), "m^2 M != 0")
-    depth = min(5, n, _max_depth(M, n + 1) - 1)
+    depth = min(5, n, resolve(M, 0).reach(n + 1) - 1)
     _need(depth >= 1, "resolution work cap leaves no checkable depth")
     res = resolve(M, depth + 1)
     b = [res.betti_number(i) for i in range(depth + 2)]
@@ -404,7 +382,8 @@ def _three_tor_hyp(inst, n):
         _need(_kills_m_squared(L), f"m^2 {name} != 0")
     j = _scan(M, [N], 1, n - 2, width=3)
     _need(j is not None, f"no triple-zero Tor window in [1,{n}]")
-    _need(_afford(N, j + 1), "N resolution exceeds work cap")
+    _need(resolve(N, 0).reach(j + 2) > j + 1,
+          "N resolution exceeds work cap")
     return M, N, j
 
 
@@ -439,7 +418,7 @@ def _s14(inst, n):
     M, N, j = _three_tor_hyp(inst, n)
     l = min(n, j + 4)
     _need(l >= j + 3, f"l={l} < j+3={j+3}")
-    _need(_afford(M, l) and _afford(N, l - 1),
+    _need(resolve(M, 0).reach(l + 1) > l and resolve(N, 0).reach(l) > l - 1,
           f"resolution work cap below l={l}")
     _need(tor_dim(M, N, l) == 0, f"Tor_{l} != 0")
     gM, gN = M.gamma(), N.gamma()
@@ -604,7 +583,8 @@ def _s21(inst, n):
     _need(not M.is_zero(), "M is zero")
     bound = _ar_bound(M)
     _need(bound <= n, f"window bound {bound} exceeds cutoff {n}")
-    _need(_afford(M, bound), f"resolution work cap below {bound}")
+    _need(resolve(M, 0).reach(bound + 1) > bound,
+          f"resolution work cap below {bound}")
     Ns = [matlis_dual(M), canonical_module(M.ring)]
     _need(_scan(M, Ns, 1, 1, width=bound),
           f"Ext(M, M+R) window [1,{bound}] not all zero")
@@ -670,7 +650,7 @@ def _s26(inst, n):
     _need(_kills_m_squared(M), "m^2 M != 0")
     _need(not N.is_free(), "N is free")
     k = inst.module("k")
-    j = min(n, _max_depth(k, n))
+    j = resolve(k, 0).reach(n)
     _need(j >= 2, "j < 2 (or residue-field resolution exceeds work cap)")
     _need(_scan(M, [N], 1, 1, width=j), f"Tor window [1,{j}] not verified zero")
     mN = N.msub(1)

@@ -96,8 +96,7 @@ def old_random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
             if poly:
                 rels.append(poly)
         try:
-            ring = build_ring(RingPresentation(field, names, rels),
-                              degree_cap=3 * e + 1)
+            ring = build_ring(RingPresentation(field, names, rels))
         except (PresentationError, NotArtinianError):
             continue
         if ring.h >= h_min and ring.length <= lam_max:

@@ -7,18 +7,22 @@ the cached free_rank hint gave way to the dimension test; Hom_R and
 counterparts, which are one Kronecker pair built by one kron; the ring
 socle is the socle of the regular module; one rule decides when two
 modules are over the same ring; m^2 R^n is read off its unit rows, and
-S27 acts by the whole minor span in one product.  Each old path is kept
+S27 acts by the whole minor span in one product, whose minors come from
+cofactor expansion; the work cap is one rule, Resolution.reach, in
+place of the stage walkers theorems kept.  Each old path is kept
 here as an oracle, over GF(2), GF(3), GF(101), GF(2^31-1) and Q, on
 zero-size inputs as well as ordinary ones."""
 
 from dataclasses import replace
+from itertools import combinations, permutations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from conftest import cyclic, identical
 from test_derived_routes import kspan_exterior_square, old_exterior_square
 
-from socle import linalg, theorems
+from socle import homology, linalg, theorems
 from socle.explorer import _loewy_truncate, random_ring
 from socle.homology import Resolution, ext_dim_direct, realize, resolve, tor_dim
 from socle.linalg import QQ, Field, Subspace, image_basis, kernel_basis, rref
@@ -28,6 +32,7 @@ from socle.modules import (
     _kron_pair,
     _tensor_with_maps,
     canonical_module,
+    column_span,
     direct_sum,
     exterior_square,
     free_module,
@@ -44,14 +49,7 @@ from socle.modules import (
     wedge_image,
 )
 from socle.ring import monomial_square_zero_rings, ring_from_strings
-from socle.theorems import (
-    VACUOUS,
-    Instance,
-    _afford,
-    _max_depth,
-    canned_corpus,
-    check,
-)
+from socle.theorems import VACUOUS, Instance, canned_corpus, check
 
 FIELDS = [Field(2), Field(3), Field(101), Field(2**31 - 1), QQ]
 HOSTS = [["x^2", "y^2"], ["x^2", "x*y", "y^2"], ["x^2 - y^2", "x*y"],
@@ -122,9 +120,25 @@ def old_annihilator_is_zero(mod):
 
 
 def old_max_depth(mod, n):
-    if mod.dim == 0:
-        return n
-    return _max_depth(mod, n)
+    """Deepest resolution depth <= n affordable under the work cap, by
+    the walker theorems used to keep: it lifts one stage past the last
+    Betti number it reads."""
+    lam = mod.ring.length
+    res = resolve(mod, 1)
+    depth = 1
+    while depth < n:
+        if res.finite:
+            return n
+        if res.betti_number(depth) * lam > homology.WORK_CAP:
+            return depth
+        res.extend(depth + 1)
+        depth += 1
+    return n
+
+
+def old_afford(mod, i):
+    """True if Tor_i computed from mod's resolution is within the cap."""
+    return old_max_depth(mod, i + 1) > i
 
 
 def old_loewy_truncate(mod, power):
@@ -188,6 +202,41 @@ def old_m_square_part(ring, n=1):
     idx = [j * lam + i for j in range(n)
            for i, (d, _) in enumerate(ring.basis) if d >= 2]
     return Subspace.from_rows(F, F.eye(n * lam)[idx], n * lam)
+
+
+def old_perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def old_wedge_image(ring, phi):
+    """wedge_image with each minor a Leibniz sum over permutations."""
+    F = ring.field
+    n, g, lam = phi.shape
+    minors = []
+    for cols in combinations(range(g), n):
+        acc = F.zeros(lam)
+        for perm in permutations(range(n)):
+            prod = F.zeros(lam)
+            prod[0] = F.one
+            for r in range(n):
+                prod = ring.multiply(prod, phi[r, cols[perm[r]]])
+            acc = F.mod(acc + F.scalar(old_perm_sign(perm)) * prod)
+        minors.append(acc)
+    if not minors:
+        return Subspace(F, lam)
+    return column_span(ring, np.vstack(minors)[None])
 
 
 def old_minors_annihilate(M, img):
@@ -498,12 +547,17 @@ def test_ring_socle_is_the_regular_module_socle(F):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_max_depth_and_truncation_match_their_zero_branches(F):
+    canned = [mod for inst in canned_corpus(F, randoms=0)
+              for mod in (inst.module("M"), inst.module("N"))]
+    for cap in (homology.WORK_CAP, 40):
+        with patch.object(homology, "WORK_CAP", cap):
+            for ring in rings(F):
+                for mod in zero_modules(ring) + some_modules(ring):
+                    assert_reach_matches_walkers(mod)
+            for mod in canned:
+                assert_reach_matches_walkers(mod)
     for ring in rings(F):
         for mod in zero_modules(ring) + some_modules(ring):
-            for n in range(5):
-                assert _max_depth(mod, n) == old_max_depth(mod, n)
-                # _afford is the one way to ask for affordable depth
-                assert (_max_depth(mod, n + 1) >= n + 1) == _afford(mod, n)
             for power in range(4):
                 new = _loewy_truncate(mod, power)
                 old = old_loewy_truncate(mod, power)
@@ -512,12 +566,33 @@ def test_max_depth_and_truncation_match_their_zero_branches(F):
                     assert new is mod
 
 
+def assert_reach_matches_walkers(mod):
+    res = resolve(mod, 0)
+    for n in range(6):
+        assert res.reach(n) == old_max_depth(mod, n)
+        # reach(n + 1) > n is the one way to ask whether Tor_n is affordable
+        assert (res.reach(n + 1) > n) == old_afford(mod, n)
+
+
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_m_square_part_is_its_unit_rows(F):
     for ring in rings(F) + [theorems.agp_example(F)[0]]:
         for n in (1, 2, 3):
             assert same_space(theorems._m_square_part(ring, n),
                               old_m_square_part(ring, n))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_wedge_image_matches_leibniz_expansion(F):
+    for ring in rings(F) + [theorems.agp_example(F)[0]]:
+        for n in range(5):
+            for g in (n, n + 1, n + 2):
+                phi = random_matrix(F, (n, g, ring.length), 10 * n + g,
+                                    density=0.6)
+                if g > n:  # entries in m: the minors span a proper ideal
+                    phi[..., 0] = F.zero
+                assert same_space(wedge_image(ring, phi),
+                                  old_wedge_image(ring, phi))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)

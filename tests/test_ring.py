@@ -95,7 +95,7 @@ def test_not_artinian():
     pres = RingPresentation(GF101, ["x", "y"],
                             [parse_poly("x^2", ["x", "y"])])
     with pytest.raises(NotArtinianError):
-        build_ring(pres, degree_cap=6)
+        build_ring(pres)
 
 
 def test_socle_of_gorenstein(gor):

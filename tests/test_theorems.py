@@ -1,14 +1,18 @@
 """Executable statement registry: verdicts on canned instances."""
 
+from itertools import product
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_one_path import old_afford
 
-from socle import theorems
+from socle import homology, theorems
+from socle.homology import resolve
 from socle.linalg import GF101, Field
 from socle.modules import (
-    canonical_module, matlis_dual, random_module, regular_module)
+    FiniteModule, canonical_module, matlis_dual, random_module,
+    regular_module)
 from socle.ring import ring_from_strings
 from socle.theorems import (
     FAIL,
@@ -143,7 +147,7 @@ class RecordedTor:
 def old_first_zero_window(M, N, width, lo, hi):
     run = 0
     for i in range(lo, hi + width):
-        if not theorems._afford(M, i):
+        if not old_afford(M, i):
             return None
         if theorems.tor_dim(M, N, i) == 0:
             run += 1
@@ -156,7 +160,7 @@ def old_first_zero_window(M, N, width, lo, hi):
 
 def old_window_ok(M, N, lo, hi):
     for i in range(lo, hi + 1):
-        if not theorems._afford(M, i) or theorems.tor_dim(M, N, i) != 0:
+        if not old_afford(M, i) or theorems.tor_dim(M, N, i) != 0:
             return False
     return True
 
@@ -169,7 +173,7 @@ def old_start_loop(M, Ns, lo, hi, width):
     """The S20/S23 loops: each start's whole window is re-evaluated
     (Ext^i(M, X) written as Tor_i(M, X^v))."""
     for s in range(lo, hi + 1):
-        if not theorems._afford(M, s + width - 1):
+        if not old_afford(M, s + width - 1):
             break
         if all(theorems.tor_dim(M, N, i) == 0
                for i in range(s, s + width) for N in Ns):
@@ -179,7 +183,7 @@ def old_start_loop(M, Ns, lo, hi, width):
 
 def old_first_index(M, Ns, lo, hi):
     """S22's search, which skips over unaffordable indices."""
-    return next((i for i in range(lo, hi + 1) if theorems._afford(M, i)
+    return next((i for i in range(lo, hi + 1) if old_afford(M, i)
                  and all(theorems.tor_dim(M, N, i) == 0 for N in Ns)), None)
 
 
@@ -215,13 +219,13 @@ def assert_scan_matches_oracles(M, N):
                 ok, asked = tor.run(theorems._scan, M, [N], lo, lo, hi - lo + 1)
                 want, old = tor.run(old_window_ok, M, N, lo, hi)
                 assert (ok is not None) == want and set(asked) <= set(old)
-                if theorems._afford(M, hi):
+                if old_afford(M, hi):
                     assert (ok is not None) == old_tor_window_zero(M, N, lo, hi)
 
 
-@pytest.mark.parametrize("cap", [theorems._WORK_CAP, 40])
+@pytest.mark.parametrize("cap", [homology.WORK_CAP, 40])
 def test_scan_matches_oracles_on_canned(cap):
-    with patch.object(theorems, "_WORK_CAP", cap):
+    with patch.object(homology, "WORK_CAP", cap):
         for inst in canned_corpus(GF101):
             assert_scan_matches_oracles(inst.module("M"), inst.module("N"))
 
@@ -230,15 +234,44 @@ def test_scan_matches_oracles_on_canned(cap):
        st.sampled_from([["x^2", "y^2"], ["x^2", "x*y", "y^2"],
                         ["x^2 - y^2", "x*y"], ["x^3", "y^2"]]),
        st.integers(0, 2**16), st.integers(0, 2**16), st.booleans(),
-       st.sampled_from([theorems._WORK_CAP, 40]))
+       st.sampled_from([homology.WORK_CAP, 40]))
 @settings(max_examples=60, deadline=None)
 def test_scan_matches_oracles_on_random_pairs(F, rels, s1, s2, square_zero,
                                               cap):
     ring = ring_from_strings(F, ["x", "y"], rels)
     M = random_module(ring, s1, square_zero=square_zero)
     N = random_module(ring, s2)
-    with patch.object(theorems, "_WORK_CAP", cap):
+    with patch.object(homology, "WORK_CAP", cap):
         assert_scan_matches_oracles(M, N)
+
+
+@pytest.mark.parametrize("cap", [homology.WORK_CAP, 40])
+def test_scan_lifts_only_the_stages_it_reads(cap):
+    """On a fresh module, a scan that finds its window, or steps one index
+    at a time through hi, leaves M resolved exactly through the largest
+    Tor index it computed; no scan resolves past the last index its
+    windows can read, and reach(n) stops short of stage n."""
+    tor = RecordedTor(theorems.tor_dim)
+    with patch.object(homology, "WORK_CAP", cap), \
+            patch.object(theorems, "tor_dim", tor):
+        for inst in canned_corpus(GF101):
+            M, N = inst.module("M"), inst.module("N")
+            if M.is_free():
+                continue
+            for n in range(6):
+                fresh = FiniteModule(M.ring, M.actions, validate=False)
+                resolve(fresh, 0).reach(n)
+                assert resolve(fresh, 0).length <= max(0, n - 1)
+            for lo, hi, w in product(range(1, 4), range(5), range(1, 4)):
+                fresh = FiniteModule(M.ring, M.actions, validate=False)
+                tor.memo.clear()  # its keys are ids, which a new module may reuse
+                got, asked = tor.run(theorems._scan, fresh, [N], lo, hi, w)
+                length = resolve(fresh, 0).length
+                top = max((i for _, i in asked), default=0)
+                if got is not None or hi < lo or (w == 1 and top == hi):
+                    assert length == top
+                else:
+                    assert length <= hi + w - 1
 
 
 @pytest.mark.parametrize("cutoff", [0, -1])
