@@ -10,11 +10,14 @@ import argparse
 import os
 import sys
 
+from .explorer import explore
 from .homology import betti_numbers, ext_dim, tor_dim
 from .instancefile import (
     ParseError, parse_instance, serialize_instance, _parse_field)
 from .ring import NotArtinianError, PresentationError
-from .theorems import DEFAULT_CUTOFF, agp_example
+from .theorems import (
+    DEFAULT_CUTOFF, FAIL, Instance, agp_example, canned_corpus, check,
+    check_suite, registry)
 
 EXAMPLES = {"agp": agp_example}
 
@@ -59,8 +62,6 @@ def _emit(args, lines, human):
 
 
 def _instance_from(ring, modules, name="file"):
-    from .theorems import Instance
-
     return Instance(name, ring, dict(modules), provenance="file")
 
 
@@ -121,8 +122,6 @@ def cmd_ext(args):
 
 
 def cmd_check(args):
-    from .theorems import FAIL, check
-
     ring, modules = _load(args.file, args.field)
     inst = _instance_from(ring, modules)
     try:
@@ -144,8 +143,6 @@ def cmd_check(args):
 
 
 def cmd_suite(args):
-    from .theorems import canned_corpus, check_suite, registry
-
     if args.file:
         ring, modules = _load(args.file, args.field)
         corpus = [_instance_from(ring, modules)]
@@ -171,8 +168,6 @@ def cmd_suite(args):
 
 
 def cmd_explore(args):
-    from .explorer import explore
-
     if args.budget < 0:
         raise UsageError("budget must be >= 0")
     if args.p < 1 or args.q < 1:

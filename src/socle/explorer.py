@@ -80,8 +80,9 @@ class ExploreReport:
         return any(c.confirmed for c in self.candidates)
 
 
-def random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
-    """Random standard graded Artinian ring with Loewy length >= h_min.
+def random_ring(field, rng, h_min=3, lam_max=30):
+    """Random standard graded Artinian ring on 2 to 4 generators, with
+    Loewy length >= h_min.
 
     Each generator gets a cubic guard relation x_i^3 so the quotient is
     always Artinian; random quadrics are layered on top and the draw is
@@ -89,9 +90,8 @@ def random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
     keeps per-trial homology at desk scale).  Returns None after
     REJECTION_CAP tries.
     """
-    lo, hi = e_range
     for _ in range(REJECTION_CAP):
-        e = int(rng.integers(lo, hi + 1))
+        e = int(rng.integers(2, 5))
         names = [f"x{i+1}" for i in range(e)]
         quad = monomials(e, 2)
         rels = []

@@ -310,6 +310,17 @@ def complete_betti(M, s):
     return CompleteResolutionView(M, window, shift)
 
 
+def series_quotient(numer, denom, n):
+    """Coefficients 0..n of the power series numer/denom, as Fractions;
+    numer and denom are coefficient lists from degree 0 and denom[0] = 1."""
+    out = []
+    for d in range(n + 1):
+        c = Fraction(numer[d]) if d < len(numer) else Fraction(0)
+        out.append(c - sum(denom[j] * out[d - j]
+                           for j in range(1, min(d, len(denom) - 1) + 1)))
+    return out
+
+
 @dataclass
 class KoszulReport:
     consistent: bool
@@ -323,14 +334,8 @@ def koszul_test(ring, n):
     """Necessary numeric condition for Koszulness: the Betti numbers of k
     must match the power-series inverse of Hilb(-t) through degree n."""
     require_cutoff(n)
-    hilb = ring.hilbert
-    # coefficients of Hilb(-t)
-    h = [Fraction((-1) ** d * hilb[d]) if d < len(hilb) else Fraction(0)
-         for d in range(n + 1)]
-    inv = [Fraction(1)]
-    for d in range(1, n + 1):
-        inv.append(-sum(h[j] * inv[d - j] for j in range(1, d + 1)))
-    expected = [int(c) for c in inv]
+    hilb_minus_t = [(-1) ** d * h for d, h in enumerate(ring.hilbert)]
+    expected = [int(c) for c in series_quotient([1], hilb_minus_t, n)]
     computed = betti_numbers(residue_field(ring), n)
     first = -1
     for d in range(n + 1):

@@ -19,7 +19,11 @@ Serialization round-trips to an identical model.
 import math
 import re
 
+import numpy as np
+
 from .linalg import Field, GF101, QQ
+from .modules import from_presentation, presentation_of, rmatrix_from_polys
+from .ring import RingPresentation, build_ring
 
 
 class ParseError(ValueError):
@@ -142,8 +146,6 @@ def parse_instance_text(text, default_field=None):
     Module rows are lists of polynomial dicts; the caller realizes them
     over the built ring.
     """
-    from .ring import RingPresentation
-
     field = default_field or GF101
     varnames = None
     relations = []
@@ -222,9 +224,6 @@ def parse_instance_text(text, default_field=None):
 
 def parse_instance(text, default_field=None):
     """Build the ring and realize every named module presentation."""
-    from .ring import build_ring
-    from .modules import from_presentation, rmatrix_from_polys
-
     pres, mods = parse_instance_text(text, default_field=default_field)
     ring = build_ring(pres)
     realized = {}
@@ -235,8 +234,6 @@ def parse_instance(text, default_field=None):
 
 def serialize_instance(ring, modules):
     """Emit instance-file text; modules is {name: FiniteModule}."""
-    from .modules import presentation_of
-
     lines = ["[ring]"]
     p = ring.field.p
     lines.append(f"field = {'Q' if p is None else f'GF({p})'}")
@@ -264,8 +261,6 @@ def serialize_instance(ring, modules):
 
 
 def _vec_to_poly(ring, vec):
-    import numpy as np
-
     poly = {}
     for i in np.flatnonzero(vec):
         d, mon = ring.basis[i]

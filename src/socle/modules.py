@@ -8,6 +8,8 @@ linear algebra.
 """
 
 import weakref
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -121,8 +123,6 @@ class FiniteModule:
         return self.mm().complement_coords()
 
     def gamma(self):
-        from fractions import Fraction
-
         if self.dim == 0:
             raise ModuleError("gamma is undefined for the zero module")
         return Fraction(self.dim, self.min_gens()) - 1
@@ -532,8 +532,6 @@ def wedge_image(ring, phi):
 
     Every element of the span annihilates coker(phi); for faithful
     cokernels the span is zero."""
-    from itertools import combinations
-
     n, g, lam = phi.shape
     if n > 8:
         raise ModuleError("refusing cofactor expansion beyond 8 x 8 minors")

@@ -14,7 +14,6 @@ the resolution's: Tor_i is affordable when reach(i + 1) > i, and a Betti
 depth is clamped to reach(n) (see homology.Resolution.reach).
 """
 
-import math
 from dataclasses import dataclass, field as dfield, replace
 from fractions import Fraction
 from functools import partial
@@ -26,23 +25,29 @@ from .homology import (
     koszul_test,
     require_cutoff,
     resolve,
+    series_quotient,
     tor_dim,
     tor_induced_k,
 )
-from .linalg import Subspace
+from .instancefile import parse_poly, serialize_instance
+from .linalg import GF101, Subspace
 from .modules import (
     canonical_module,
     column_span,
     free_action,
     free_submodule,
+    from_presentation,
     matlis_dual,
+    random_module,
     regular_module,
     residue_field,
+    rmatrix_from_polys,
     submodule_module,
     tensor_over_R,
     presentation_of,
     wedge_image,
 )
+from .ring import ring_from_strings
 
 VACUOUS = "VACUOUS"
 PASS = "PASS"
@@ -62,10 +67,16 @@ class Instance:
     ring: object
     modules: dict
     provenance: str = "canned"
+    # k, R, omega and omega1 as derived on demand: held here because the
+    # ring caches k and R only weakly, and their resolutions live on them
+    _derived: dict = dfield(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def module(self, name):
         if name in self.modules:
             return self.modules[name]
+        if name in self._derived:
+            return self._derived[name]
         ring = self.ring
         if name == "k":
             mod = residue_field(ring)
@@ -78,7 +89,7 @@ class Instance:
         else:
             raise MissingModule(
                 f"instance {self.name!r} has no module {name!r}")
-        self.modules[name] = mod
+        self._derived[name] = mod
         return mod
 
 
@@ -154,6 +165,11 @@ def _kills_m_squared(mod):
 def _nu_of_subquotient(mod, j):
     """nu(m^j M) = lambda(m^j M / m^(j+1) M)."""
     return mod.msub(j).dim - mod.msub(j + 1).dim
+
+
+def _c(N):
+    """c(N) = floor(log2 b_1(N)) + 2, in integers; 1 when b_1(N) = 0."""
+    return betti_numbers(N, 1)[1].bit_length() + 1
 
 
 # ---------------------------------------------------------------------
@@ -237,23 +253,18 @@ def _s5(inst, n):
     _need(not N.is_free(), "N is free")
     report = []
     ok = True
-    ran = False
     nu = N.min_gens()
     if nu <= n and _scan(M, [N], 1, 1, width=nu):
-        ran = True
         good = M.gamma() >= 1
         ok &= good
         report.append(f"(1) gamma(M)={M.gamma()} >= 1: {good}")
     if _kills_m_squared(M):
-        b1 = betti_numbers(N, 1)[1]
-        if b1 >= 1:
-            depth = int(math.floor(math.log2(b1))) + 2
-            if depth <= n and _scan(M, [N], 1, 1, width=depth):
-                ran = True
-                good = M.gamma().denominator == 1
-                ok &= good
-                report.append(f"(2) gamma(M)={M.gamma()} integral: {good}")
-    _need(ran, "no sub-hypothesis window satisfied")
+        c = _c(N)  # N is not free, so b_1(N) >= 1
+        if c <= n and _scan(M, [N], 1, 1, width=c):
+            good = M.gamma().denominator == 1
+            ok &= good
+            report.append(f"(2) gamma(M)={M.gamma()} integral: {good}")
+    _need(report, "no sub-hypothesis window satisfied")
     return ok, "; ".join(report), {}
 
 
@@ -297,14 +308,7 @@ def _s8(inst, n):
     n = resolve(k, 0).reach(n)
     T = tensor_over_R(M, N)
     gM, gN, gT = M.gamma(), N.gamma(), T.gamma()
-    # truncated expansion of (1 - gT t) / ((1 - gM t)(1 - gN t))
-    denom = [Fraction(1), -(gM + gN), gM * gN]
-    numer = [Fraction(1), -gT]
-    series = []
-    for d in range(n + 1):
-        c = (numer[d] if d < len(numer) else Fraction(0))
-        c -= sum(denom[j] * series[d - j] for j in range(1, min(d, 2) + 1))
-        series.append(c)
+    series = series_quotient([1, -gT], [1, -(gM + gN), gM * gN], n)
     pk = betti_numbers(k, n)
     ok = [Fraction(x) for x in pk] == series
     return ok, f"P_k={pk} vs series={[str(c) for c in series]}", {}
@@ -330,27 +334,23 @@ def _s10(inst, n):
     depth = min(5, n, resolve(M, 0).reach(n + 1) - 1)
     _need(depth >= 1, "resolution work cap leaves no checkable depth")
     res = resolve(M, depth + 1)
-    b = [res.betti_number(i) for i in range(depth + 2)]
+    b = betti_numbers(M, depth + 1)
     e, a = inst.ring.e, inst.ring.a
     report = []
-    ok = True
     Mnext = res.syzygy_module(0)
     for i in range(depth):
         Mi, Mnext = Mnext, res.syzygy_module(i + 1)
         nu_m = _nu_of_subquotient(Mi, 1)
         lhs, rhs = b[i + 1], e * b[i] - nu_m
         if lhs < rhs:
-            ok = False
             report.append(f"(1) b_{i+1}={lhs} < e*b_{i}-nu(mM_{i})={rhs}")
         summand = Mnext.has_k_summand()
         if (lhs == rhs) != (not summand):
-            ok = False
             report.append(f"(1) equality/k-summand mismatch at i={i}")
-        if i > 1 and not Mi.has_k_summand():
-            if nu_m != a * b[i - 1]:
-                ok = False
-                report.append(f"(2) nu(mM_{i})={nu_m} != a*b_{i-1}={a*b[i-1]}")
-    return ok, "; ".join(report) or f"Lescot bounds hold through i={depth-1}", {}
+        if i > 1 and not Mi.has_k_summand() and nu_m != a * b[i - 1]:
+            report.append(f"(2) nu(mM_{i})={nu_m} != a*b_{i-1}={a*b[i-1]}")
+    return not report, \
+        "; ".join(report) or f"Lescot bounds hold through i={depth-1}", {}
 
 
 def _s11(inst, n):
@@ -391,27 +391,21 @@ def _s13(inst, n):
     M, N, j = _three_tor_hyp(inst, n)
     e, a = inst.ring.e, inst.ring.a
     gM, gN = M.gamma(), N.gamma()
-    resM = resolve(M, j + 2)
-    resN = resolve(N, j + 2)
-    bM = [resM.betti_number(i) for i in range(j + 3)]
-    bN = [resN.betti_number(i) for i in range(j + 3)]
+    bM, bN = betti_numbers(M, j + 2), betti_numbers(N, j + 2)
+    resM, resN = resolve(M, j + 2), resolve(N, j + 2)
     report = []
-    ok = True
     if not (gM.denominator == 1 and gM >= 1 and gN.denominator == 1 and gN >= 1):
-        ok = False
         report.append(f"(1) gamma(M)={gM}, gamma(N)={gN} not positive integers")
     for i in range(j + 2):
         if bM[i + 1] != gN * bM[i] or bN[i + 1] != gM * bN[i]:
-            ok = False
             report.append(f"(2) Betti ratio fails at i={i}")
     for i in range(j + 1):
         if resM.syzygy_module(i).gamma() != gM or resN.syzygy_module(i).gamma() != gN:
-            ok = False
             report.append(f"(3) gamma of syzygy differs at i={i}")
     if gM + gN != e or gM * gN != a:
-        ok = False
         report.append(f"(4) sum={gM+gN} vs e={e}, product={gM*gN} vs a={a}")
-    return ok, "; ".join(report) or f"all four conclusions hold (j={j})", {"j": j}
+    return not report, \
+        "; ".join(report) or f"all four conclusions hold (j={j})", {"j": j}
 
 
 def _s14(inst, n):
@@ -436,22 +430,17 @@ def _s15(inst, n):
     N = inst.module("omega1")
     e, a, r, lam = ring.e, ring.a, ring.r, ring.length
     report = []
-    ok = True
     if not (omega.dim == lam == 1 + r + e):
-        ok = False
         report.append(f"(1) lambda(omega)={omega.dim}, lambda(R)={lam}, 1+r+e={1+r+e}")
     nu_momega = _nu_of_subquotient(omega, 1)
     if nu_momega != e + r - a:
-        ok = False
         report.append(f"(2) nu(m omega)={nu_momega} != e+r-a={e+r-a}")
     if N.dim != (a - 1) * (1 + r + e):
-        ok = False
         report.append(f"(3) lambda(omega_1)={N.dim} != (a-1)(1+r+e)")
-    if not N.is_zero() and not N.has_k_summand() and a == r:
-        if N.min_gens() != e * (a - 1) or N.gamma() != Fraction(1 + a, e):
-            ok = False
-            report.append(f"(4) nu={N.min_gens()}, gamma={N.gamma()}")
-    return ok, "; ".join(report) or "dualizing-module numerics hold", {}
+    if not N.is_zero() and not N.has_k_summand() and a == r and \
+            (N.min_gens() != e * (a - 1) or N.gamma() != Fraction(1 + a, e)):
+        report.append(f"(4) nu={N.min_gens()}, gamma={N.gamma()}")
+    return not report, "; ".join(report) or "dualizing-module numerics hold", {}
 
 
 def _s16(inst, n):
@@ -509,16 +498,14 @@ def _s18(inst, n):
     M, N, j = _three_tor_hyp(inst, n)
     resM = resolve(M, j + 1)
     report = []
-    ok = True
     Tnext = tensor_over_R(resM.syzygy_module(0), N)
     for i in range(j + 1):
         lhs = tor_dim(M, N, i + 1) == 0
         Ti, Tnext = Tnext, tensor_over_R(resM.syzygy_module(i + 1), N)
         rhs = Ti.mm().dim == 0 and Tnext.mm().dim == 0
         if lhs != rhs:
-            ok = False
             report.append(f"iff fails at i={i}: Tor zero {lhs}, m-kills {rhs}")
-    return ok, "; ".join(report) or f"iff holds for 0<=i<={j}", {"j": j}
+    return not report, "; ".join(report) or f"iff holds for 0<=i<={j}", {"j": j}
 
 
 def _s19(inst, n):
@@ -528,25 +515,21 @@ def _s19(inst, n):
     _need(ring.e >= lam_m2 - ring.h + 4,
           f"e={ring.e} < lambda(m^2)-h+4={lam_m2 - ring.h + 4}")
     _need(not M.is_zero() and not N.is_zero(), "a module is zero")
-    ran = False
     report = []
     ok = True
     if _kills_m_squared(M):
-        b1 = betti_numbers(N, 1)[1]
-        c = max(4, int(math.floor(math.log2(b1))) + 2) if b1 >= 1 else 4
+        c = max(4, _c(N))
         if c <= n and _scan(M, [N], 1, 1, width=c):
-            ran = True
             good = M.is_free() or N.is_free()
             ok &= good
             report.append(f"(1) c(N)={c}: M or N free: {good}")
     if ring.h <= 2:
         j = _scan(M, [N], 2, n - 2, width=3)
         if j is not None:
-            ran = True
             good = M.is_free() or N.is_free()
             ok &= good
             report.append(f"(2) triple window at j={j}: M or N free: {good}")
-    _need(ran, "no vanishing window satisfied")
+    _need(report, "no vanishing window satisfied")
     return ok, "; ".join(report), {}
 
 
@@ -616,11 +599,11 @@ def _s23(inst, n):
     dual = matlis_dual(M)
     if ring.h <= 2:
         # a zero window [1, bound] with bound >= 3 holds the triple at 1
-        ran = _scan(M, [dual], 1, n - 2, width=3)
+        window = _scan(M, [dual], 1, n - 2, width=3)
     else:
         bound = _ar_bound(M)
-        ran = bound <= n and _scan(M, [dual], 1, 1, width=bound)
-    _need(ran, "no vanishing Ext window satisfied")
+        window = bound <= n and _scan(M, [dual], 1, 1, width=bound)
+    _need(window, "no vanishing Ext window satisfied")
     flat = ring.h <= 1
     dual_free = dual.is_free()
     ok = flat and (M.is_free() or dual_free)
@@ -826,12 +809,8 @@ def check(statement_id, inst, cutoff=DEFAULT_CUTOFF):
 
 
 def _serialize_counterexample(inst):
-    from .instancefile import serialize_instance
-
-    mods = {name: mod for name, mod in inst.modules.items()
-            if name not in ("k", "R")}
     try:
-        return serialize_instance(inst.ring, mods)
+        return serialize_instance(inst.ring, inst.modules)
     except Exception as exc:  # serialization must not mask the FAIL
         return f"# serialization failed: {exc}"
 
@@ -865,9 +844,6 @@ AGP_PHI = [["x3", "x1"], ["x4", "x2"]]
 def _from_rows(ring, rows):
     """Cokernel of the matrix with the given rows of polynomial strings;
     one row [f1, ..., fk] gives R/(f1, ..., fk)."""
-    from .instancefile import parse_poly
-    from .modules import from_presentation, rmatrix_from_polys
-
     grid = [[parse_poly(s, ring.varnames) for s in row] for row in rows]
     return from_presentation(ring, rmatrix_from_polys(ring, grid))
 
@@ -875,49 +851,37 @@ def _from_rows(ring, rows):
 def agp_example(field=None):
     """The rank-two periodic pair: a length-8 ring with m^3=0 and a
     cokernel with constant Betti number 2 and Ext^i(M,R)=0 for i>0."""
-    from .linalg import GF101
-    from .ring import ring_from_strings
-
     field = field or GF101
     ring = ring_from_strings(field, ["x1", "x2", "x3", "x4"], AGP_RELATIONS)
     M = _from_rows(ring, AGP_PHI)
     return ring, M
 
 
+# (name, variables, relations, M's generator, N's generator): each
+# instance is R with the cyclic modules R/(M's generator), R/(N's)
+_CANNED = [
+    ("chain-length-4", ["x"], ["x^4"], "x", "x^2"),
+    ("gorenstein-square", ["x", "y"], ["x^2", "y^2"], "x", "x"),
+    ("flat-square-zero", ["x", "y"], ["x^2", "x*y", "y^2"], "x", "y"),
+    ("gorenstein-cube", ["x", "y"], ["x^2 - y^2", "x*y"], "x", "x + y"),
+]
+
+
 def canned_corpus(field=None, seed=7, randoms=4):
     """Deterministic instance corpus for suite runs and tests."""
-    from .linalg import GF101
-    from .modules import random_module
-    from .ring import ring_from_strings
-
     field = field or GF101
     out = []
-
-    chain = ring_from_strings(field, ["x"], ["x^4"])
-    out.append(Instance("chain-length-4", chain,
-                        {"M": _from_rows(chain, [["x"]]),
-                         "N": _from_rows(chain, [["x^2"]])}))
-
-    gor = ring_from_strings(field, ["x", "y"], ["x^2", "y^2"])
-    out.append(Instance("gorenstein-square", gor,
-                        {"M": _from_rows(gor, [["x"]]),
-                         "N": _from_rows(gor, [["x"]])}))
-
-    flat = ring_from_strings(field, ["x", "y"], ["x^2", "x*y", "y^2"])
-    out.append(Instance("flat-square-zero", flat,
-                        {"M": _from_rows(flat, [["x"]]),
-                         "N": _from_rows(flat, [["y"]])}))
-
-    gor3 = ring_from_strings(field, ["x", "y"], ["x^2 - y^2", "x*y"])
-    out.append(Instance("gorenstein-cube", gor3,
-                        {"M": _from_rows(gor3, [["x"]]),
-                         "N": _from_rows(gor3, [["x + y"]])}))
+    for name, varnames, rels, m, n in _CANNED:
+        ring = ring_from_strings(field, varnames, rels)
+        out.append(Instance(name, ring, {"M": _from_rows(ring, [[m]]),
+                                         "N": _from_rows(ring, [[n]])}))
+    # the three two-variable rings host the random instances
+    hosts = [inst.ring for inst in out[1:]]
 
     ring, M = agp_example(field)
     out.append(Instance("agp", ring,
                         {"M": M, "N": canonical_module(ring)}))
 
-    hosts = [gor, flat, gor3]
     for t in range(randoms):
         host = hosts[t % len(hosts)]
         Mr = random_module(host, seed + 2 * t, square_zero=True)

@@ -143,6 +143,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     # the human report carries every verdict's clause text
     ("suite_to6_human", ["suite", "--to", "6"]),
     ("suite_to12", ["suite", "--to", "12", "--machine"]),
+    ("suite_to12_human", ["suite", "--to", "12"]),
+    ("suite_field_Q_to4_human", ["suite", "--field", "Q", "--to", "4"]),
 ])
 def test_machine_output_matches_golden(capsys, name, argv):
     # every basis choice downstream of rref shows in these reports, so a

@@ -9,11 +9,17 @@ socle is the socle of the regular module; one rule decides when two
 modules are over the same ring; m^2 R^n is read off its unit rows, and
 S27 acts by the whole minor span in one product, whose minors come from
 cofactor expansion; the work cap is one rule, Resolution.reach, in
-place of the stage walkers theorems kept.  Each old path is kept
+place of the stage walkers theorems kept; S8's series and the Koszul
+test's inverse of Hilb(-t) are one series_quotient, and c(N) is an
+integer bit length in place of a float log2; derived modules stay off
+Instance.modules, so a dossier writes exactly the modules it was given.
+Each old path is kept
 here as an oracle, over GF(2), GF(3), GF(101), GF(2^31-1) and Q, on
 zero-size inputs as well as ordinary ones."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, permutations
 from unittest.mock import patch
 
@@ -24,7 +30,17 @@ from test_derived_routes import kspan_exterior_square, old_exterior_square
 
 from socle import homology, linalg, theorems
 from socle.explorer import _loewy_truncate, random_ring
-from socle.homology import Resolution, ext_dim_direct, realize, resolve, tor_dim
+from socle.homology import (
+    Resolution,
+    betti_numbers,
+    ext_dim_direct,
+    koszul_test,
+    realize,
+    resolve,
+    series_quotient,
+    tor_dim,
+)
+from socle.instancefile import parse_instance
 from socle.linalg import QQ, Field, Subspace, image_basis, kernel_basis, rref
 from socle.modules import (
     FiniteModule,
@@ -246,6 +262,33 @@ def old_minors_annihilate(M, img):
     ops = M.ops().reshape(M.ring.length, n * n)
     return not any(np.any(M.field.matmul(row, ops).reshape(n, n))
                    for row in img.basis)
+
+
+def old_s8_series(gM, gN, gT, n):
+    """S8's expansion of (1 - gT t) / ((1 - gM t)(1 - gN t)) through t^n."""
+    denom = [Fraction(1), -(gM + gN), gM * gN]
+    numer = [Fraction(1), -gT]
+    series = []
+    for d in range(n + 1):
+        c = (numer[d] if d < len(numer) else Fraction(0))
+        c -= sum(denom[j] * series[d - j] for j in range(1, min(d, 2) + 1))
+        series.append(c)
+    return series
+
+
+def old_hilbert_inverse(hilb, n):
+    """koszul_test's power-series inverse of Hilb(-t) through t^n."""
+    h = [Fraction((-1) ** d * hilb[d]) if d < len(hilb) else Fraction(0)
+         for d in range(n + 1)]
+    inv = [Fraction(1)]
+    for d in range(1, n + 1):
+        inv.append(-sum(h[j] * inv[d - j] for j in range(1, d + 1)))
+    return inv
+
+
+def old_c(b1):
+    """S5's and S19's float c(N) = floor(log2 b_1(N)) + 2, for b_1 >= 1."""
+    return int(math.floor(math.log2(b1))) + 2
 
 
 # -- helpers --------------------------------------------------------------
@@ -676,3 +719,64 @@ def test_s18_builds_each_syzygy_and_tensor_once(gor3, monkeypatch):
     assert len(syz) == len(set(syz))
     # M_0 (x) N through M_(j+1) (x) N
     assert len(left) == v.data["j"] + 2
+
+
+def same_fractions(a, b):
+    return a == b and all(type(x) is Fraction for x in a + b)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_series_quotient_matches_both_old_loops(F):
+    rs = rings(F) + [theorems.agp_example(F)[0]]
+    rs += monomial_square_zero_rings(F, e_max=2)
+    gammas = sorted({mod.gamma() for ring in rings(F)
+                     for mod in some_modules(ring) if mod.dim})
+    gammas += [Fraction(0), Fraction(-3, 7)]
+    for n in range(9):
+        for ring in rs:
+            hilb_minus_t = [(-1) ** d * h for d, h in enumerate(ring.hilbert)]
+            new = series_quotient([1], hilb_minus_t, n)
+            assert same_fractions(new, old_hilbert_inverse(ring.hilbert, n))
+        for gM, gN, gT in combinations(gammas, 3):
+            new = series_quotient([1, -gT], [1, -(gM + gN), gM * gN], n)
+            assert same_fractions(new, old_s8_series(gM, gN, gT, n))
+    for ring in rings(F):
+        assert koszul_test(ring, 4).expected == [
+            int(c) for c in old_hilbert_inverse(ring.hilbert, 4)]
+
+
+def test_c_bit_length_matches_float_log2():
+    for b in range(1, 4097):
+        assert b.bit_length() + 1 == old_c(b)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_c_of_a_module_matches_float_log2(F):
+    for ring in rings(F):
+        for mod in zero_modules(ring) + some_modules(ring):
+            b1 = betti_numbers(mod, 1)[1]
+            # b_1 = 0 only for free modules, where S19's c is max(4, 1)
+            assert theorems._c(mod) == (old_c(b1) if b1 else 1)
+
+
+def test_dossier_writes_exactly_the_given_modules(gor3, monkeypatch):
+    # a user module named R is not the regular module, and omega and
+    # omega1, derived by S15, are not the instance's own
+    M, R = cyclic(gor3, ["x + y"]), cyclic(gor3, ["x"])
+    inst = Instance("x", gor3, {"M": M, "R": R})
+    assert check("S15", inst).status != VACUOUS
+    assert inst.module("R") is R
+    assert inst.module("omega") is inst.module("omega")
+    assert set(inst.modules) == {"M", "R"}
+
+    def broken(inst, n):
+        return False, "forced failure", {}
+
+    monkeypatch.setitem(theorems._BY_ID, "S3",
+                        replace(theorems._BY_ID["S3"], body=broken))
+    v = check("S3", inst)
+    assert v.status == theorems.FAIL
+    ring, mods = parse_instance(v.counterexample)
+    assert list(mods) == ["M", "R"]
+    assert ring.hilbert == gor3.hilbert
+    assert is_isomorphic(mods["M"], M) and is_isomorphic(mods["R"], R)
