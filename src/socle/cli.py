@@ -213,58 +213,56 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("file", help="instance file path")
-        p.add_argument("--to", type=int, default=None,
-                       help=f"homological cutoff (default {DEFAULT_CUTOFF})")
-        p.add_argument("--machine", action="store_true",
-                       help="key=value report")
-        p.add_argument("--field", default=None, help="GF(p) or Q")
+    # options shared by the subcommands, each declared once
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--to", type=int, default=None,
+                        help=f"homological cutoff (default {DEFAULT_CUTOFF})")
+    report.add_argument("--machine", action="store_true",
+                        help="key=value report")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default=None, help="GF(p) or Q")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("file", help="instance file path")
+    on_file = [instance, report, field]
 
-    p = sub.add_parser("invariants", help="ring and module invariants")
-    common(p)
+    p = sub.add_parser("invariants", help="ring and module invariants",
+                       parents=on_file)
     p.set_defaults(fn=cmd_invariants)
 
-    p = sub.add_parser("betti", help="Betti numbers of a module")
-    common(p)
+    p = sub.add_parser("betti", help="Betti numbers of a module",
+                       parents=on_file)
     p.add_argument("--module", default="M")
     p.set_defaults(fn=cmd_betti)
 
     for name, fn in (("tor", cmd_tor), ("ext", cmd_ext)):
-        p = sub.add_parser(name, help=f"{name} dimensions of a pair")
-        common(p)
+        p = sub.add_parser(name, help=f"{name} dimensions of a pair",
+                           parents=on_file)
         p.add_argument("--left", default="M")
         p.add_argument("--right", default="N")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("check", help="evaluate one statement")
-    common(p)
+    p = sub.add_parser("check", help="evaluate one statement", parents=on_file)
     p.add_argument("--statement", required=True)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("suite", help="evaluate statements over a corpus")
+    p = sub.add_parser("suite", help="evaluate statements over a corpus",
+                       parents=[report, field])
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--to", type=int, default=None)
-    p.add_argument("--machine", action="store_true")
-    p.add_argument("--field", default=None)
     p.add_argument("--statement", default=None,
                    help="comma-separated statement ids")
     p.set_defaults(fn=cmd_suite)
 
-    p = sub.add_parser("explore", help="randomized counterexample search")
-    p.add_argument("--to", type=int, default=None)
-    p.add_argument("--machine", action="store_true")
-    p.add_argument("--field", default=None)
+    p = sub.add_parser("explore", help="randomized counterexample search",
+                       parents=[report, field])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--q", type=int, default=2)
     p.set_defaults(fn=cmd_explore)
 
-    p = sub.add_parser("example", help="run a canned example")
+    p = sub.add_parser("example", help="run a canned example",
+                       parents=[report])
     p.add_argument("name")
-    p.add_argument("--to", type=int, default=None)
-    p.add_argument("--machine", action="store_true")
     p.set_defaults(fn=cmd_example)
 
     return parser

@@ -96,8 +96,8 @@ class Resolution:
 
         Every stage is one step: the frontier kernel K = ker delta_length
         (taken from the cache when image_generators already computed it),
-        then minimal generators of K as the next differential.  K is
-        dropped as it is lifted."""
+        then minimal generators of K as the next differential, every
+        entry of which must lie in m.  K is dropped as it is lifted."""
         while self.length < n and not self.finite:
             K = self._frontier_kernel()
             self._frontier = None
@@ -105,6 +105,8 @@ class Resolution:
                 self.finite = True
                 break
             delta = min_gen_rmatrix(self.ring, K)
+            if np.any(delta[:, :, 0]):
+                raise ModuleError("non-minimal differential (unit entry)")
             self.deltas.append(delta)
             self.betti.append(delta.shape[1])
         return self

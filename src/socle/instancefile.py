@@ -12,7 +12,8 @@
 
 Polynomial terms are an optional integer coefficient followed by
 '*'-separated variables with optional '^' powers; terms are joined by
-'+'/'-'.  Parsing is total or fails with a line/column diagnostic.
+'+'/'-' and by nothing else, so '2x' is an error, not 2 + x.  Parsing is
+total or fails with a line/column diagnostic.
 Serialization round-trips to an identical model.
 """
 
@@ -73,7 +74,6 @@ def parse_poly(text, varnames, line=None):
             fail("dangling sign", tokens[n - 1][1])
         coeff = 1
         exps = [0] * e
-        saw_factor = False
         while True:
             tok, at = tokens[i]
             if tok.isdigit():
@@ -92,7 +92,6 @@ def parse_poly(text, varnames, line=None):
                 fail("unexpected '*'", at)
             else:
                 fail(f"unknown variable {tok!r}", at)
-            saw_factor = True
             i += 1
             if i < n and tokens[i][0] == "*":
                 i += 1
@@ -100,8 +99,8 @@ def parse_poly(text, varnames, line=None):
                     fail("dangling '*'", tokens[i - 1][1])
                 continue
             break
-        if not saw_factor:
-            fail("empty term", tokens[i][1] if i < n else 0)
+        if i < n and tokens[i][0] not in "+-":
+            fail(f"expected '+' or '-' before {tokens[i][0]!r}", tokens[i][1])
         key = tuple(exps)
         poly[key] = poly.get(key, 0) + sign * coeff
     return {k: c for k, c in poly.items() if c != 0} or {tuple([0] * e): 0}

@@ -288,6 +288,13 @@ class Subspace:
     def dim(self):
         return len(self.pivots)
 
+    def __eq__(self, other):
+        """The same span in the same coordinate space, whatever the bases."""
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.field == other.field and self.ambient == other.ambient
+                and self.dim == other.dim and self.contains_space(other))
+
     def reduce(self, v):
         """Residual v - v[pivots] @ basis of v (or of each row of v): zero
         exactly when v lies in the subspace, as contains and coords read."""

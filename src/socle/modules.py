@@ -233,11 +233,6 @@ def rmatrix_from_polys(ring, rows):
     return out
 
 
-def rmatrix_entries_in_m(pres):
-    """Minimality: every entry has zero unit component."""
-    return not np.any(pres[:, :, 0])
-
-
 def _require_closed(F, images, proj):
     """Raise unless every row of every image lies in the subspace whose
     projection() is proj (one product checks them all)."""
@@ -405,10 +400,7 @@ def min_gen_rmatrix(ring, K):
     mK = np.vstack([free_action(ring, K.basis, g)[:, list(K.pivots)]
                     for g in ring.gen_index])
     gens = Subspace.from_rows(ring.field, mK, K.dim).complement_coords()
-    delta = rmatrix_of_rows(ring, K.basis[gens])
-    if not rmatrix_entries_in_m(delta):
-        raise ModuleError("non-minimal differential (unit entry)")
-    return delta
+    return rmatrix_of_rows(ring, K.basis[gens])
 
 
 def syzygy(mod):

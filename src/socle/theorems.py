@@ -35,9 +35,9 @@ from .modules import (
     canonical_module,
     column_span,
     free_action,
-    free_submodule,
     from_presentation,
     matlis_dual,
+    min_gen_rmatrix,
     random_module,
     regular_module,
     residue_field,
@@ -143,10 +143,6 @@ def _scan(M, Ns, lo, hi, width=1):
             return start
         start = bad + 1
     return None
-
-
-def _subspaces_equal(a, b):
-    return a.dim == b.dim and a.contains_space(b)
 
 
 def _m_square_part(ring, n=1):
@@ -282,7 +278,7 @@ def _s6(inst, n):
     M1 = column_span(ring, resolve(M, 1).delta(1))
     mM1_rows = [free_action(ring, M1.basis, g) for g in ring.gen_index]
     mM1 = Subspace.from_rows(ring.field, np.vstack(mM1_rows), M1.ambient)
-    eq2 = _subspaces_equal(mM1, _m_square_part(ring, b[0]))
+    eq2 = mM1 == _m_square_part(ring, b[0])
     return eq1 and eq2, f"b1=(e-gamma)b0: {eq1}; mM1=m^2R^b0: {eq2}", {}
 
 
@@ -358,7 +354,7 @@ def _s11(inst, n):
     _need(not M.is_zero(), "M is zero")
     _need(_kills_m_squared(M), "m^2 M != 0")
     _need(not M.has_k_summand(), "k is a direct summand of M")
-    ok = _subspaces_equal(M.socle(), M.mm())
+    ok = M.socle() == M.mm()
     return ok, f"Soc(M) dim {M.socle().dim} vs mM dim {M.mm().dim}", {}
 
 
@@ -370,7 +366,7 @@ def _s12(inst, n):
     i = _scan(M, [N], 3, n)
     _need(i is not None, f"no vanishing Tor index in [3,{n}]")
     soc, m2 = inst.ring.socle_subspace(), _m_square_part(inst.ring)
-    ok = _subspaces_equal(soc, m2)
+    ok = soc == m2
     return ok, f"Soc(R) dim {soc.dim} vs m^2 dim {m2.dim}", {"i": i}
 
 
@@ -665,7 +661,7 @@ def _s28(inst, n):
     _need(pres.shape[0] == 2, "presentation does not embed N in R^2")
     _need(tor_dim(M, M, 2) == 0, "Tor_2(M,M) != 0")
     _need(M.annihilator_is_zero(), "M is not faithful")
-    nu = free_submodule(M.ring, column_span(M.ring, pres)).min_gens()
+    nu = min_gen_rmatrix(M.ring, column_span(M.ring, pres)).shape[1]
     return nu <= 1, f"nu(N)={nu}", {}
 
 
@@ -799,12 +795,9 @@ def check(statement_id, inst, cutoff=DEFAULT_CUTOFF):
         # has an unverifiable hypothesis
         return Verdict(statement_id, VACUOUS, f"missing module: {exc}", "",
                        cutoff)
-    if ok:
-        status = NO_COUNTEREXAMPLE if stmt.conjecture else PASS
-        return Verdict(statement_id, status, "hypotheses hold", concl, cutoff,
-                       data=data)
-    counterexample = _serialize_counterexample(inst)
-    return Verdict(statement_id, FAIL, "hypotheses hold", concl, cutoff,
+    status = (NO_COUNTEREXAMPLE if stmt.conjecture else PASS) if ok else FAIL
+    counterexample = None if ok else _serialize_counterexample(inst)
+    return Verdict(statement_id, status, "hypotheses hold", concl, cutoff,
                    counterexample=counterexample, data=data)
 
 

@@ -111,11 +111,12 @@ def _random_case_corpus():
         ring_from_strings(GF101, ["x", "y"], ["x^2 - y^2", "x*y"]),
     ]
     for t in range(2):
-        # two generators: random_ring draws 2 to 4, its oracle any range
-        r = old_random_ring(GF101, np.random.default_rng((77, t)),
-                            e_range=(2, 2), h_min=3)
-        if r is not None:
-            hosts.append(r)
+        # two generators: random_ring draws 2 to 4, its oracle any range;
+        # at h_min=3 these draws find no ring, at 2 they give m^3 = 0 rings
+        # with m^2 != 0
+        hosts.append(old_random_ring(GF101, np.random.default_rng((77, t)),
+                                     e_range=(2, 2), h_min=2))
+    assert all(r is not None for r in hosts), "a random host draw failed"
     cases = []
     for idx in range(200):
         ring = hosts[idx % len(hosts)]

@@ -170,6 +170,10 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text("[ring]\nvars = x\nrel = x^\n")
     code, _ = run(capsys, "invariants", str(bad))
     assert code == 2
+    # a row "2x" means 2*x, not the unit 2 + x: it must not parse
+    bad.write_text("[ring]\nvars = x\nrel = x^3\n[module M]\nrow = 2x\n")
+    code, out = run(capsys, "invariants", str(bad))
+    assert code == 2 and out == ""
 
 
 def test_missing_file_exit_code(capsys):

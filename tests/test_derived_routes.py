@@ -18,6 +18,7 @@ from socle.modules import (
     ModuleError,
     ModuleMap,
     canonical_module,
+    column_span,
     cover_map,
     direct_sum,
     exterior_square,
@@ -36,7 +37,7 @@ from socle.modules import (
     _tensor_with_maps,
 )
 from socle.ring import ring_from_strings
-from socle.theorems import _nu_of_subquotient
+from socle.theorems import Instance, _from_rows, _nu_of_subquotient, check
 
 FIELDS = [Field(2), Field(3), Field(101), Field(2**31 - 1), QQ]
 HOSTS = [["x^2", "y^2"], ["x^2", "x*y", "y^2"], ["x^2 - y^2", "x*y"],
@@ -54,6 +55,12 @@ def old_syzygy(mod):
     m1 = free_submodule(mod.ring, K)
     m1.is_syzygy = True
     return m1, cover, pres, K
+
+
+def old_nu(ring, pres):
+    """nu of the R-span of pres's columns, as S28 read it: from the whole
+    closure-checked submodule of R^n."""
+    return free_submodule(ring, column_span(ring, pres)).min_gens()
 
 
 def old_nu_of_subquotient(mod, j):
@@ -303,3 +310,43 @@ def test_exterior_squares_of_free_modules(F):
     ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
     assert exterior_square(regular_module(ring))[0].dim == 0
     assert exterior_square(free_module(ring, 2))[0].dim == ring.length
+
+
+@given(st.sampled_from(FIELDS), st.sampled_from(HOSTS), st.integers(0, 2**16),
+       st.integers(1, 3), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_nu_of_a_column_span_is_its_minimal_generator_count(F, rels, seed,
+                                                            n, m):
+    ring = ring_from_strings(F, ["x", "y"], rels)
+    rng = np.random.default_rng(seed)
+    # entries with unit components too: the span need not lie in m R^n
+    pres = F.array(rng.integers(-2, 3, size=(n, m, ring.length))
+                   * (rng.random((n, m, ring.length)) < 0.4))
+    gens = min_gen_rmatrix(ring, column_span(ring, pres))
+    assert gens.shape[1] == old_nu(ring, pres)
+
+
+@pytest.mark.parametrize("F", [Field(101), QQ], ids=repr)
+@pytest.mark.parametrize("rows, nu", [([["1"], ["x"]], 1),
+                                      ([["0"], ["0"]], 0)])
+def test_s28_reaches_its_conclusion(F, rows, nu):
+    # coker [[1],[x]] is free of rank one, presented non-minimally, and
+    # coker [[0],[0]] is R^2: both faithful with Tor_2(M, M) = 0
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    verdict = check("S28", Instance("x", ring, {"M": _from_rows(ring, rows)}))
+    assert str(verdict) == f"S28: PASS (nu(N)={nu})"
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_extend_rejects_a_differential_with_a_unit_entry(F, monkeypatch):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    lifted = homology.min_gen_rmatrix
+
+    def with_unit(ring, K):
+        delta = lifted(ring, K).copy()
+        delta[0, 0, 0] = F.one
+        return delta
+
+    monkeypatch.setattr(homology, "min_gen_rmatrix", with_unit)
+    with pytest.raises(ModuleError, match="non-minimal differential"):
+        resolve(_from_rows(ring, [["x", "y"]]), 1)

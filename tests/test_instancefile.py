@@ -42,6 +42,12 @@ def test_parse_poly_errors_carry_position():
         parse_poly("z", ["x", "y"])
     with pytest.raises(ParseError):
         parse_poly("x^", ["x"])
+    # terms are joined by '+' or '-' only: "2x" is not 2 + x
+    for text, col in (("2x", 2), ("x y", 3), ("x^2 y", 5), ("3 4", 3),
+                      ("x*y z", 5)):
+        with pytest.raises(ParseError) as ei:
+            parse_poly(text, ["x", "y", "z"], line=4)
+        assert (ei.value.line, ei.value.col) == (4, col)
 
 
 def test_poly_str_round_trip():

@@ -140,3 +140,36 @@ def test_projection_section(pair):
     # the subspace itself maps to zero in the quotient
     if a.dim:
         assert not np.any(GF101.mod(proj @ a.basis.T))
+
+
+FIELDS = [Field(2), Field(3), GF101, Field(2**31 - 1), QQ]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_subspace_equality_ignores_the_basis(F):
+    K = kernel_subspace(F, F.array([[1, 1, 0, 0]]))
+    S = Subspace.from_rows(F, K.basis, 4)
+    assert K.pivots != S.pivots  # free columns against rref pivots
+    assert K == S and S == K
+    empty = Subspace(F, 4)
+    assert empty == Subspace.from_rows(F, F.zeros((0, 4)), 4)
+    assert empty == kernel_subspace(F, F.eye(4))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_subspace_inequality(F):
+    K = kernel_subspace(F, F.array([[1, 1, 0, 0]]))
+    assert K != Subspace.from_rows(F, K.basis[:2], 4)  # smaller dimension
+    assert K != Subspace.from_rows(F, F.eye(4)[1:], 4)  # same dimension
+    assert Subspace(F, 3) != Subspace(F, 4)
+    other = GF5 if F != GF5 else GF101
+    assert Subspace.full(F, 2) != Subspace.full(other, 2)
+    assert K != K.basis.tolist() and K != 0 and K != "K"
+
+
+@given(subspace_pair())
+@settings(max_examples=60, deadline=None)
+def test_subspace_equality_matches_ranks(pair):
+    a, b = pair
+    joint = rank(GF101, np.vstack([a.basis, b.basis]))
+    assert (a == b) == (a.dim == b.dim == joint)
