@@ -27,6 +27,7 @@ from .ring import (
 )
 
 REJECTION_CAP = 100
+LENGTH_CAP = 30  # largest lambda(R) a drawn ring may have
 
 
 @dataclass
@@ -80,13 +81,13 @@ class ExploreReport:
         return any(c.confirmed for c in self.candidates)
 
 
-def random_ring(field, rng, h_min=3, lam_max=30):
+def random_ring(field, rng, h_min=3):
     """Random standard graded Artinian ring on 2 to 4 generators, with
     Loewy length >= h_min.
 
     Each generator gets a cubic guard relation x_i^3 so the quotient is
     always Artinian; random quadrics are layered on top and the draw is
-    rejected if they crush R_3 or exceed the length bound lam_max (which
+    rejected if they crush R_3 or make lambda(R) exceed LENGTH_CAP (which
     keeps per-trial homology at desk scale).  Returns None after
     REJECTION_CAP tries.
     """
@@ -113,7 +114,7 @@ def random_ring(field, rng, h_min=3, lam_max=30):
         except (PresentationError, NotArtinianError):
             continue
         # reject on the Hilbert function, before the tables are built
-        if h >= h_min and sum(len(deg[0]) for deg in degrees) <= lam_max:
+        if h >= h_min and sum(len(deg[0]) for deg in degrees) <= LENGTH_CAP:
             return GradedRing(pres, degrees, h)
     return None
 

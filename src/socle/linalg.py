@@ -376,8 +376,3 @@ def kernel_subspace(F, m):
     dual-basis property Subspace needs, with the free columns as pivots."""
     S = Subspace.from_rows(F, m)
     return Subspace(F, S.ambient, S.projection(), tuple(S.complement_coords()))
-
-
-def image_basis(F, m):
-    """Column space of m, as a subspace of the row-coordinate space."""
-    return Subspace.from_rows(F, m.T, m.shape[0])

@@ -13,14 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    Subspace,
-    image_basis,
-    kernel_basis,
-    kron,
-    rank,
-)
+from .linalg import DimensionError, Subspace, kernel_basis, kron, rank
 
 
 class ModuleError(ValueError):
@@ -39,7 +32,7 @@ class FiniteModule:
             if A.shape != (self.dim, self.dim):
                 raise ModuleError("action matrices must be square and consistent")
         self._ops = None
-        self._mm = None
+        self._mchain = None  # [mM, m^2 M, ...], extended on demand
         self._socle = None
         self._resolution = None
         self.presentation = None  # RMatrix it came from, if any
@@ -98,21 +91,23 @@ class FiniteModule:
 
     def mm(self):
         """The subspace mM."""
-        if self._mm is None:
-            self._mm = image_basis(self.field, np.hstack(self.actions))
-        return self._mm
+        return self.msub(1)
 
     def msub(self, j):
-        """The subspace m^j M, built up from the cached mM."""
+        """The subspace m^j M, from the cached chain mM, m^2 M, ...: mM is
+        the span of the columns of the actions, and each further power the
+        span of the actions applied to the last one, until one is zero."""
+        F = self.field
         if j == 0:
-            return Subspace.full(self.field, self.dim)
-        S = self.mm()
-        for _ in range(j - 1):
-            if S.dim == 0:
-                return S
-            rows = [self.field.matmul(A, S.basis.T).T for A in self.actions]
-            S = Subspace.from_rows(self.field, np.vstack(rows), self.dim)
-        return S
+            return Subspace.full(F, self.dim)
+        if self._mchain is None:
+            self._mchain = [Subspace.from_rows(F, np.hstack(self.actions).T,
+                                               self.dim)]
+        chain = self._mchain
+        while len(chain) < j and chain[-1].dim:
+            rows = [F.matmul(A, chain[-1].basis.T).T for A in self.actions]
+            chain.append(Subspace.from_rows(F, np.vstack(rows), self.dim))
+        return chain[min(j, len(chain)) - 1]
 
     def min_gens(self):
         return self.dim - self.mm().dim
@@ -176,25 +171,13 @@ class ModuleMap:
 # -- constructors -------------------------------------------------------
 
 
-def _cached_on_ring(ring, attr, build):
-    """The module ring.<attr> refers to, built anew once it has died.
-
-    The ring holds it by weak reference only: the module refers to the
-    ring, so a strong reference would make a cycle, and a dropped ring
-    with everything cached on it would wait for the cyclic collector."""
-    ref = getattr(ring, attr, None)
-    mod = ref() if ref is not None else None
-    if mod is None:
-        mod = build()
-        setattr(ring, attr, weakref.ref(mod))
-    return mod
-
-
 def regular_module(ring):
-    return _cached_on_ring(
-        ring, "_regular_module",
-        lambda: FiniteModule(ring, [ring.left_mult[g] for g in ring.gen_index],
-                             validate=False))
+    """R acting on itself: basis element b acts as the ring's own L_b, so
+    building R multiplies nothing and it is not cached."""
+    R = FiniteModule(ring, [ring.left_mult[g] for g in ring.gen_index],
+                     validate=False)
+    R._ops = ring.left_mult
+    return R
 
 
 def free_module(ring, n):
@@ -212,11 +195,19 @@ def free_module(ring, n):
 
 
 def residue_field(ring):
-    F = ring.field
-    return _cached_on_ring(
-        ring, "_residue_field",
-        lambda: FiniteModule(ring, [F.zeros((1, 1)) for _ in range(ring.e)],
-                             validate=False))
+    """k = R/m, cached on the ring so that S8, S26, koszul_test and
+    tor_induced_k share k's resolution on one ring while k lives.
+
+    The ring holds k by weak reference only: k refers to the ring, so a
+    strong reference would make a cycle, and a dropped ring with k's
+    resolution cached on it would wait for the cyclic collector."""
+    ref = getattr(ring, "_residue_field", None)
+    k = ref() if ref is not None else None
+    if k is None:
+        k = FiniteModule(ring, [ring.field.zeros((1, 1))
+                                for _ in range(ring.e)], validate=False)
+        ring._residue_field = weakref.ref(k)
+    return k
 
 
 def rmatrix_from_polys(ring, rows):

@@ -127,8 +127,9 @@ class GradedRing:
         rows = [self._row.get(tuple(m), zero) for m in prods.tolist()]
         nf = np.vstack([self._nf, self.field.zeros((1, n))])
         self.table = nf[rows].reshape(n, n, n)
-        # left multiplication operators, columns indexed by the right factor
-        self.left_mult = [self.table[i].T.copy() for i in range(n)]
+        # left_mult[i] is L_i, multiplication by basis element i: its
+        # columns are indexed by the right factor
+        self.left_mult = self.table.transpose(0, 2, 1).copy()
 
     def _invariants(self):
         from .modules import regular_module  # the layer above this one

@@ -68,7 +68,8 @@ class Instance:
     modules: dict
     provenance: str = "canned"
     # k, R, omega and omega1 as derived on demand: held here because the
-    # ring caches k and R only weakly, and their resolutions live on them
+    # ring caches k only weakly and builds R anew, and their resolutions
+    # live on them
     _derived: dict = dfield(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -163,6 +164,16 @@ def _nu_of_subquotient(mod, j):
     return mod.msub(j).dim - mod.msub(j + 1).dim
 
 
+def _conclude(parts, vacuous_if_empty=None):
+    """A statement body's result from its record of (label, holds) parts:
+    the conclusion holds when every part does, and reads "label: holds"
+    joined by "; ".  Given a clause, an empty record is VACUOUS with it."""
+    if vacuous_if_empty is not None:
+        _need(parts, vacuous_if_empty)
+    return (all(holds for _, holds in parts),
+            "; ".join(f"{label}: {holds}" for label, holds in parts), {})
+
+
 def _c(N):
     """c(N) = floor(log2 b_1(N)) + 2, in integers; 1 when b_1(N) = 0."""
     return betti_numbers(N, 1)[1].bit_length() + 1
@@ -247,21 +258,16 @@ def _s5(inst, n):
     M, N = inst.module("M"), inst.module("N")
     _need(not M.is_zero(), "M is zero")
     _need(not N.is_free(), "N is free")
-    report = []
-    ok = True
+    parts = []
     nu = N.min_gens()
     if nu <= n and _scan(M, [N], 1, 1, width=nu):
-        good = M.gamma() >= 1
-        ok &= good
-        report.append(f"(1) gamma(M)={M.gamma()} >= 1: {good}")
+        parts.append((f"(1) gamma(M)={M.gamma()} >= 1", M.gamma() >= 1))
     if _kills_m_squared(M):
         c = _c(N)  # N is not free, so b_1(N) >= 1
         if c <= n and _scan(M, [N], 1, 1, width=c):
-            good = M.gamma().denominator == 1
-            ok &= good
-            report.append(f"(2) gamma(M)={M.gamma()} integral: {good}")
-    _need(report, "no sub-hypothesis window satisfied")
-    return ok, "; ".join(report), {}
+            parts.append((f"(2) gamma(M)={M.gamma()} integral",
+                          M.gamma().denominator == 1))
+    return _conclude(parts, "no sub-hypothesis window satisfied")
 
 
 def _s6(inst, n):
@@ -278,8 +284,8 @@ def _s6(inst, n):
     M1 = column_span(ring, resolve(M, 1).delta(1))
     mM1_rows = [free_action(ring, M1.basis, g) for g in ring.gen_index]
     mM1 = Subspace.from_rows(ring.field, np.vstack(mM1_rows), M1.ambient)
-    eq2 = mM1 == _m_square_part(ring, b[0])
-    return eq1 and eq2, f"b1=(e-gamma)b0: {eq1}; mM1=m^2R^b0: {eq2}", {}
+    return _conclude([("b1=(e-gamma)b0", eq1),
+                      ("mM1=m^2R^b0", mM1 == _m_square_part(ring, b[0]))])
 
 
 def _s7(inst, n):
@@ -467,27 +473,23 @@ def _s17(inst, n, part=None):
     ring = inst.ring
     _need(ring.h <= 2, "m^3 != 0")
     omega = inst.module("omega")
-    report = []
-    ok = True
+    parts = []
     if ring.gorenstein:
         # omega is free here, so the scan never meets the work cap
-        ok = bool(_scan(omega, [omega], 1, 1, width=n))
-        report.append(f"Gorenstein: Tor_i(omega,omega)=0 through {n}: {ok}")
+        parts.append((f"Gorenstein: Tor_i(omega,omega)=0 through {n}",
+                      bool(_scan(omega, [omega], 1, 1, width=n))))
     else:
         if part in (None, 2):
             t1 = tor_dim(omega, omega, 1)
-            good = t1 > 0
-            ok &= good
-            report.append(f"(2=>1) Tor_1(omega,omega)={t1} > 0: {good}")
+            parts.append((f"(2=>1) Tor_1(omega,omega)={t1} > 0", t1 > 0))
         if part in (None, 3):
-            good = bool(tor_dim(omega, omega, 2) or tor_dim(omega, omega, 3))
-            ok &= good
-            report.append(f"(3=>1) Tor_2,Tor_3 not both zero: {good}")
+            parts.append(("(3=>1) Tor_2,Tor_3 not both zero",
+                          bool(tor_dim(omega, omega, 2)
+                               or tor_dim(omega, omega, 3))))
         if part in (None, 4):
-            good = _scan(omega, [omega], 3, n - 2, width=3) is None
-            ok &= good
-            report.append(f"(4=>1) no triple-zero window from j>=3 through {n}: {good}")
-    return ok, "; ".join(report), {}
+            parts.append((f"(4=>1) no triple-zero window from j>=3 through {n}",
+                          _scan(omega, [omega], 3, n - 2, width=3) is None))
+    return _conclude(parts)
 
 
 def _s18(inst, n):
@@ -511,43 +513,34 @@ def _s19(inst, n):
     _need(ring.e >= lam_m2 - ring.h + 4,
           f"e={ring.e} < lambda(m^2)-h+4={lam_m2 - ring.h + 4}")
     _need(not M.is_zero() and not N.is_zero(), "a module is zero")
-    report = []
-    ok = True
+    parts = []
     if _kills_m_squared(M):
         c = max(4, _c(N))
         if c <= n and _scan(M, [N], 1, 1, width=c):
-            good = M.is_free() or N.is_free()
-            ok &= good
-            report.append(f"(1) c(N)={c}: M or N free: {good}")
+            parts.append((f"(1) c(N)={c}: M or N free",
+                          M.is_free() or N.is_free()))
     if ring.h <= 2:
         j = _scan(M, [N], 2, n - 2, width=3)
         if j is not None:
-            good = M.is_free() or N.is_free()
-            ok &= good
-            report.append(f"(2) triple window at j={j}: M or N free: {good}")
-    _need(report, "no vanishing window satisfied")
-    return ok, "; ".join(report), {}
+            parts.append((f"(2) triple window at j={j}: M or N free",
+                          M.is_free() or N.is_free()))
+    return _conclude(parts, "no vanishing window satisfied")
 
 
 def _s20(inst, n):
     ring = inst.ring
     M = inst.module("M")
     _need(ring.h <= 2, "m^3 != 0")
-    report = []
-    ok = True
+    parts = []
     dual = matlis_dual(M)
-    s = _scan(M, [dual, canonical_module(ring)], 2, n - 3, width=4)
+    s = _scan(M, [dual, inst.module("omega")], 2, n - 3, width=4)
     if s is not None:
-        good = M.is_free()
-        ok &= good
-        report.append(f"(1) Ext(M,M+R)=0 on [{s},{s+3}]: M free: {good}")
+        parts.append((f"(1) Ext(M,M+R)=0 on [{s},{s+3}]: M free",
+                      M.is_free()))
     i = _scan(M, [dual], 1, n) if ring.gorenstein else None
     if i is not None:
-        good = M.is_free()
-        ok &= good
-        report.append(f"(2) Gorenstein, Ext^{i}(M,M)=0: M free: {good}")
-    _need(report, "no vanishing Ext window satisfied")
-    return ok, "; ".join(report), {}
+        parts.append((f"(2) Gorenstein, Ext^{i}(M,M)=0: M free", M.is_free()))
+    return _conclude(parts, "no vanishing Ext window satisfied")
 
 
 def _ar_bound(M):
@@ -564,7 +557,7 @@ def _s21(inst, n):
     _need(bound <= n, f"window bound {bound} exceeds cutoff {n}")
     _need(resolve(M, 0).reach(bound + 1) > bound,
           f"resolution work cap below {bound}")
-    Ns = [matlis_dual(M), canonical_module(M.ring)]
+    Ns = [matlis_dual(M), inst.module("omega")]
     _need(_scan(M, Ns, 1, 1, width=bound),
           f"Ext(M, M+R) window [1,{bound}] not all zero")
     ok = M.is_free()
@@ -860,8 +853,9 @@ _CANNED = [
 ]
 
 
-def canned_corpus(field=None, seed=7, randoms=4):
-    """Deterministic instance corpus for suite runs and tests."""
+def canned_corpus(field=None, seed=7):
+    """Deterministic instance corpus for suite runs and tests: the canned
+    rings, agp, then four random instances."""
     field = field or GF101
     out = []
     for name, varnames, rels, m, n in _CANNED:
@@ -875,7 +869,7 @@ def canned_corpus(field=None, seed=7, randoms=4):
     out.append(Instance("agp", ring,
                         {"M": M, "N": canonical_module(ring)}))
 
-    for t in range(randoms):
+    for t in range(4):
         host = hosts[t % len(hosts)]
         Mr = random_module(host, seed + 2 * t, square_zero=True)
         Nr = random_module(host, seed + 2 * t + 1)

@@ -13,6 +13,16 @@ def identical(a, b):
     return fa == fb and [type(x) for x in fa] == [type(x) for x in fb]
 
 
+def flat_free_instance(names):
+    """Instance file text of k[names]/(names)^2 over GF(101) with M = R,
+    presented by a zero row, and N = R/(x)."""
+    quadrics = [f"{a}^2" if a == b else f"{a}*{b}"
+                for i, a in enumerate(names) for b in names[i:]]
+    return ("[ring]\nfield = GF(101)\nvars = " + " ".join(names) + "\n"
+            + "".join(f"rel = {q}\n" for q in quadrics)
+            + "[module M]\nrow = 0\n[module N]\nrow = x\n")
+
+
 def cyclic(ring, polystrs):
     """R modulo the ideal generated by the listed elements."""
     return module_from_rows(ring, [polystrs])

@@ -1,10 +1,15 @@
 """CLI surface: commands, machine reports, exit codes."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import flat_free_instance
 
+from socle import explorer, theorems
 from socle.cli import main
+from socle.homology import TorProfile
+from socle.instancefile import parse_instance, serialize_instance
 
 FLAT_INSTANCE = """\
 [ring]
@@ -72,6 +77,55 @@ def test_check_statement(capsys, flat_file):
                     "--machine")
     assert code == 0
     assert "check.S3.status=PASS" in out
+
+
+@pytest.fixture()
+def flat_free_file(tmp_path):
+    path = tmp_path / "flat_free.ring"
+    path.write_text(flat_free_instance(["x", "y"]))
+    return str(path)
+
+
+def test_check_prints_verdict_data(capsys, flat_free_file):
+    code, out = run(capsys, "check", flat_free_file, "--statement", "S1",
+                    "--to", "12", "--machine")
+    assert code == 0
+    assert "check.S1.i=1" in out.splitlines()
+
+
+def assert_dossier_parses_back(text):
+    ring, mods = parse_instance(text)
+    assert sorted(mods) == ["M", "N"]
+    assert serialize_instance(ring, mods) == text
+
+
+def test_check_fail_exits_one_with_a_dossier(capsys, flat_free_file,
+                                             monkeypatch):
+    forced = replace(theorems._BY_ID["S3"],
+                     body=lambda inst, n: (False, "forced", {}))
+    monkeypatch.setitem(theorems._BY_ID, "S3", forced)
+    code, out = run(capsys, "check", flat_free_file, "--statement", "S3",
+                    "--machine")
+    assert code == 1
+    lines = out.splitlines()
+    assert "check.S3.status=FAIL" in lines
+    assert "check.S3.counterexample=1" in lines
+    code, out = run(capsys, "check", flat_free_file, "--statement", "S3")
+    assert code == 1
+    head, dossier = out.split("counterexample:\n")
+    assert head == "S3: FAIL (forced)\n"
+    assert_dossier_parses_back(dossier.removesuffix("\n"))
+
+
+def test_explore_prints_confirmed_candidate_dossier(capsys, monkeypatch):
+    monkeypatch.setattr(explorer, "tor_profile",
+                        lambda M, N, n: TorProfile([0] * n, 0))
+    code, out = run(capsys, "explore", "--seed", "42", "--budget", "1",
+                    "--to", "3")
+    assert code == 1
+    head, dossier = out.split("candidate at trial 0 (confirmed: True):\n")
+    assert "explore.candidate.0.confirmed=1" in head.splitlines()
+    assert_dossier_parses_back(dossier.removesuffix("\n"))
 
 
 AGP_FILE = str(Path(__file__).resolve().parents[1] / "examples" / "agp.ring")

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from conftest import identical
 
+from socle import explorer
 from socle.explorer import REJECTION_CAP, explore, random_ring
+from socle.homology import TorProfile
+from socle.instancefile import parse_instance, serialize_instance
 from socle.linalg import GF101, QQ
 from socle.ring import (
     GradedRing,
@@ -56,6 +59,22 @@ def test_histogram_accounts_for_trials():
     rep = explore(seed=3, budget=15, cutoff=6)
     assert sum(rep.histogram.values()) == rep.trials
     assert rep.trials + rep.rejected_rings == 15
+
+
+def test_all_zero_profiles_become_confirmed_candidates(monkeypatch):
+    monkeypatch.setattr(explorer, "tor_profile",
+                        lambda M, N, n: TorProfile([0] * n, 0))
+    rep = explore(42, 2, cutoff=3)
+    lines = rep.machine_lines()
+    assert rep.trials == 2 and "explore.candidates=2" in lines
+    assert [l for l in lines if ".confirmed=" in l] == [
+        "explore.candidate.0.confirmed=1", "explore.candidate.1.confirmed=1"]
+    assert rep.found_counterexample
+    for c in rep.candidates:
+        assert c.profile == [0] * 3 and c.recheck == [0] * 6
+        ring, mods = parse_instance(c.dossier)
+        assert sorted(mods) == ["M", "N"]
+        assert serialize_instance(ring, mods) == c.dossier
 
 
 def test_random_ring_constraints():
@@ -118,8 +137,9 @@ def test_random_ring_matches_build_first_oracle(field):
             rng, old_rng = (np.random.default_rng((seed, h_min)),
                             np.random.default_rng((seed, h_min)))
             built.clear()
-            with patch.object(GradedRing, "__init__", counting_init):
-                ring = random_ring(field, rng, h_min=h_min, lam_max=lam_max)
+            with patch.object(GradedRing, "__init__", counting_init), \
+                    patch.object(explorer, "LENGTH_CAP", lam_max):
+                ring = random_ring(field, rng, h_min=h_min)
             want = old_random_ring(field, old_rng, h_min=h_min,
                                    lam_max=lam_max)
             # the same draws, and only the accepted ring is built

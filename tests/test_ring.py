@@ -227,7 +227,7 @@ def test_graded_pieces_match_old_rref_path(F):
     # canned hosts (x^4 leaves degrees 0-3 without multiples) and random
     # rings with cubic guards
     rings = monomial_square_zero_rings(F)
-    rings += [inst.ring for inst in canned_corpus(F, randoms=0)]
+    rings += [inst.ring for inst in canned_corpus(F)[:5]]
     rng = np.random.default_rng(11)
     rings += [r for r in (random_ring(F, rng) for _ in range(3)) if r]
     for ring in rings:
