@@ -21,13 +21,13 @@ from .modules import (
     ModuleError,
     column_span,
     cover_matrix,
+    derived_module,
     free_submodule,
     hom_into_ring,
     matlis_dual,
     min_gen_rmatrix,
     regular_module,
     require_same_ring,
-    residue_field,
     rmatrix_of_rows,
 )
 
@@ -262,7 +262,7 @@ def tor_induced_k(f, i):
     delta_{i+1} is already lifted."""
     A, B = f.source, f.target
     F = A.ring.field
-    k = residue_field(A.ring)  # held: at length 0 the frontier needs it
+    k = derived_module(A.ring, "k")  # held: at length 0 the frontier needs it
     res = resolve(k, i)
     bi = res.betti_number(i)
     if bi == 0 or A.dim == 0:
@@ -338,7 +338,7 @@ def koszul_test(ring, n):
     require_cutoff(n)
     hilb_minus_t = [(-1) ** d * h for d, h in enumerate(ring.hilbert)]
     expected = [int(c) for c in series_quotient([1], hilb_minus_t, n)]
-    computed = betti_numbers(residue_field(ring), n)
+    computed = betti_numbers(derived_module(ring, "k"), n)
     first = -1
     for d in range(n + 1):
         if expected[d] != computed[d]:

@@ -145,8 +145,7 @@ def parse_instance_text(text, default_field=None):
     Module rows are lists of polynomial dicts; the caller realizes them
     over the built ring.
     """
-    field = default_field or GF101
-    varnames = None
+    field = varnames = None
     relations = []
     modules = {}
     section = None
@@ -165,7 +164,7 @@ def parse_instance_text(text, default_field=None):
                     raise ParseError("duplicate [ring] section", lineno)
                 saw_ring = True
                 section = ("ring",)
-            elif head.startswith("module"):
+            elif head.split()[:1] == ["module"]:
                 name = head[len("module"):].strip()
                 if not name:
                     raise ParseError("module section needs a name", lineno)
@@ -182,6 +181,8 @@ def parse_instance_text(text, default_field=None):
             raise ParseError("expected 'key = value'", lineno)
         key, value = (s.strip() for s in stripped.split("=", 1))
         if section[0] == "ring":
+            if {"field": field, "vars": varnames}.get(key) is not None:
+                raise ParseError(f"repeated ring key {key!r}", lineno)
             if key == "field":
                 field = _parse_field(value, lineno)
             elif key == "vars":
@@ -203,7 +204,7 @@ def parse_instance_text(text, default_field=None):
         raise ParseError("missing vars in [ring]")
 
     rels = [parse_poly(src, varnames, line=ln) for src, ln in relations]
-    pres = RingPresentation(field, varnames, rels)
+    pres = RingPresentation(field or default_field or GF101, varnames, rels)
 
     parsed_modules = {}
     for name, rows in modules.items():

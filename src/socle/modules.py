@@ -7,7 +7,6 @@ gamma-invariants, exterior squares) is computed from this data by exact
 linear algebra.
 """
 
-import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,6 +34,7 @@ class FiniteModule:
         self._mchain = None  # [mM, m^2 M, ...], extended on demand
         self._socle = None
         self._resolution = None
+        self._dual = None
         self.presentation = None  # RMatrix it came from, if any
         self.is_syzygy = False
         if validate:
@@ -195,19 +195,10 @@ def free_module(ring, n):
 
 
 def residue_field(ring):
-    """k = R/m, cached on the ring so that S8, S26, koszul_test and
-    tor_induced_k share k's resolution on one ring while k lives.
-
-    The ring holds k by weak reference only: k refers to the ring, so a
-    strong reference would make a cycle, and a dropped ring with k's
-    resolution cached on it would wait for the cyclic collector."""
-    ref = getattr(ring, "_residue_field", None)
-    k = ref() if ref is not None else None
-    if k is None:
-        k = FiniteModule(ring, [ring.field.zeros((1, 1))
-                                for _ in range(ring.e)], validate=False)
-        ring._residue_field = weakref.ref(k)
-    return k
+    """k = R/m, every generator acting as zero."""
+    F = ring.field
+    return FiniteModule(ring, [F.zeros((1, 1)) for _ in range(ring.e)],
+                        validate=False)
 
 
 def rmatrix_from_polys(ring, rows):
@@ -309,7 +300,7 @@ def presentation_of(mod):
 def matlis_dual(mod):
     """k-linear dual with transposed actions (graded equicharacteristic
     realization of Hom into the injective hull of k)."""
-    if getattr(mod, "_dual", None) is None:
+    if mod._dual is None:
         mod._dual = FiniteModule(mod.ring, [A.T.copy() for A in mod.actions],
                                  validate=False)
     return mod._dual
@@ -317,6 +308,19 @@ def matlis_dual(mod):
 
 def canonical_module(ring):
     return matlis_dual(regular_module(ring))
+
+
+DERIVED = {"k": residue_field, "R": regular_module, "omega": canonical_module}
+
+
+def derived_module(ring, name):
+    """The ring's k, R or omega: one object per ring while a caller holds
+    it, so it is resolved once.  ring.derived holds it weakly, since it
+    refers back to the ring; nothing else reads or writes that table."""
+    mod = ring.derived.get(name)
+    if mod is None:
+        mod = ring.derived[name] = DERIVED[name](ring)
+    return mod
 
 
 # -- binary operations ---------------------------------------------------

@@ -7,6 +7,7 @@ basis of R_d.  Monomials are ordered graded-lex with x_1 > x_2 > ...,
 so the standard basis is deterministic.
 """
 
+import weakref
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -105,6 +106,7 @@ class GradedRing:
         for g in range(self.e):
             mon = tuple(1 if i == g else 0 for i in range(self.e))
             self.gen_index.append(self.index[mon])
+        self.derived = weakref.WeakValueDictionary()  # see derived_module
         self._build_mult_table()
         self._invariants()
 

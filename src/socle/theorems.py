@@ -32,15 +32,14 @@ from .homology import (
 from .instancefile import parse_poly, serialize_instance
 from .linalg import GF101, Subspace
 from .modules import (
-    canonical_module,
+    DERIVED,
     column_span,
+    derived_module,
     free_action,
     from_presentation,
     matlis_dual,
     min_gen_rmatrix,
     random_module,
-    regular_module,
-    residue_field,
     rmatrix_from_polys,
     submodule_module,
     tensor_over_R,
@@ -67,31 +66,24 @@ class Instance:
     ring: object
     modules: dict
     provenance: str = "canned"
-    # k, R, omega and omega1 as derived on demand: held here because the
-    # ring caches k only weakly and builds R anew, and their resolutions
-    # live on them
+    # the derived modules asked for, held: the ring's table holds them weakly
     _derived: dict = dfield(default_factory=dict, init=False, repr=False,
                             compare=False)
 
     def module(self, name):
+        """The instance's own module, else the ring's k, R or omega, else omega1."""
         if name in self.modules:
             return self.modules[name]
-        if name in self._derived:
-            return self._derived[name]
-        ring = self.ring
-        if name == "k":
-            mod = residue_field(ring)
-        elif name == "R":
-            mod = regular_module(ring)
-        elif name == "omega":
-            mod = canonical_module(ring)
-        elif name == "omega1":
-            mod = resolve(self.module("omega"), 1).syzygy_module(1)
-        else:
-            raise MissingModule(
-                f"instance {self.name!r} has no module {name!r}")
-        self._derived[name] = mod
-        return mod
+        if name not in self._derived:
+            if name in DERIVED:
+                self._derived[name] = derived_module(self.ring, name)
+            elif name == "omega1":
+                self._derived[name] = resolve(
+                    self.module("omega"), 1).syzygy_module(1)
+            else:
+                raise MissingModule(
+                    f"instance {self.name!r} has no module {name!r}")
+        return self._derived[name]
 
 
 @dataclass
@@ -613,6 +605,7 @@ def _s25(inst, n):
     ok, concl, data = _s24(inst, n)
     data = dict(data)
     data.pop("conjecture", None)
+    inst.module("k")  # inst holds k, so koszul_test resolves S26's k
     data["koszul_consistent"] = koszul_test(inst.ring, min(n, 5)).consistent
     return ok, concl + " [graded case: proved]", data
 
@@ -867,7 +860,7 @@ def canned_corpus(field=None, seed=7):
 
     ring, M = agp_example(field)
     out.append(Instance("agp", ring,
-                        {"M": M, "N": canonical_module(ring)}))
+                        {"M": M, "N": derived_module(ring, "omega")}))
 
     for t in range(4):
         host = hosts[t % len(hosts)]

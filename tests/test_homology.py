@@ -24,10 +24,12 @@ from socle.homology import (
 from socle.linalg import GF101, QQ, Field, kernel_basis, rank
 from socle.ring import ring_from_strings
 from socle.modules import (
+    DERIVED,
     ModuleError,
     ModuleMap,
     canonical_module,
     cover_map,
+    derived_module,
     direct_sum,
     free_module,
     is_isomorphic,
@@ -37,7 +39,7 @@ from socle.modules import (
     residue_field,
     submodule_module,
 )
-from socle.theorems import agp_example
+from socle.theorems import Instance, agp_example
 
 
 def test_betti_k_flat(flat):
@@ -233,6 +235,40 @@ def test_dropped_ring_and_module_free_without_collector():
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_derived_modules_free_without_collector():
+    # the ring's table holds k, R and omega weakly and the instance holds
+    # what it asked for, omega1 included: no cycle may keep any of them
+    gc.collect()
+    gc.disable()
+    try:
+        ring = ring_from_strings(GF101, ["x", "y"], ["x^2", "x*y", "y^2"])
+        inst = Instance("x", ring, {"M": cyclic(ring, ["x"])})
+        mods = [inst.module(name) for name in ("k", "R", "omega", "omega1")]
+        for mod in mods:
+            resolve(mod, 3)
+        assert all(derived_module(ring, name) is mod
+                   for name, mod in zip(("k", "R", "omega"), mods))
+        refs = [weakref.ref(x) for x in (ring, inst, *mods)]
+        del ring, inst, mods, mod
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_derived_module_is_one_object_while_held(gor):
+    for name, build in DERIVED.items():
+        mod = derived_module(gor, name)
+        assert derived_module(gor, name) is mod
+        fresh = build(gor)
+        assert all(identical(a, b) for a, b in zip(mod.actions, fresh.actions))
+    # koszul_test and tor_induced_k resolve the k a caller holds
+    k = derived_module(gor, "k")
+    koszul_test(gor, 3)
+    assert resolve(k, 0).length == 3
+    tor_induced_k(ModuleMap(k, k, gor.field.eye(1)), 4)
+    assert resolve(k, 0).length == 4
 
 
 # -- the realized differential against the code it replaced -------------

@@ -127,6 +127,26 @@ def test_section_errors():
     assert ei.value.line == 5
 
 
+def test_module_header_first_word_must_be_module():
+    base = "[ring]\nvars = x\nrel = x^3\n"
+    for head in ("modules M", "moduleM"):
+        with pytest.raises(ParseError, match="unknown section") as ei:
+            parse_instance(base + f"[{head}]\nrow = x\n")
+        assert ei.value.line == 4
+    _, mods = parse_instance(base + "[module M N]\nrow = x\n")
+    assert list(mods) == ["M N"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[ring]\nvars = x\nrel = x^3\nvars = y\n", "vars"),
+    ("[ring]\nfield = GF(7)\nvars = x\nfield = Q\nrel = x^2\n", "field"),
+], ids=["vars", "field"])
+def test_repeated_ring_key_rejected_at_its_line(text, key):
+    with pytest.raises(ParseError, match=f"repeated ring key '{key}'") as ei:
+        parse_instance(text)
+    assert ei.value.line == 4
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ParseError):
         parse_instance(

@@ -3,6 +3,7 @@
 from itertools import product
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from conftest import flat_free_instance
 from hypothesis import given, settings, strategies as st
@@ -118,6 +119,74 @@ def test_flat_rings_reach_the_free_module_conclusions():
     assert str(runs[1]["S19"]) == (
         "S19: PASS ((1) c(N)=4: M or N free: True; "
         "(2) triple window at j=2: M or N free: True)")
+
+
+# statements no tier-1 instance reaches, each with its reason; the list
+# only shrinks
+UNREACHED = {
+    "S22": "no instance found meets m^2 != 0, m^2 M = 0 and a vanishing "
+           "Ext^i(M, M): 528 random linear presentations left it VACUOUS",
+}
+
+
+def test_every_statement_reached_on_canned_and_coverage_instances():
+    texts = [flat_free_instance(["x", "y", "z"]),
+             # coker[[1],[x]]: a free module, presented non-minimally
+             "[ring]\nvars = x y\nrel = x^2\nrel = y^2\n"
+             "[module M]\nrow = 1\nrow = x\n"]
+    corpus = canned_corpus(GF101) + [
+        Instance(f"coverage-{i}", *parse_instance(t))
+        for i, t in enumerate(texts)]
+    report = check_suite(corpus, cutoff=4)
+    assert report.counts[FAIL] == 0
+    reached = {v.statement for _, v in report.verdicts if v.status != VACUOUS}
+    assert reached == {s.id for s in registry()} - set(UNREACHED)
+
+
+def resolutions_made(monkeypatch):
+    """(ring, dim, equals omega) for each Resolution made from now on."""
+    made = []
+    init = homology.Resolution.__init__
+
+    def counting(self, module):
+        ring = module.ring
+        omega = all(np.array_equal(A, ring.left_mult[g].T)
+                    for A, g in zip(module.actions, ring.gen_index))
+        made.append((ring, module.dim, omega))
+        init(self, module)
+
+    monkeypatch.setattr(homology.Resolution, "__init__", counting)
+    return made
+
+
+def test_a_canned_pass_resolves_omega_once_per_ring(monkeypatch):
+    corpus = canned_corpus(GF101)
+    made = resolutions_made(monkeypatch)
+    check_suite(corpus, cutoff=4)
+    assert len(made) <= 29
+    for ring in {id(inst.ring): inst.ring for inst in corpus}.values():
+        assert sum(r is ring and omega for r, _, omega in made) <= 1
+
+
+def test_s25_and_s26_resolve_one_k(monkeypatch):
+    inst = Instance("flat-free", *parse_instance(flat_free_instance(["x", "y"])))
+    made = resolutions_made(monkeypatch)
+    check_suite([inst], cutoff=4)
+    assert [dim for _, dim, _ in made].count(1) == 1
+
+
+def test_a_user_module_named_omega_defines_omega1():
+    text = ("[ring]\nvars = x y\nrel = x^2\nrel = y^2\n"
+            "[module M]\nrow = y\n[module omega]\nrow = x\n")
+    ring, mods = parse_instance(text)
+    inst = Instance("user-omega", ring, mods)
+    assert inst.module("omega") is mods["omega"]
+    omega1 = inst.module("omega1")
+    assert inst.module("omega1") is omega1
+    # (x), the first syzygy of R/(x); the ring's own omega is free
+    syz = resolve(mods["omega"], 1).syzygy_module(1)
+    assert omega1.dim == syz.dim == 2
+    assert all(np.array_equal(a, b) for a, b in zip(omega1.actions, syz.actions))
 
 
 def test_suite_counts_consistent():
