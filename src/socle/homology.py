@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import kernel_basis, kernel_subspace, rank
+from .linalg import SparseRows, kernel_basis, kernel_subspace, rank
 from .modules import (
     FiniteModule,
     ModuleError,
@@ -175,15 +175,25 @@ def betti_numbers(module, n):
 
 
 def realize(ring, delta, coeff_module):
-    """Block matrix of an RMatrix acting on a coefficient module: block
-    (r, c) is the action of the ring element delta[r, c]."""
-    F = ring.field
+    """Block matrix of an RMatrix acting on a coefficient module, as
+    SparseRows: block (r, c) is the action of the ring element
+    delta[r, c].  Each nonzero delta[r, c, b] times each nonzero entry
+    (i, j) of ops()[b] adds to entry (r*n + i, c*n + j), so only the
+    nonzero structure is touched, however large the blocks."""
     rows, cols, lam = delta.shape
     n = coeff_module.dim
-    ops = coeff_module.ops().reshape(lam, n * n)
-    out = F.matmul(delta.reshape(rows * cols, lam), ops)
-    return out.reshape(rows, cols, n, n).transpose(0, 2, 1, 3).reshape(
-        rows * n, cols * n)
+    ops = coeff_module.ops()
+    acts = [[] for _ in range(lam)]  # the nonzero (i, j, value) of ops[b]
+    nz = np.nonzero(ops)
+    for b, i, j, y in zip(*(x.tolist() for x in nz), ops[nz].tolist()):
+        acts[b].append((i, j, y))
+    out = [{} for _ in range(rows * n)]
+    nz = np.nonzero(delta)
+    for r, c, b, x in zip(*(x.tolist() for x in nz), delta[nz].tolist()):
+        for i, j, y in acts[b]:
+            row, k = out[r * n + i], c * n + j
+            row[k] = row[k] + x * y if k in row else x * y
+    return SparseRows.from_sums(ring.field, out, cols * n)
 
 
 def _differential(res, j, N, hom=False):
@@ -272,7 +282,8 @@ def tor_induced_k(f, i):
     # images of the A-cycles in F_i (x) B: f applied block by block
     mapped = F.matmul(ZA.reshape(-1, A.dim), f.matrix.T).reshape(
         len(ZA), bi * B.dim)
-    return rank(F, np.vstack([BB, mapped])) - rank(F, BB)
+    both = SparseRows([*BB, *SparseRows.from_dense(F, mapped)], BB.ncols)
+    return rank(F, both) - rank(F, BB)
 
 
 @dataclass

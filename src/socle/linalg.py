@@ -1,18 +1,23 @@
 """Exact linear algebra over GF(p) or the rationals.
 
-Matrices are plain numpy arrays: dtype int64 reduced mod p for prime
-fields, dtype object holding Fraction for the rationals.  Rational zeros
-built here (zeros, eye, the zero entries of a product) are all one shared
-Fraction(0), so a scan for nonzeros can pass over them by identity; any
-other zero still fails the truth test, so no answer depends on it.
+A matrix is a dense array or sparse rows.  Dense arrays are plain numpy
+arrays: dtype int64 reduced mod p for prime fields, dtype object holding
+Fraction for the rationals.  Rational zeros built here (zeros, eye, the
+zero entries of a product) are all one shared Fraction(0), so a scan for
+nonzeros can pass over them by identity; any other zero still fails the
+truth test, so no answer depends on it.  SparseRows hold a matrix as a
+list of {column: value} dicts of its nonzero entries, exact Python
+scalars with ascending keys, together with its column count: the form
+in which homology realizes the maps of a resolution, which are almost
+all zero.
 
-Inside the one elimination kernel behind rref and rank, rows are held
-sparse, as {column: value} dicts of exact Python scalars, so only nonzero
-entries are ever touched, and rows are inserted in descending order of
-leading column.  Every basis choice made downstream is fixed by the
-reduced row-echelon form, and a row space has exactly one: the answer
-does not depend on the order in which rows are eliminated or on any
-tie-breaking rule.
+The one elimination kernel behind rref, rank and the subspaces works on
+sparse rows: a dense array enters it through a scan of its nonzero
+entries, so only nonzero entries are ever touched, and rows are inserted
+in descending order of leading column.  Every basis choice made
+downstream is fixed by the reduced row-echelon form, and a row space has
+exactly one: the answer does not depend on the order in which rows are
+eliminated, on any tie-breaking rule, or on the form the matrix came in.
 """
 
 import math
@@ -152,40 +157,95 @@ GF101 = Field(101)
 QQ = Field(None)
 
 
+class SparseRows(list):
+    """A matrix as the list of its rows, each a {column: value} dict of
+    its nonzero entries (Python ints mod p, or Fractions) with ascending
+    keys, together with its column count.  shape, size and T read as an
+    array's do (bench/spans.py reads the size of rank's input)."""
+
+    def __init__(self, rows, ncols):
+        super().__init__(rows)
+        self.ncols = ncols
+
+    @property
+    def shape(self):
+        return len(self), self.ncols
+
+    @property
+    def size(self):
+        return len(self) * self.ncols
+
+    @property
+    def T(self):
+        """The transpose; rows are read in order, so its keys ascend."""
+        out = [{} for _ in range(self.ncols)]
+        for r, row in enumerate(self):
+            for c, v in row.items():
+                out[c][r] = v
+        return SparseRows(out, len(self))
+
+    @staticmethod
+    def from_dense(F, m):
+        """The rows of a 2-D array.  Over GF(p) only the nonzero words are
+        reduced mod p, and those that become 0 are dropped; over Q the
+        shared zero of zeros() is passed over by identity."""
+        m = np.asarray(m)
+        if F.p is None:
+            rows = [{c: v for c, v in enumerate(row) if v is not _QZERO and v}
+                    for row in m.tolist()]
+            return SparseRows(rows, m.shape[1])
+        r, c = np.nonzero(m)
+        v = m[r, c] % F.p
+        keep = np.flatnonzero(v)
+        rows = [{} for _ in range(m.shape[0])]
+        for i, j, x in zip(r[keep].tolist(), c[keep].tolist(),
+                           v[keep].tolist()):
+            rows[i][j] = x
+        return SparseRows(rows, m.shape[1])
+
+    @staticmethod
+    def from_sums(F, rows, ncols):
+        """SparseRows from rows of {column: sum} dicts in any key order, the
+        sums exact but unreduced: each is reduced mod p over GF(p), zeros
+        are dropped and the keys sorted."""
+        p = F.p
+        if p is None:
+            out = [{k: row[k] for k in sorted(row) if row[k]} for row in rows]
+        else:
+            out = [{k: v for k in sorted(row) if (v := row[k] % p)}
+                   for row in rows]
+        return SparseRows(out, ncols)
+
+
 def _pivot_rows(F, m):
     """The nonzero rows of rref(m), keyed by pivot column, each a sparse
     {column: value} dict of Python ints (GF(p)) or Fractions (Q).
 
-    Rows of m are inserted one at a time into a pivot set that stays
-    fully reduced: every pivot row is 1 at its own pivot column and 0 at
-    the others.  A new row is therefore reduced in one pass (its entry at
-    each pivot column is the multiple of that pivot row to subtract),
-    scaled so that its leading entry is 1, and its leading column is
-    cleared from the earlier pivot rows.  Rows go in by descending
-    leading column, the sparser first among equal leads, so a new lead
-    usually lies left of every pivot; then no pivot row holds that column
-    and the clearing pass is skipped.  Only nonzero entries are touched
-    (over Q the shared zero of zeros() is passed over by identity), and
+    m is SparseRows, or a dense array, which enters through the scan of
+    SparseRows.from_dense.  The rows of m are never changed: a row is
+    copied before anything is subtracted from it.  They are inserted one
+    at a time into a pivot set that stays fully reduced: every pivot row
+    is 1 at its own pivot column and 0 at the others.  A new row is
+    therefore reduced in one pass (its entry at each pivot column is the
+    multiple of that pivot row to subtract), scaled so that its leading
+    entry is 1, and its leading column is cleared from the earlier pivot
+    rows.  Rows go in by descending leading column, the sparser first
+    among equal leads, so a new lead usually lies left of every pivot;
+    then no pivot row holds that column and the clearing pass is skipped.
     Python ints are exact at every accepted p."""
     p = F.p
-    m = F.mod(np.asarray(m))
-    if m.dtype == object:
-        rows = [{c: v for c, v in enumerate(row) if v is not _QZERO and v}
-                for row in m.tolist()]
-        rows = [row for row in rows if row]
-    else:
-        nz = np.nonzero(m)
-        rows = {}
-        for r, c, v in zip(nz[0].tolist(), nz[1].tolist(), m[nz].tolist()):
-            rows.setdefault(r, {})[c] = v
-        rows = list(rows.values())
+    if not isinstance(m, SparseRows):
+        m = SparseRows.from_dense(F, m)
     # each row's keys ascend, so its first key is its leading column
-    rows.sort(key=lambda row: (-next(iter(row)), len(row)))
+    rows = sorted(filter(None, m), key=lambda row: (-next(iter(row)), len(row)))
     piv = {}
-    left = m.shape[1]  # leftmost pivot column so far
+    left = m.ncols  # leftmost pivot column so far
     for row in rows:
-        for c in [c for c in row if c in piv]:
-            _subtract(row, row[c], piv[c], p)
+        hits = [c for c in row if c in piv]
+        if hits:
+            row = dict(row)
+            for c in hits:
+                _subtract(row, row[c], piv[c], p)
         live = [k for k, v in row.items() if v]
         if not live:
             continue
@@ -216,19 +276,24 @@ def _subtract(dst, a, src, p):
             dst[k] = (get(k, 0) - a * v) % p
 
 
+def _fill(F, piv, shape):
+    """zeros(shape) with the pivot rows on top, in pivot-column order."""
+    out = F.zeros(shape)
+    at = [(i, k, v) for i, c in enumerate(sorted(piv))
+          for k, v in piv[c].items()]
+    if at:
+        i, k, v = zip(*at)
+        out[list(i), list(k)] = list(v)
+    return out
+
+
 def rref(F, m):
     """Reduced row-echelon form and pivot columns; row space preserved.
 
     The pivot rows, in pivot-column order, fill the top of an array of
     m's shape; the rest is zero."""
     piv = _pivot_rows(F, m)
-    pivots = sorted(piv)
-    out = F.zeros(np.shape(m))
-    at = [(i, k, v) for i, c in enumerate(pivots) for k, v in piv[c].items()]
-    if at:
-        i, k, v = zip(*at)
-        out[list(i), list(k)] = list(v)
-    return out, pivots
+    return _fill(F, piv, np.shape(m)), sorted(piv)
 
 
 def rank(F, m):
@@ -272,13 +337,18 @@ class Subspace:
 
     @staticmethod
     def from_rows(F, rows, ambient=None):
-        rows = np.asarray(rows)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
+        """The span of the rows (an array, one vector, or SparseRows), with
+        its rref basis built straight from the pivot rows, so the basis
+        owns its (dim x ambient) data and pins nothing of the input."""
+        if not isinstance(rows, SparseRows):
+            rows = np.asarray(rows)
+            if rows.ndim == 1:
+                rows = rows.reshape(1, -1)
         if ambient is None:
             ambient = rows.shape[1]
-        r, piv = rref(F, rows)
-        return Subspace(F, ambient, r[: len(piv)], tuple(piv))
+        piv = _pivot_rows(F, rows)
+        return Subspace(F, ambient, _fill(F, piv, (len(piv), ambient)),
+                        tuple(sorted(piv)))
 
     @staticmethod
     def full(F, n):
@@ -320,17 +390,17 @@ class Subspace:
         )
 
     def intersect(self, other):
-        """Zassenhaus: rref [[A,A],[B,0]]; zero-left rows carry the intersection."""
+        """Zassenhaus: reduce [[A,A],[B,0]]; the pivot rows that are zero on
+        the left carry the intersection."""
         self._match(other)
         F, n = self.field, self.ambient
         a, b = self.basis, other.basis
         top = np.hstack([a, a])
         bot = np.hstack([b, F.zeros((b.shape[0], n))])
-        r, piv = rref(F, np.vstack([top, bot]))
-        rows = [r[j, n:] for j, c in enumerate(piv) if c >= n]
-        if not rows:
-            return Subspace(F, n)
-        return Subspace.from_rows(F, np.vstack(rows), n)
+        piv = _pivot_rows(F, np.vstack([top, bot]))
+        rows = [{k - n: v for k, v in piv[c].items()}
+                for c in sorted(piv) if c >= n]
+        return Subspace.from_rows(F, SparseRows(rows, n), n)
 
     def complement_coords(self):
         pivots = set(self.pivots)
@@ -368,11 +438,24 @@ class Subspace:
 
 
 def kernel_subspace(F, m):
-    """Right null space of m as a Subspace, without re-reducing: the rows
-    of the quotient map onto the free (non-pivot) columns of rref(m).
+    """Right null space of m (an array or SparseRows) as a Subspace, read
+    straight off the pivot rows of rref(m): the rows of the quotient map
+    onto the free (non-pivot) columns.
 
     Row k is 1 at the k-th free column f and -rref(m)[j, f] at the j-th
     pivot column.  That identity block on the free columns is the
     dual-basis property Subspace needs, with the free columns as pivots."""
-    S = Subspace.from_rows(F, m)
-    return Subspace(F, S.ambient, S.projection(), tuple(S.complement_coords()))
+    if not isinstance(m, SparseRows):
+        m = np.asarray(m)
+    n = m.shape[1]
+    piv = _pivot_rows(F, m)
+    free = [c for c in range(n) if c not in piv]
+    at = {f: k for k, f in enumerate(free)}
+    basis = F.zeros((len(free), n))
+    basis[np.arange(len(free)), free] = F.one
+    entries = [(at[f], c, F.mod(-v)) for c, row in piv.items()
+               for f, v in row.items() if f != c]
+    if entries:
+        k, c, v = zip(*entries)
+        basis[list(k), list(c)] = list(v)
+    return Subspace(F, n, basis, tuple(free))

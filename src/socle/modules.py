@@ -12,7 +12,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DimensionError, Subspace, kernel_basis, kron, rank
+from .linalg import (
+    DimensionError,
+    SparseRows,
+    Subspace,
+    kernel_basis,
+    kron,
+    rank,
+)
 
 
 class ModuleError(ValueError):
@@ -390,10 +397,30 @@ def rmatrix_of_rows(ring, rows):
 def min_gen_rmatrix(ring, K):
     """RMatrix (n x b x lambda) whose columns are minimal generators of an
     action-closed subspace K of R^n: the rows of K's basis that lift the
-    echelon basis of K/mK, in basis order."""
-    # images of the basis rows under each generator, in K's coordinates
-    mK = np.vstack([free_action(ring, K.basis, g)[:, list(K.pivots)]
-                    for g in ring.gen_index])
+    echelon basis of K/mK, in basis order.
+
+    mK is spanned by the images of K's basis rows under the generators,
+    read in K's pivot coordinates, and is built as SparseRows: each
+    nonzero K.basis[t, j*lambda + i] times each nonzero L_g[i2, i] adds to
+    row (g, t) at the pivot index of coordinate j*lambda + i2.  The image
+    lies in K, so its other coordinates are not read."""
+    lam = ring.length
+    L = ring.left_mult[ring.gen_index]  # (e, lambda, lambda)
+    acts = [[] for _ in range(lam)]  # the nonzero (g, i2, value) of column i
+    nz = np.nonzero(L)
+    for g, i2, i, y in zip(*(x.tolist() for x in nz), L[nz].tolist()):
+        acts[i].append((g, i2, y))
+    at = {c: q for q, c in enumerate(K.pivots)}
+    rows = [{} for _ in range(len(L) * K.dim)]
+    nz = np.nonzero(K.basis)
+    for t, col, x in zip(*(x.tolist() for x in nz), K.basis[nz].tolist()):
+        block, i = divmod(col, lam)
+        for g, i2, y in acts[i]:
+            q = at.get(block * lam + i2)
+            if q is not None:
+                row = rows[g * K.dim + t]
+                row[q] = row[q] + x * y if q in row else x * y
+    mK = SparseRows.from_sums(ring.field, rows, K.dim)
     gens = Subspace.from_rows(ring.field, mK, K.dim).complement_coords()
     return rmatrix_of_rows(ring, K.basis[gens])
 

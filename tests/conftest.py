@@ -13,6 +13,28 @@ def identical(a, b):
     return fa == fb and [type(x) for x in fa] == [type(x) for x in fb]
 
 
+def dense_realize(ring, delta, coeff_module):
+    """Block matrix of an RMatrix acting on a coefficient module, as the
+    dense array realize built before it emitted sparse rows: block (r, c)
+    is the action of the ring element delta[r, c]."""
+    F = ring.field
+    rows, cols, lam = delta.shape
+    n = coeff_module.dim
+    ops = coeff_module.ops().reshape(lam, n * n)
+    out = F.matmul(delta.reshape(rows * cols, lam), ops)
+    return out.reshape(rows, cols, n, n).transpose(0, 2, 1, 3).reshape(
+        rows * n, cols * n)
+
+
+def densify(F, m):
+    """The dense array of SparseRows m, every zero that of F.zeros."""
+    out = F.zeros(m.shape)
+    for r, row in enumerate(m):
+        for c, v in row.items():
+            out[r, c] = v
+    return out
+
+
 def flat_free_instance(names):
     """Instance file text of k[names]/(names)^2 over GF(101) with M = R,
     presented by a zero row, and N = R/(x)."""

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import identical
+from conftest import dense_realize, densify, identical
 from hypothesis import given, settings, strategies as st
 
 from socle import linalg
@@ -484,7 +484,8 @@ def test_ring_multiply_and_realize_at_largest_prime():
         for c in range(3):
             block = np.tensordot(delta[r, c].astype(object), ops, axes=1)
             want[r * n:(r + 1) * n, c * n:(c + 1) * n] = block % P_MAX
-    assert realize(ring, delta, M).tolist() == want.tolist()
+    assert densify(BIG, realize(ring, delta, M)).tolist() == want.tolist()
+    assert dense_realize(ring, delta, M).tolist() == want.tolist()
 
 
 # -- rational products ----------------------------------------------------
@@ -591,6 +592,28 @@ def test_noncanonical_rational_zeros_match_oracles(case, seed):
     r, piv = rref(QQ, odd)
     want_r, want_piv = rref(QQ, m)
     assert piv == want_piv and identical(r, want_r)
+
+
+@given(field_matrices(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_noncanonical_int64_entries_match_oracles(case, seed):
+    # the dense adapter reduces only the nonzero words: over GF(p) words
+    # that are negative, >= p or nonzero multiples of p; over Q plain
+    # int64 entries, negative ones included, in place of Fractions
+    F, m = case
+    rng = np.random.default_rng(seed)
+    if F.p is None:
+        odd = np.where(m != 0, rng.integers(-9, 10, size=m.shape), 0)
+        canon = QQ.array(odd)
+    else:
+        odd = m + F.p * rng.integers(-3, 4, size=m.shape)
+        canon = m
+        assert_matches_oracles(F, odd)
+    r, piv = rref(F, odd)
+    want_r, want_piv = rref(F, canon)
+    assert piv == want_piv and identical(r, want_r)
+    assert rank(F, odd) == len(piv)
+    assert identical(kernel_basis(F, odd), kernel_basis(F, canon))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

@@ -4,10 +4,10 @@ minimal-generator routine for the later stages."""
 
 import numpy as np
 import pytest
-from conftest import identical
+from conftest import dense_realize, identical
 from hypothesis import given, settings, strategies as st
 
-from socle.homology import realize, resolve
+from socle.homology import resolve
 from socle.linalg import QQ, Field, Subspace, kernel_subspace, rref
 from socle.modules import (
     FiniteModule,
@@ -87,7 +87,7 @@ def old_resolution(M, n):
     deltas.append(pres)
     betti.append(pres.shape[1])
     while len(deltas) < n:
-        D = realize(ring, deltas[-1], regular_module(ring))
+        D = dense_realize(ring, deltas[-1], regular_module(ring))
         K = kernel_subspace(F, D)
         if K.dim == 0:
             return betti, deltas, True

@@ -3,10 +3,10 @@ submodule constructor, tested against the constructions they replaced."""
 
 import numpy as np
 import pytest
-from conftest import identical
+from conftest import dense_realize, identical
 from hypothesis import given, settings, strategies as st
 
-from socle.homology import realize, resolve
+from socle.homology import resolve
 from socle.linalg import QQ, Field, Subspace
 from socle.modules import (
     ModuleError,
@@ -40,7 +40,7 @@ def old_free_module_actions(ring, n):
 
 def old_realized_span(ring, delta):
     """Span of delta's columns read off the realized differential."""
-    D = realize(ring, delta, regular_module(ring))
+    D = dense_realize(ring, delta, regular_module(ring))
     return Subspace.from_rows(ring.field, D.T, D.shape[0])
 
 
