@@ -16,8 +16,8 @@ from .instancefile import (
     ParseError, parse_instance, serialize_instance, _parse_field)
 from .ring import NotArtinianError, PresentationError
 from .theorems import (
-    DEFAULT_CUTOFF, FAIL, Instance, agp_example, canned_corpus, check,
-    check_suite, registry)
+    DEFAULT_CUTOFF, FAIL, Instance, _statement, agp_example, canned_corpus,
+    check, check_suite, registry)
 
 EXAMPLES = {"agp": agp_example}
 
@@ -63,6 +63,15 @@ def _emit(args, lines, human):
 
 def _instance_from(ring, modules, name="file"):
     return Instance(name, ring, dict(modules), provenance="file")
+
+
+def _check_ids(ids):
+    """Unknown ids are a usage error; a KeyError a statement raises is not."""
+    try:
+        for sid in ids:
+            _statement(sid)
+    except KeyError as exc:
+        raise UsageError(exc.args[0])
 
 
 def _get_module(ring, modules, name):
@@ -123,11 +132,9 @@ def cmd_ext(args):
 
 def cmd_check(args):
     ring, modules = _load(args.file, args.field)
-    inst = _instance_from(ring, modules)
-    try:
-        verdict = check(args.statement, inst, cutoff=args.to)
-    except KeyError as exc:
-        raise UsageError(exc.args[0])
+    _check_ids([args.statement])
+    verdict = check(args.statement, _instance_from(ring, modules),
+                    cutoff=args.to)
     machine = [
         f"check.{verdict.statement}.status={verdict.status}",
         f"check.{verdict.statement}.cutoff={verdict.cutoff}",
@@ -150,10 +157,8 @@ def cmd_suite(args):
         corpus = canned_corpus(field=_default_field(args.field))
     ids = args.statement.split(",") if args.statement else \
         [s.id for s in registry()]
-    try:
-        report = check_suite(corpus, ids, cutoff=args.to)
-    except KeyError as exc:
-        raise UsageError(exc.args[0])
+    _check_ids(ids)
+    report = check_suite(corpus, ids, cutoff=args.to)
     machine = []
     human = []
     for name, v in report.verdicts:

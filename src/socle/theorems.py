@@ -8,9 +8,13 @@ statements the passing status is NO_COUNTEREXAMPLE instead of PASS.
 Proved statements can only FAIL on an engine defect, so any FAIL is a
 bug report in disguise; the suite runner treats it as fatal.
 
-Every Tor or Ext window a hypothesis needs goes through `_scan`, which
-honours the work cap and computes each index at most once.  The cap is
-the resolution's: Tor_i is affordable when reach(i + 1) > i, and a Betti
+The structural hypotheses are the named clauses of `_HYPOTHESES`, which
+`check` tests in a statement's `needs` order before its body runs.
+
+Windows of Tor or Ext go through `_scan`, which honours the work cap and
+computes each index at most once; S14's Tor_l, S17's Tor_1 to Tor_3 and
+S28's and S29's Tor_2 call `tor_dim` directly.  The cap is the
+resolution's: Tor_i is affordable when reach(i + 1) > i, and a Betti
 depth is clamped to reach(n) (see homology.Resolution.reach).
 """
 
@@ -171,17 +175,69 @@ def _c(N):
     return betti_numbers(N, 1)[1].bit_length() + 1
 
 
+def _on(name, holds):
+    """holds, asked of the instance's module name."""
+    return lambda inst: holds(inst.module(name))
+
+
+# the structural hypotheses, id -> (clause, predicate on the instance);
+# the first of a statement's needs that fails is its VACUOUS clause
+_HYPOTHESES = {
+    **{hid: hyp for X in ("M", "N") for hid, hyp in {
+        f"{X}_nonzero": (f"{X} is zero", _on(X, lambda L: not L.is_zero())),
+        f"{X}_nonfree": (f"{X} is free", _on(X, lambda L: not L.is_free())),
+        f"{X}_kills_m2": (f"m^2 {X} != 0", _on(X, _kills_m_squared)),
+    }.items()},
+    "m3_zero": ("m^3 != 0", lambda inst: inst.ring.h <= 2),
+    # h == 2 excludes m^2 = 0, where every syzygy is a k-vector space and
+    # S10's equality criterion degenerates (equality holds while k is
+    # trivially a summand of each syzygy)
+    "h_is_2": ("need m^3 = 0 and m^2 != 0", lambda inst: inst.ring.h == 2),
+    "m2_zero": ("m^2 != 0", lambda inst: inst.ring.h <= 1),
+    "m2_nonzero": ("m^2 = 0", lambda inst: inst.ring.h >= 2),
+    "nongorenstein": ("ring is Gorenstein",
+                      lambda inst: not inst.ring.gorenstein),
+    "both_nonzero": ("a module is zero",
+                     lambda inst: not inst.module("M").is_zero()
+                     and not inst.module("N").is_zero()),
+    "M_no_k_summand": ("k is a direct summand of M",
+                       _on("M", lambda L: not L.has_k_summand())),
+    "N_infinite_pd": ("N has finite projective dimension",
+                      _on("N", lambda L: not L.is_free())),
+}
+
+
+def _assume(inst, hid):
+    clause, holds = _HYPOTHESES[hid]
+    _need(holds(inst), clause)
+
+
+def _vanishing_index(M, N, lo, n):
+    """The first i in [lo, n] with Tor_i(M, N) = 0, else VACUOUS."""
+    i = _scan(M, [N], lo, n)
+    _need(i is not None, f"no vanishing Tor index in [{lo},{n}]")
+    return i
+
+
+def _vanishing_window(M, N, width):
+    """VACUOUS unless Tor_1 .. Tor_width(M, N) are verified zero."""
+    _need(_scan(M, [N], 1, 1, width=width),
+          f"Tor window [1,{width}] not verified zero")
+
+
+# the clauses two bodies share
+_TOR_1_2 = "Tor_1 or Tor_2 nonzero"
+_NO_EXT_WINDOW = "no vanishing Ext window satisfied"
+
+
 # ---------------------------------------------------------------------
-# statement bodies: raise _Vacuous or return (ok, conclusion_report, data)
+# statement bodies: called with the statement's modules once its needs
+# hold; raise _Vacuous or return (ok, conclusion_report, data)
 # ---------------------------------------------------------------------
 
 
-def _s1(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(not N.is_zero(), "N is zero")
-    _need(not N.is_free(), "N has finite projective dimension")
-    i = _scan(M, [N], 1, n)
-    _need(i is not None, f"no vanishing Tor index in [1,{n}]")
+def _s1(inst, n, M, N):
+    i = _vanishing_index(M, N, 1, n)
     res = resolve(M, i)
     bad = [j for j in range(i)
            if res.syzygy_module(j).has_k_summand()]
@@ -189,10 +245,9 @@ def _s1(inst, n):
         f"k is a summand of M_{bad[0]}", {"i": i}
 
 
-def _s2(inst, n):
-    M, N = inst.module("M"), inst.module("N")
+def _s2(inst, n, M, N):
     n = min(n, 6)
-    _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
+    _vanishing_window(M, N, n)
     T = tensor_over_R(M, N)
     for L in (M, N, T):
         n = resolve(L, 0).reach(n)
@@ -204,9 +259,7 @@ def _s2(inst, n):
     return ok, f"P(M(x)N)={pT} vs P(M)*P(N)={prod}", {}
 
 
-def _s3(inst, n):
-    M = inst.module("M")
-    _need(not M.is_zero(), "M is zero")
+def _s3(inst, n, M):
     g = M.gamma()
     lam_r = M.ring.length
     checks = [
@@ -218,12 +271,8 @@ def _s3(inst, n):
     return all(checks), f"gamma={g}, range/extreme/identity checks {checks}", {}
 
 
-def _s4(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(not M.is_zero(), "M is zero")
-    _need(not N.is_free(), "N is free")
-    i = _scan(M, [N], 1, n)
-    _need(i is not None, f"no vanishing Tor index in [1,{n}]")
+def _s4(inst, n, M, N):
+    i = _vanishing_index(M, N, 1, n)
     resN = resolve(N, i)
     b = betti_numbers(N, i)
     Ni = resN.syzygy_module(i)
@@ -246,10 +295,7 @@ def _s4(inst, n):
     return ok, "; ".join(report), {"i": i}
 
 
-def _s5(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(not M.is_zero(), "M is zero")
-    _need(not N.is_free(), "N is free")
+def _s5(inst, n, M, N):
     parts = []
     nu = N.min_gens()
     if nu <= n and _scan(M, [N], 1, 1, width=nu):
@@ -262,12 +308,8 @@ def _s5(inst, n):
     return _conclude(parts, "no sub-hypothesis window satisfied")
 
 
-def _s6(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(not M.is_free(), "M is free")
-    _need(not N.is_free(), "N is free")
-    _need(_kills_m_squared(M), "m^2 M != 0")
-    _need(_scan(M, [N], 1, 1, width=2), "Tor_1 or Tor_2 nonzero")
+def _s6(inst, n, M, N):
+    _need(_scan(M, [N], 1, 1, width=2), _TOR_1_2)
     b = betti_numbers(M, 1)
     gM = M.gamma()
     eq1 = b[1] == (M.ring.e - gM) * b[0]
@@ -280,24 +322,16 @@ def _s6(inst, n):
                       ("mM1=m^2R^b0", mM1 == _m_square_part(ring, b[0]))])
 
 
-def _s7(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    for name, L in (("M", M), ("N", N)):
-        _need(not L.is_free(), f"{name} is free")
-        _need(_kills_m_squared(L), f"m^2 {name} != 0")
-    _need(_scan(M, [N], 1, 1, width=2), "Tor_1 or Tor_2 nonzero")
+def _s7(inst, n, M, N):
+    _need(_scan(M, [N], 1, 1, width=2), _TOR_1_2)
     T = tensor_over_R(M, N)
     ok = M.gamma() + N.gamma() - T.gamma() == M.ring.e
     return ok, f"gamma(M)+gamma(N)-gamma(M(x)N) = {M.gamma()+N.gamma()-T.gamma()} vs e={M.ring.e}", {}
 
 
-def _s8(inst, n):
-    M, N = inst.module("M"), inst.module("N")
+def _s8(inst, n, M, N):
     n = min(n, 6)
-    for name, L in (("M", M), ("N", N)):
-        _need(not L.is_free(), f"{name} is free")
-        _need(_kills_m_squared(L), f"m^2 {name} != 0")
-    _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
+    _vanishing_window(M, N, n)
     k = inst.module("k")
     n = resolve(k, 0).reach(n)
     T = tensor_over_R(M, N)
@@ -308,23 +342,13 @@ def _s8(inst, n):
     return ok, f"P_k={pk} vs series={[str(c) for c in series]}", {}
 
 
-def _s9(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(inst.ring.h <= 1, "m^2 != 0")
-    i = _scan(M, [N], 2, n)
-    _need(i is not None, f"no vanishing Tor index in [2,{n}]")
+def _s9(inst, n, M, N):
+    i = _vanishing_index(M, N, 2, n)
     ok = M.is_free() or N.is_free()
     return ok, f"M free: {M.is_free()}, N free: {N.is_free()}", {"i": i}
 
 
-def _s10(inst, n):
-    M = inst.module("M")
-    # h == 2 excludes m^2 = 0, where every syzygy is a k-vector space and
-    # the equality criterion below degenerates (equality holds while k is
-    # trivially a summand of each syzygy).
-    _need(inst.ring.h == 2, "need m^3 = 0 and m^2 != 0")
-    _need(not M.is_free(), "M is free")
-    _need(_kills_m_squared(M), "m^2 M != 0")
+def _s10(inst, n, M):
     depth = min(5, n, resolve(M, 0).reach(n + 1) - 1)
     _need(depth >= 1, "resolution work cap leaves no checkable depth")
     res = resolve(M, depth + 1)
@@ -347,42 +371,30 @@ def _s10(inst, n):
         "; ".join(report) or f"Lescot bounds hold through i={depth-1}", {}
 
 
-def _s11(inst, n):
-    M = inst.module("M")
-    _need(not M.is_zero(), "M is zero")
-    _need(_kills_m_squared(M), "m^2 M != 0")
-    _need(not M.has_k_summand(), "k is a direct summand of M")
+def _s11(inst, n, M):
     ok = M.socle() == M.mm()
     return ok, f"Soc(M) dim {M.socle().dim} vs mM dim {M.mm().dim}", {}
 
 
-def _s12(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(inst.ring.h <= 2, "m^3 != 0")
-    _need(not M.is_free(), "M is free")
-    _need(not N.is_free(), "N is free")
-    i = _scan(M, [N], 3, n)
-    _need(i is not None, f"no vanishing Tor index in [3,{n}]")
+def _s12(inst, n, M, N):
+    i = _vanishing_index(M, N, 3, n)
     soc, m2 = inst.ring.socle_subspace(), _m_square_part(inst.ring)
     ok = soc == m2
     return ok, f"Soc(R) dim {soc.dim} vs m^2 dim {m2.dim}", {"i": i}
 
 
-def _three_tor_hyp(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(inst.ring.h <= 2, "m^3 != 0")
-    for name, L in (("M", M), ("N", N)):
-        _need(not L.is_free(), f"{name} is free")
-        _need(_kills_m_squared(L), f"m^2 {name} != 0")
+def _three_tor_hyp(M, N, n):
+    """The first j with Tor_j = Tor_(j+1) = Tor_(j+2) = 0 in [1, n], with
+    N resolved through it."""
     j = _scan(M, [N], 1, n - 2, width=3)
     _need(j is not None, f"no triple-zero Tor window in [1,{n}]")
     _need(resolve(N, 0).reach(j + 2) > j + 1,
           "N resolution exceeds work cap")
-    return M, N, j
+    return j
 
 
-def _s13(inst, n):
-    M, N, j = _three_tor_hyp(inst, n)
+def _s13(inst, n, M, N):
+    j = _three_tor_hyp(M, N, n)
     e, a = inst.ring.e, inst.ring.a
     gM, gN = M.gamma(), N.gamma()
     bM, bN = betti_numbers(M, j + 2), betti_numbers(N, j + 2)
@@ -402,8 +414,8 @@ def _s13(inst, n):
         "; ".join(report) or f"all four conclusions hold (j={j})", {"j": j}
 
 
-def _s14(inst, n):
-    M, N, j = _three_tor_hyp(inst, n)
+def _s14(inst, n, M, N):
+    j = _three_tor_hyp(M, N, n)
     l = min(n, j + 4)
     _need(l >= j + 3, f"l={l} < j+3={j+3}")
     _need(resolve(M, 0).reach(l + 1) > l and resolve(N, 0).reach(l) > l - 1,
@@ -419,7 +431,6 @@ def _s14(inst, n):
 
 def _s15(inst, n):
     ring = inst.ring
-    _need(ring.h == 2, "need m^3 = 0 and m^2 != 0")
     omega = inst.module("omega")
     N = inst.module("omega1")
     e, a, r, lam = ring.e, ring.a, ring.r, ring.length
@@ -437,17 +448,10 @@ def _s15(inst, n):
     return not report, "; ".join(report) or "dualizing-module numerics hold", {}
 
 
-def _s16(inst, n):
-    ring = inst.ring
-    M = inst.module("M")
-    omega = inst.module("omega")
-    _need(ring.h <= 2, "m^3 != 0")
-    _need(not ring.gorenstein, "ring is Gorenstein")
-    _need(not M.is_free(), "M is free")
-    _need(_kills_m_squared(M), "m^2 M != 0")
+def _s16(inst, n, M, omega):
     j = _scan(M, [omega], 2, n - 2, width=3)
     _need(j is not None, f"no triple-zero Tor(M,omega) window from 2 in [2,{n}]")
-    e, a = ring.e, ring.a
+    e, a = inst.ring.e, inst.ring.a
     omega1 = inst.module("omega1")
     b = betti_numbers(M, j + 2)
     checks = {
@@ -462,11 +466,9 @@ def _s16(inst, n):
 
 
 def _s17(inst, n, part=None):
-    ring = inst.ring
-    _need(ring.h <= 2, "m^3 != 0")
     omega = inst.module("omega")
     parts = []
-    if ring.gorenstein:
+    if inst.ring.gorenstein:
         # omega is free here, so the scan never meets the work cap
         parts.append((f"Gorenstein: Tor_i(omega,omega)=0 through {n}",
                       bool(_scan(omega, [omega], 1, 1, width=n))))
@@ -484,8 +486,8 @@ def _s17(inst, n, part=None):
     return _conclude(parts)
 
 
-def _s18(inst, n):
-    M, N, j = _three_tor_hyp(inst, n)
+def _s18(inst, n, M, N):
+    j = _three_tor_hyp(M, N, n)
     resM = resolve(M, j + 1)
     report = []
     Tnext = tensor_over_R(resM.syzygy_module(0), N)
@@ -498,13 +500,12 @@ def _s18(inst, n):
     return not report, "; ".join(report) or f"iff holds for 0<=i<={j}", {"j": j}
 
 
-def _s19(inst, n):
+def _s19(inst, n, M, N):
     ring = inst.ring
-    M, N = inst.module("M"), inst.module("N")
     lam_m2 = sum(ring.hilbert[2:])
     _need(ring.e >= lam_m2 - ring.h + 4,
           f"e={ring.e} < lambda(m^2)-h+4={lam_m2 - ring.h + 4}")
-    _need(not M.is_zero() and not N.is_zero(), "a module is zero")
+    _assume(inst, "both_nonzero")
     parts = []
     if _kills_m_squared(M):
         c = max(4, _c(N))
@@ -519,20 +520,17 @@ def _s19(inst, n):
     return _conclude(parts, "no vanishing window satisfied")
 
 
-def _s20(inst, n):
-    ring = inst.ring
-    M = inst.module("M")
-    _need(ring.h <= 2, "m^3 != 0")
+def _s20(inst, n, M):
     parts = []
     dual = matlis_dual(M)
     s = _scan(M, [dual, inst.module("omega")], 2, n - 3, width=4)
     if s is not None:
         parts.append((f"(1) Ext(M,M+R)=0 on [{s},{s+3}]: M free",
                       M.is_free()))
-    i = _scan(M, [dual], 1, n) if ring.gorenstein else None
+    i = _scan(M, [dual], 1, n) if inst.ring.gorenstein else None
     if i is not None:
         parts.append((f"(2) Gorenstein, Ext^{i}(M,M)=0: M free", M.is_free()))
-    return _conclude(parts, "no vanishing Ext window satisfied")
+    return _conclude(parts, _NO_EXT_WINDOW)
 
 
 def _ar_bound(M):
@@ -541,10 +539,7 @@ def _ar_bound(M):
     return max(3, M.min_gens(), _nu_of_subquotient(M, 1))
 
 
-def _s21(inst, n):
-    M = inst.module("M")
-    _need(_kills_m_squared(M), "m^2 M != 0")
-    _need(not M.is_zero(), "M is zero")
+def _s21(inst, n, M):
     bound = _ar_bound(M)
     _need(bound <= n, f"window bound {bound} exceeds cutoff {n}")
     _need(resolve(M, 0).reach(bound + 1) > bound,
@@ -556,12 +551,7 @@ def _s21(inst, n):
     return ok, f"M free: {ok} (window [1,{bound}])", {}
 
 
-def _s22(inst, n):
-    ring = inst.ring
-    M = inst.module("M")
-    _need(ring.h >= 2, "m^2 = 0")
-    _need(not M.is_zero(), "M is zero")
-    _need(_kills_m_squared(M), "m^2 M != 0")
+def _s22(inst, n, M):
     i = _scan(M, [matlis_dual(M)], 1, n)
     _need(i is not None, f"no vanishing Ext^i(M,M) in [1,{n}]")
     gM = M.gamma()
@@ -572,52 +562,39 @@ def _s22(inst, n):
     return ok, f"gamma(M^v)={gD} vs 1/gamma(M)={1/gM}", {"i": i}
 
 
-def _s23(inst, n):
-    ring = inst.ring
-    M = inst.module("M")
-    _need(not M.is_zero(), "M is zero")
-    _need(_kills_m_squared(M), "m^2 M != 0")
+def _s23(inst, n, M):
     dual = matlis_dual(M)
-    if ring.h <= 2:
+    if inst.ring.h <= 2:
         # a zero window [1, bound] with bound >= 3 holds the triple at 1
         window = _scan(M, [dual], 1, n - 2, width=3)
     else:
         bound = _ar_bound(M)
         window = bound <= n and _scan(M, [dual], 1, 1, width=bound)
-    _need(window, "no vanishing Ext window satisfied")
-    flat = ring.h <= 1
+    _need(window, _NO_EXT_WINDOW)
+    flat = inst.ring.h <= 1
     dual_free = dual.is_free()
     ok = flat and (M.is_free() or dual_free)
     return ok, f"m^2=0: {flat}; M free: {M.is_free()}; M injective: {dual_free}", {}
 
 
-def _s24(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(not M.is_zero() and not N.is_zero(), "a module is zero")
-    _need(_kills_m_squared(M), "m^2 M != 0")
-    _need(_kills_m_squared(N), "m^2 N != 0")
-    _need(_scan(M, [N], 1, 1, width=n), f"Tor window [1,{n}] not verified zero")
+def _s24(inst, n, M, N):
+    _vanishing_window(M, N, n)
     ok = inst.ring.h <= 2
     return ok, f"m^3=0: {ok} (window verified through {n})", {"conjecture": True}
 
 
-def _s25(inst, n):
-    ok, concl, data = _s24(inst, n)
-    data = dict(data)
-    data.pop("conjecture", None)
+def _s25(inst, n, M, N):
+    ok, concl, _ = _s24(inst, n, M, N)
     inst.module("k")  # inst holds k, so koszul_test resolves S26's k
-    data["koszul_consistent"] = koszul_test(inst.ring, min(n, 5)).consistent
-    return ok, concl + " [graded case: proved]", data
+    return ok, concl + " [graded case: proved]", {
+        "koszul_consistent": koszul_test(inst.ring, min(n, 5)).consistent}
 
 
-def _s26(inst, n):
-    M, N = inst.module("M"), inst.module("N")
-    _need(_kills_m_squared(M), "m^2 M != 0")
-    _need(not N.is_free(), "N is free")
+def _s26(inst, n, M, N):
     k = inst.module("k")
     j = resolve(k, 0).reach(n)
     _need(j >= 2, "j < 2 (or residue-field resolution exceeds work cap)")
-    _need(_scan(M, [N], 1, 1, width=j), f"Tor window [1,{j}] not verified zero")
+    _vanishing_window(M, N, j)
     mN = N.msub(1)
     _, incl = submodule_module(N, mN)
     bad = [i for i in range(j) if tor_induced_k(incl, i) != 0]
@@ -626,8 +603,7 @@ def _s26(inst, n):
         (f" (fails at {bad[0]})" if bad else ""), {"j": j}
 
 
-def _s27(inst, n):
-    M = inst.module("M")
+def _s27(inst, n, M):
     pres = presentation_of(M)
     nrows = pres.shape[0]
     _need(nrows <= 8, "presentation wider than the 8x8 minor guard")
@@ -641,8 +617,7 @@ def _s27(inst, n):
     return not report, "; ".join(report) or f"wedge span (dim {img.dim}) annihilates coker", {}
 
 
-def _s28(inst, n):
-    M = inst.module("M")
+def _s28(inst, n, M):
     pres = presentation_of(M)
     _need(pres.shape[0] == 2, "presentation does not embed N in R^2")
     _need(tor_dim(M, M, 2) == 0, "Tor_2(M,M) != 0")
@@ -667,84 +642,122 @@ class Statement:
     statement: str
     body: callable
     conjecture: bool = False
+    # the hypothesis ids check tests, in order, before the body runs
+    needs: tuple = ()
+    # the instance's modules check fetches first and passes to the body
+    modules: tuple = ()
+
+
+# both modules non-free with m^2 killing each: S7 and S8, and with
+# m^3 = 0 the three-Tor statements; S24's hypotheses are S25's too
+_MN = ("M", "N")
+_BOTH_M2 = ("M_nonfree", "M_kills_m2", "N_nonfree", "N_kills_m2")
+_THREE_TOR = ("m3_zero", *_BOTH_M2)
+_LOEWY = ("both_nonzero", "M_kills_m2", "N_kills_m2")
 
 
 _REGISTRY = [
     Statement("S1", "tor-vanishing-forbids-k-summands",
               "Tor_i(M,N)=0, N of infinite projective dimension => k is not a "
-              "direct summand of M_0..M_(i-1)", _s1),
+              "direct summand of M_0..M_(i-1)", _s1,
+              needs=("N_nonzero", "N_infinite_pd"), modules=_MN),
     Statement("S2", "truncated-poincare-product",
-              "Tor_[1,n](M,N)=0 => [P_(M(x)N)]_<=n = [P_M * P_N]_<=n", _s2),
+              "Tor_[1,n](M,N)=0 => [P_(M(x)N)]_<=n = [P_M * P_N]_<=n", _s2,
+              modules=_MN),
     Statement("S3", "gamma-range-and-extremes",
               "gamma(M) in [0, lambda(R)-1]; gamma=0 <=> mM=0; "
-              "gamma=lambda(R)-1 <=> M free; lambda(M)=nu(M)(gamma(M)+1)", _s3),
+              "gamma=lambda(R)-1 <=> M free; lambda(M)=nu(M)(gamma(M)+1)", _s3,
+              needs=("M_nonzero",), modules=("M",)),
     Statement("S4", "gamma-betti-identities",
               "(gamma(M(x)N_i)+1) b_i(N) = (gamma(M)-gamma(M(x)N_(i-1))) b_(i-1)(N), "
-              "with sharper forms when m^2 M=0", _s4),
+              "with sharper forms when m^2 M=0", _s4,
+              needs=("M_nonzero", "N_nonfree"), modules=_MN),
     Statement("S5", "gamma-at-least-one-and-integrality",
               "long Tor vanishing forces gamma(M)>=1, and integrality when "
-              "m^2 M=0", _s5),
+              "m^2 M=0", _s5, needs=("M_nonzero", "N_nonfree"), modules=_MN),
     Statement("S6", "first-betti-and-syzygy-span",
-              "b_1(M)=(e-gamma(M)) b_0(M) and m M_1 = m^2 R^(b_0)", _s6),
+              "b_1(M)=(e-gamma(M)) b_0(M) and m M_1 = m^2 R^(b_0)", _s6,
+              needs=("M_nonfree", "N_nonfree", "M_kills_m2"), modules=_MN),
     Statement("S7", "gamma-sum-rule",
-              "gamma(M)+gamma(N)-gamma(M(x)N) = e", _s7),
+              "gamma(M)+gamma(N)-gamma(M(x)N) = e", _s7,
+              needs=_BOTH_M2, modules=_MN),
     Statement("S8", "residue-field-poincare-form",
               "[P_k]_<=n equals the truncation of "
-              "(1-gamma(M(x)N)t)/((1-gamma(M)t)(1-gamma(N)t))", _s8),
+              "(1-gamma(M(x)N)t)/((1-gamma(M)t)(1-gamma(N)t))", _s8,
+              needs=_BOTH_M2, modules=_MN),
     Statement("S9", "square-zero-vanishing-forces-free",
-              "m^2=0 and Tor_i(M,N)=0 for some i>1 => M or N free", _s9),
+              "m^2=0 and Tor_i(M,N)=0 for some i>1 => M or N free", _s9,
+              needs=("m2_zero",), modules=_MN),
     Statement("S10", "lescot-betti-recurrence",
               "b_(i+1) >= e b_i - nu(mM_i), equality iff no k-summand of "
-              "M_(i+1); nu(mM_i)=a b_(i-1) when i>1 and no k-summand", _s10),
+              "M_(i+1); nu(mM_i)=a b_(i-1) when i>1 and no k-summand", _s10,
+              needs=("h_is_2", "M_nonfree", "M_kills_m2"), modules=("M",)),
     Statement("S11", "socle-equals-radical",
-              "m^2 M=0 and no k-summand => Soc(M)=mM", _s11),
+              "m^2 M=0 and no k-summand => Soc(M)=mM", _s11,
+              needs=("M_nonzero", "M_kills_m2", "M_no_k_summand"),
+              modules=("M",)),
     Statement("S12", "ring-socle-is-m-squared",
-              "Tor_i(M,N)=0 for some i>=3, M,N non-free => Soc(R)=m^2", _s12),
+              "Tor_i(M,N)=0 for some i>=3, M,N non-free => Soc(R)=m^2", _s12,
+              needs=("m3_zero", "M_nonfree", "N_nonfree"), modules=_MN),
     Statement("S13", "three-tors-structure",
               "three consecutive vanishing Tors => gamma(M),gamma(N) positive "
               "integers, geometric Betti growth, gamma(M)+gamma(N)=e, "
-              "gamma(M)gamma(N)=a", _s13),
+              "gamma(M)gamma(N)=a", _s13, needs=_THREE_TOR, modules=_MN),
     Statement("S14", "extended-betti-ratios",
               "b_(i+1)(N)=e b_i(N)-a b_(i-1)(N) extends the geometric ratios "
-              "to i<=l-1 when Tor_l also vanishes", _s14),
+              "to i<=l-1 when Tor_l also vanishes", _s14,
+              needs=_THREE_TOR, modules=_MN),
     Statement("S15", "dualizing-module-numerics",
               "lambda(omega)=lambda(R)=1+r+e, nu(m omega)=e+r-a, "
-              "lambda(omega_1)=(a-1)(1+r+e), gamma(omega_1)=(1+a)/e when a=r", _s15),
+              "lambda(omega_1)=(a-1)(1+r+e), gamma(omega_1)=(1+a)/e when a=r", _s15,
+              needs=("h_is_2",)),
     Statement("S16", "three-tors-against-omega",
               "triple Tor(M,omega) vanishing from j>=2 => e=a+1, "
-              "gamma(omega_1)=1, gamma(M)=a, constant Betti numbers", _s16),
+              "gamma(omega_1)=1, gamma(M)=a, constant Betti numbers", _s16,
+              needs=("m3_zero", "nongorenstein", "M_nonfree", "M_kills_m2"),
+              modules=("M", "omega")),
     Statement("S17", "omega-tor-gorenstein-equivalences",
               "Gorenstein <=> Tor_1(omega,omega)=0 <=> Tor_2=Tor_3=0 <=> a "
-              "triple-zero window from some j>=3", _s17),
+              "triple-zero window from some j>=3", _s17, needs=("m3_zero",)),
     Statement("S18", "tor-vanishing-vs-m-killing-tensors",
-              "Tor_(i+1)(M,N)=0 iff m(M_i (x) N)=0=m(M_(i+1) (x) N)", _s18),
+              "Tor_(i+1)(M,N)=0 iff m(M_i (x) N)=0=m(M_(i+1) (x) N)", _s18,
+              needs=_THREE_TOR, modules=_MN),
     Statement("S19", "large-embedding-dimension-forces-free",
-              "e >= lambda(m^2)-h+4 and enough Tor vanishing => M or N free", _s19),
+              "e >= lambda(m^2)-h+4 and enough Tor vanishing => M or N free", _s19,
+              modules=_MN),
     Statement("S20", "auslander-reiten-m3-zero",
               "Ext^i(M, M+R)=0 for four consecutive i>=2 => M free; "
-              "Gorenstein with one vanishing Ext^i(M,M) => M free", _s20),
+              "Gorenstein with one vanishing Ext^i(M,M) => M free", _s20,
+              needs=("m3_zero",), modules=("M",)),
     Statement("S21", "auslander-reiten-square-zero-module",
               "m^2 M=0 and Ext^i(M,M+R)=0 for 0<i<=max(3,nu(M),nu(mM)) => "
-              "M free", _s21),
+              "M free", _s21,
+              needs=("M_kills_m2", "M_nonzero"), modules=("M",)),
     Statement("S22", "gamma-inverts-under-duality",
-              "m^2!=0, m^2 M=0, some Ext^i(M,M)=0 => gamma(M^v)=1/gamma(M)", _s22),
+              "m^2!=0, m^2 M=0, some Ext^i(M,M)=0 => gamma(M^v)=1/gamma(M)", _s22,
+              needs=("m2_nonzero", "M_nonzero", "M_kills_m2"), modules=("M",)),
     Statement("S23", "self-ext-vanishing-collapses-ring",
               "m^2 M=0 with a vanishing self-Ext window => m^2=0 and M free "
-              "or injective", _s23),
+              "or injective", _s23,
+              needs=("M_nonzero", "M_kills_m2"), modules=("M",)),
     Statement("S24", "loewy-conjecture-probe",
               "m^2 M=m^2 N=0 and Tor_i(M,N)=0 for all i>0 => m^3=0 "
-              "(conjectural; probe only)", _s24, conjecture=True),
+              "(conjectural; probe only)", _s24, conjecture=True,
+              needs=_LOEWY, modules=_MN),
     Statement("S25", "loewy-conjecture-graded-case",
               "standard graded: m^2 M=m^2 N=0 and full Tor vanishing => "
-              "m^3=0", _s25),
+              "m^3=0", _s25, needs=_LOEWY, modules=_MN),
     Statement("S26", "induced-map-on-tor-vanishes",
               "Tor_[1,j](M,N)=0 with m^2 M=0 => Tor_i(k, mN -> N)=0 for "
-              "i in [0,j-1]", _s26),
+              "i in [0,j-1]", _s26,
+              needs=("M_kills_m2", "N_nonfree"), modules=_MN),
     Statement("S27", "minor-span-annihilates-cokernel",
               "every element of the n x n minor span of a presentation "
-              "annihilates the cokernel; faithful cokernel => span zero", _s27),
+              "annihilates the cokernel; faithful cokernel => span zero", _s27,
+              modules=("M",)),
     Statement("S28", "faithful-tor2-forces-cyclic-kernel",
-              "0->N->R^2->M->0 with M faithful and Tor_2(M,M)=0 => nu(N)<=1", _s28),
+              "0->N->R^2->M->0 with M faithful and Tor_2(M,M)=0 => nu(N)<=1", _s28,
+              modules=("M",)),
     Statement("S29", "type-two-tachikawa",
               "type(R)<=2 and Tor_2(omega,omega)=0 => R Gorenstein", _s29),
 ]
@@ -773,7 +786,10 @@ def check(statement_id, inst, cutoff=DEFAULT_CUTOFF):
     require_cutoff(cutoff)
     stmt = _statement(statement_id)
     try:
-        ok, concl, data = stmt.body(inst, cutoff)
+        modules = [inst.module(name) for name in stmt.modules]
+        for hid in stmt.needs:
+            _assume(inst, hid)
+        ok, concl, data = stmt.body(inst, cutoff, *modules)
     except _Vacuous as v:
         return Verdict(statement_id, VACUOUS, v.clause, "", cutoff)
     except MissingModule as exc:

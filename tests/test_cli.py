@@ -102,7 +102,7 @@ def assert_dossier_parses_back(text):
 def test_check_fail_exits_one_with_a_dossier(capsys, flat_free_file,
                                              monkeypatch):
     forced = replace(theorems._BY_ID["S3"],
-                     body=lambda inst, n: (False, "forced", {}))
+                     body=lambda inst, n, M: (False, "forced", {}))
     monkeypatch.setitem(theorems._BY_ID, "S3", forced)
     code, out = run(capsys, "check", flat_free_file, "--statement", "S3",
                     "--machine")
@@ -150,6 +150,20 @@ def test_check_accepts_s17_parts(capsys):
                     "--to", "4", "--machine")
     assert code == 0
     assert "check.S17.3.status=PASS" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_key_error_in_a_body_is_not_a_usage_error(capsys, flat_file,
+                                                  monkeypatch, command):
+    # only an unknown statement id is a usage error; a KeyError raised
+    # inside a statement is an engine defect and must propagate
+    def broken(inst, n, *modules):
+        return {}["no such key"]
+
+    monkeypatch.setitem(theorems._BY_ID, "S3",
+                        replace(theorems._BY_ID["S3"], body=broken))
+    with pytest.raises(KeyError, match="no such key"):
+        main([command, flat_file, "--statement", "S3"])
 
 
 @pytest.mark.parametrize("argv", [["--statement", "S99"],

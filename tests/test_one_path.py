@@ -732,7 +732,7 @@ def test_plain_key_error_in_a_body_propagates(agp, monkeypatch):
     ring, M = agp
     inst = Instance("x", ring, {"M": M})
 
-    def broken(inst, n):
+    def broken(inst, n, M):
         return {}["no such key"]
 
     monkeypatch.setitem(theorems._BY_ID, "S3",
@@ -837,7 +837,7 @@ def test_dossier_writes_exactly_the_given_modules(gor3, monkeypatch):
     assert inst.module("omega") is inst.module("omega")
     assert set(inst.modules) == {"M", "R"}
 
-    def broken(inst, n):
+    def broken(inst, n, M):
         return False, "forced failure", {}
 
     monkeypatch.setitem(theorems._BY_ID, "S3",
