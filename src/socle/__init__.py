@@ -26,11 +26,13 @@ from .modules import (
     presentation_of,
     quotient_module,
     random_module,
+    random_presentation,
     regular_module,
     residue_field,
     submodule_module,
     syzygy,
     tensor_over_R,
+    truncated_cokernel,
     wedge_image,
 )
 from .homology import (

@@ -5,6 +5,10 @@ m^(p+q-1) != 0 whose Tor modules all vanish up to a cutoff.  For the
 standard graded rings generated here no candidate should survive (the
 graded case is a theorem), so a confirmed candidate is an engine bug.
 
+Each trial draws a ring and two random presentations, and builds M and N
+straight in R^n/m^p R^n and R^n/m^q R^n (modules.truncated_cokernel),
+so neither cokernel is built in full first.
+
 Determinism contract: identical (seed, budget, params, field) produce a
 byte-identical machine report.
 """
@@ -16,7 +20,7 @@ import numpy as np
 from .homology import require_cutoff, tor_profile
 from .instancefile import serialize_instance
 from .linalg import GF101
-from .modules import quotient_module, random_module
+from .modules import random_presentation, truncated_cokernel
 from .ring import (
     GradedRing,
     NotArtinianError,
@@ -119,21 +123,12 @@ def random_ring(field, rng, h_min=3):
     return None
 
 
-def _loewy_truncate(mod, power):
-    """Quotient so that m^power kills the module."""
-    S = mod.msub(power)
-    if S.dim == 0:
-        return mod
-    out, _ = quotient_module(mod, S)
-    return out
-
-
 def _trial_modules(ring, rng, p, q):
     for _ in range(REJECTION_CAP):
         s1 = int(rng.integers(0, 2 ** 31))
         s2 = int(rng.integers(0, 2 ** 31))
-        M = _loewy_truncate(random_module(ring, s1), p)
-        N = _loewy_truncate(random_module(ring, s2), q)
+        M = truncated_cokernel(ring, random_presentation(ring, s1), p)
+        N = truncated_cokernel(ring, random_presentation(ring, s2), q)
         if M.is_zero() or N.is_zero() or M.is_free() or N.is_free():
             continue
         return M, N

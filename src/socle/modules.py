@@ -188,16 +188,22 @@ def regular_module(ring):
 
 
 def free_module(ring, n):
-    """R^n, each generator acting as the dense block diagonal kron(I_n, L_g):
-    L_g placed in the n diagonal lambda x lambda blocks of zeros(), so
-    over Q every zero is the shared one."""
-    lam = ring.length
+    """R^n, each generator acting as the dense block diagonal
+    kron(I_n, L_g)."""
+    return _free_below(ring, n, ring.length)
+
+
+def _free_below(ring, n, low):
+    """R^n/m^p R^n for low = dim R/m^p, in the first low coordinates of
+    each block (see column_span): generator g acts as the dense block
+    diagonal kron(I_n, L_g[:low, :low]), placed in the n diagonal blocks
+    of zeros(), so over Q every zero is the shared one."""
     diag = np.arange(n)
     acts = []
     for g in ring.gen_index:
-        A = ring.field.zeros((n, lam, n, lam))
-        A[diag, :, diag, :] = ring.left_mult[g]
-        acts.append(A.reshape(n * lam, n * lam))
+        A = ring.field.zeros((n, low, n, low))
+        A[diag, :, diag, :] = ring.left_mult[g][:low, :low]
+        acts.append(A.reshape(n * low, n * low))
     return FiniteModule(ring, acts, validate=False)
 
 
@@ -259,23 +265,45 @@ def free_submodule(ring, S):
                         validate=False)
 
 
-def column_span(ring, pres):
+def column_span(ring, pres, low=None):
     """R-span of the columns of an RMatrix (n x m x lambda) as a subspace of
-    R^n: every ring basis element applied to every column, reduced once."""
+    R^n: every ring basis element applied to every column, reduced once.
+
+    Given low = dim R/m^p, the span's image in R^n/m^p R^n instead: the
+    basis is degree-major, so m^p R^n is spanned by all but the first low
+    coordinates of each block, which are kept, and the basis elements
+    b >= low, of degree >= p, map every column into it."""
     n, m, lam = pres.shape
+    low = lam if low is None else low
     cols = pres.transpose(1, 0, 2).reshape(m, n * lam)
-    spans = [free_action(ring, cols, b) for b in range(lam)]
-    return Subspace.from_rows(ring.field, np.vstack(spans), n * lam)
+    spans = [free_action(ring, cols, b).reshape(m, n, lam)[:, :, :low]
+             for b in range(low)]
+    rows = np.vstack(spans).reshape(low * m, n * low)
+    return Subspace.from_rows(ring.field, rows, n * low)
+
+
+def truncated_cokernel(ring, pres, power):
+    """M/m^power M for M the cokernel of the RMatrix pres, power >= 1, as
+    one quotient of R^n/m^power R^n by the image of the columns.
+
+    The pivots of im(pres) + m^power R^n are those of the truncated span
+    together with every coordinate of m^power R^n, so the non-pivot
+    coordinates, and with them the action matrices, are those of
+    quotienting coker(pres) by m^power coker(pres).  No presentation is
+    stored: pres presents M, not the truncation."""
+    n, m, lam = pres.shape
+    if lam != ring.length:
+        raise ModuleError("presentation entries do not live in this ring")
+    low = sum(ring.hilbert[:power])
+    mod = _free_below(ring, n, low)
+    if m and n:
+        mod, _ = quotient_module(mod, column_span(ring, pres, low))
+    return mod
 
 
 def from_presentation(ring, pres):
     """Cokernel of the free-module map with the given RMatrix columns."""
-    n, m, lam = pres.shape
-    if lam != ring.length:
-        raise ModuleError("presentation entries do not live in this ring")
-    mod = free_module(ring, n)
-    if m and n:
-        mod, _ = quotient_module(mod, column_span(ring, pres))
+    mod = truncated_cokernel(ring, pres, ring.h + 1)
     mod.presentation = pres
     return mod
 
@@ -573,26 +601,28 @@ def _det(ring, phi, r, cols):
 # -- randomized generation ----------------------------------------------
 
 
-def random_module(ring, seed, square_zero=False):
-    """Deterministically seeded cokernel of a random matrix with 1 or 2
-    rows and 1 to 3 columns, whose entries combine the basis elements of
-    degree 1 and 2; optionally quotiented so that m^2 M = 0."""
+def random_presentation(ring, seed):
+    """Deterministically seeded RMatrix with 1 or 2 rows and 1 to 3
+    columns, whose entries combine the basis elements of degree 1 and 2:
+    coefficients in [0, p) over GF(p), in [-5, 5] over Q, drawn in one
+    call in (row, column, basis element) order."""
     rng = np.random.default_rng(seed)
     F = ring.field
-    lam = ring.length
     n = int(rng.integers(1, 3))
     m = int(rng.integers(1, 4))
-    pres = F.zeros((n, m, lam))
     degs = np.array([d for d, _ in ring.basis])
     eligible = np.flatnonzero((degs >= 1) & (degs <= 2))
-    for r in range(n):
-        for c in range(m):
-            for b in eligible:
-                if F.p is not None:
-                    pres[r, c, b] = int(rng.integers(0, F.p))
-                else:
-                    pres[r, c, b] = F.scalar(int(rng.integers(-5, 6)))
-    mod = from_presentation(ring, pres)
-    if square_zero and mod.dim:
-        mod, _ = quotient_module(mod, mod.msub(2))
-    return mod
+    lo, hi = (0, F.p) if F.p is not None else (-5, 6)
+    pres = F.zeros((n, m, ring.length))
+    pres[:, :, eligible] = F.array(rng.integers(lo, hi,
+                                                size=(n, m, len(eligible))))
+    return pres
+
+
+def random_module(ring, seed, square_zero=False):
+    """Cokernel of random_presentation(ring, seed); with square_zero, its
+    quotient by m^2 (see truncated_cokernel)."""
+    pres = random_presentation(ring, seed)
+    if square_zero:
+        return truncated_cokernel(ring, pres, 2)
+    return from_presentation(ring, pres)

@@ -77,7 +77,8 @@ class RingPresentation:
 
 
 class GradedRing:
-    """Immutable after construction; all bookkeeping is precomputed."""
+    """Immutable after construction; all bookkeeping is precomputed except
+    the socle, which is computed when first read."""
 
     def __init__(self, presentation, degrees, h):
         self.presentation = presentation
@@ -108,7 +109,8 @@ class GradedRing:
             self.gen_index.append(self.index[mon])
         self.derived = weakref.WeakValueDictionary()  # see derived_module
         self._build_mult_table()
-        self._invariants()
+        self.r = self.hilbert[2] if self.h >= 2 else 0
+        self._socle = None  # computed on first read, by _invariants
 
     # -- construction ---------------------------------------------------
 
@@ -134,12 +136,22 @@ class GradedRing:
         self.left_mult = self.table.transpose(0, 2, 1).copy()
 
     def _invariants(self):
-        from .modules import regular_module  # the layer above this one
+        """The socle of R (that of the regular module), computed on first
+        read; a and gorenstein are read from it."""
+        if self._socle is None:
+            from .modules import regular_module  # the layer above this one
 
-        self._socle = regular_module(self).socle()
-        self.a = self._socle.dim
-        self.r = self.hilbert[2] if self.h >= 2 else 0
-        self.gorenstein = self.a == 1
+            self._socle = regular_module(self).socle()
+        return self._socle
+
+    @property
+    def a(self):
+        """The type of R, the dimension of its socle."""
+        return self._invariants().dim
+
+    @property
+    def gorenstein(self):
+        return self.a == 1
 
     # -- queries --------------------------------------------------------
 
@@ -157,7 +169,7 @@ class GradedRing:
         return v
 
     def socle_subspace(self):
-        return self._socle
+        return self._invariants()
 
     def invariants(self):
         return {
@@ -187,18 +199,17 @@ def graded_pieces(presentation):
         {m: F.scalar(c) for m, c in f.items() if F.scalar(c) != F.zero}
         for f in presentation.relations
     ]
-    rels = [f for f in rels if f]
-    for f in rels:
-        if _poly_degree(f) < 2:
-            raise PresentationError("relation of degree < 2 after coefficient reduction")
+    rels = [(f, _poly_degree(f)) for f in rels if f]
+    if any(deg < 2 for _, deg in rels):
+        raise PresentationError("relation of degree < 2 after coefficient reduction")
 
     degrees = []
     d = 0
     while True:
         mons = monomials(e, d)
         idx = {m: i for i, m in enumerate(mons)}
-        multiples = [(u, f) for f in rels if _poly_degree(f) <= d
-                     for u in monomials(e, d - _poly_degree(f))]
+        multiples = [(u, f) for f, deg in rels if deg <= d
+                     for u in monomials(e, d - deg)]
         span = F.zeros((len(multiples), len(mons)))
         for r, (u, f) in enumerate(multiples):
             for m, c in f.items():

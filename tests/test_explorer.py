@@ -151,3 +151,32 @@ def test_random_ring_matches_build_first_oracle(field):
                 assert ring.presentation.relations == \
                     want.presentation.relations
                 assert identical(ring.table, want.table)
+
+
+def test_candidate_dossiers_present_the_truncated_modules(monkeypatch):
+    """A truncated module stores no presentation, so a dossier writes
+    delta_1 of its minimal resolution, even where truncation removed
+    nothing.  With all Tor forced to zero, every dossier of 60 trials at
+    (p, q) = (2, 2) and 10 at (2, 3) and (3, 2) (64 candidates; rings of
+    Loewy length 4 are mostly rejected draws, hence the smaller budget)
+    parses back to modules of the trial's dimensions and re-serializes
+    byte for byte."""
+    dims = []
+
+    def zero_profile(M, N, n):
+        dims.append((M.dim, N.dim))
+        return TorProfile([0] * n, 0)
+
+    monkeypatch.setattr(explorer, "tor_profile", zero_profile)
+    count = 0
+    for p, q, budget in ((2, 2, 60), (2, 3, 10), (3, 2, 10)):
+        dims.clear()
+        rep = explore(42, budget, cutoff=3, p=p, q=q)
+        assert len(rep.candidates) == rep.trials
+        # each candidate's profile, then its recheck
+        for c, trial_dims in zip(rep.candidates, dims[::2], strict=True):
+            ring, mods = parse_instance(c.dossier)
+            assert (mods["M"].dim, mods["N"].dim) == trial_dims
+            assert serialize_instance(ring, mods) == c.dossier
+        count += len(rep.candidates)
+    assert count == 64
