@@ -7,7 +7,6 @@ from .ring import (
     PresentationError,
     RingPresentation,
     build_ring,
-    monomial_square_zero_rings,
     ring_from_strings,
 )
 from .modules import (
@@ -15,13 +14,10 @@ from .modules import (
     ModuleError,
     ModuleMap,
     canonical_module,
-    direct_sum,
-    exterior_square,
     free_module,
     from_presentation,
     hom_into_ring,
     hom_over_R,
-    is_isomorphic,
     matlis_dual,
     presentation_of,
     quotient_module,
@@ -41,7 +37,6 @@ from .homology import (
     complete_betti,
     ext_dim,
     ext_dim_direct,
-    gasharov_peeva_ok,
     koszul_test,
     resolve,
     tor_dim,

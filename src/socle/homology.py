@@ -357,10 +357,3 @@ def koszul_test(ring, n):
             break
     return KoszulReport(first == -1, n, first, expected, computed)
 
-
-def gasharov_peeva_ok(ring, module, n):
-    """b_{i+1} >= e*b_i - (lambda(m^2)+2-h)*b_{i-1} for all computed i>=1."""
-    b = betti_numbers(module, n)
-    lam_m2 = sum(ring.hilbert[2:])
-    c = lam_m2 + 2 - ring.h
-    return all(b[i + 1] >= ring.e * b[i] - c * b[i - 1] for i in range(1, n))

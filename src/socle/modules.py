@@ -3,7 +3,7 @@
 A module is a k-vector space of dimension lambda(M) together with e
 pairwise-commuting generator-action matrices satisfying the ring's
 relations.  Everything downstream (duals, tensor/Hom over R, syzygies,
-gamma-invariants, exterior squares) is computed from this data by exact
+gamma-invariants, minor spans) is computed from this data by exact
 linear algebra.
 """
 
@@ -361,21 +361,36 @@ def derived_module(ring, name):
 # -- binary operations ---------------------------------------------------
 
 
-def direct_sum(a, b):
+def require_same_ring(a, b):
+    """Raise unless modules a and b are over one ring: the same object, or
+    two rings built from the same presentation, which have identical bases
+    and structure constants, so their modules are directly comparable."""
+    r1, r2 = a.ring, b.ring
+    if r1 is not r2 and not (r1.field.p == r2.field.p
+                             and r1.varnames == r2.varnames
+                             and r1.hilbert == r2.hilbert
+                             and np.array_equal(r1.table, r2.table)):
+        raise ModuleError("modules over different rings")
+
+
+def _kron_pair(a, b):
+    """A (x)_k B with R acting on the left factor, and for each generator g
+    the operator W_g = A_g (x) 1 - 1 (x) B_g on it."""
     require_same_ring(a, b)
     F = a.field
-    acts = []
-    for Aa, Ab in zip(a.actions, b.actions):
-        A = F.zeros((a.dim + b.dim, a.dim + b.dim))
-        A[: a.dim, : a.dim] = Aa
-        A[a.dim:, a.dim:] = Ab
-        acts.append(A)
-    return FiniteModule(a.ring, acts, validate=False)
+    eyea, eyeb = F.eye(a.dim), F.eye(b.dim)
+    left = [kron(F, Aa, eyeb) for Aa in a.actions]
+    W = [F.mod(L - kron(F, eyea, Ab)) for L, Ab in zip(left, b.actions)]
+    return FiniteModule(a.ring, left, validate=False), W
 
 
 def tensor_over_R(a, b):
-    """(M (x)_k N) / span{g.u (x) v - u (x) g.v}, with the induced action."""
-    return _tensor_with_maps(a, b)[0]
+    """M (x)_R N = (M (x)_k N) / span{g.u (x) v - u (x) g.v}, the sum of the
+    images of the W_g, with the induced action."""
+    tensor_k, W = _kron_pair(a, b)
+    Wspan = Subspace.from_rows(a.field, np.vstack([w.T for w in W]),
+                               tensor_k.dim)
+    return quotient_module(tensor_k, Wspan)[0]
 
 
 def hom_over_R(a, b):
@@ -386,9 +401,7 @@ def hom_over_R(a, b):
     hom_k, W = _kron_pair(b, matlis_dual(a))
     F = a.field
     S = Subspace.from_rows(F, kernel_basis(F, np.vstack(W)), hom_k.dim)
-    hom, _ = submodule_module(hom_k, S)
-    hom.hom_basis = [S.basis[i].reshape(b.dim, a.dim) for i in range(S.dim)]
-    return hom
+    return submodule_module(hom_k, S)[0]
 
 
 def hom_into_ring(mod):
@@ -462,110 +475,7 @@ def syzygy(mod):
     return res.syzygy_module(1), cover_map(mod)[1], res.delta(1)
 
 
-# -- isomorphism ---------------------------------------------------------
-
-
-def require_same_ring(a, b):
-    """Raise unless modules a and b are over one ring: the same object, or
-    two rings built from the same presentation, which have identical bases
-    and structure constants, so their modules are directly comparable."""
-    r1, r2 = a.ring, b.ring
-    if r1 is not r2 and not (r1.field.p == r2.field.p
-                             and r1.varnames == r2.varnames
-                             and r1.hilbert == r2.hilbert
-                             and np.array_equal(r1.table, r2.table)):
-        raise ModuleError("modules over different rings")
-
-
-def is_isomorphic(a, b):
-    """Randomized R-module isomorphism test: search Hom_R(a,b) for an
-    invertible element.  Deterministic via a fixed seed; one-sided (a
-    False can in principle be a miss, but over GF(p) with p=101 the miss
-    probability per trial is at most 1/p on isomorphic pairs)."""
-    try:
-        require_same_ring(a, b)
-    except ModuleError:
-        return False
-    if a.dim != b.dim:
-        return False
-    if a.dim == 0:
-        return True
-    hom = hom_over_R(a, b)
-    basis = hom.hom_basis
-    if not basis:
-        return False
-    F = a.field
-    for B in basis:
-        if rank(F, B) == a.dim:
-            return True
-    rng = np.random.default_rng(1729)
-    for _ in range(24):
-        if F.p is not None:
-            coeffs = rng.integers(0, F.p, size=len(basis))
-        else:
-            coeffs = rng.integers(-20, 21, size=len(basis))
-        cand = F.zeros((a.dim, a.dim))
-        for c, B in zip(coeffs, basis):
-            cand = F.mod(cand + F.scalar(int(c)) * B)
-        if rank(F, cand) == a.dim:
-            return True
-    return False
-
-
-# -- exterior algebra ----------------------------------------------------
-
-
-def exterior_square(mod):
-    """Lambda^2_R(M) = (M (x)_R M) / R-span{u (x) u}, together with the map
-    iota: x ^ y -> x (x) y - y (x) x into M (x)_R M."""
-    F = mod.field
-    m = mod.dim
-    tensor, proj, comp = _tensor_with_maps(mod, mod)
-    t = tensor.dim
-    eye = F.eye(m * m)
-    # the u (x) u span the same k-space as the symmetric relators
-    # e_i (x) e_j + e_j (x) e_i for j < i and e_i (x) e_i
-    i, j = np.tril_indices(m)
-    sym_rows = eye[i * m + j]
-    sym_rows[np.arange(i.size), j * m + i] = F.one
-    sym = Subspace.from_rows(F, F.matmul(proj, sym_rows.T).T, t)
-    # their R-span: in odd characteristic the k-span is already closed (2
-    # r.u (x) u is a combination of three u (x) u), in characteristic 2 it
-    # need not be
-    sym = Subspace.from_rows(
-        F, np.vstack([F.matmul(sym.basis, A.T) for A in tensor.ops()]), t)
-    wedge, wproj = quotient_module(tensor, sym)
-    # swap on M(x)M descends to the R-tensor; antisymmetrize
-    swap = eye[np.arange(m * m).reshape(m, m).T.reshape(-1)]
-    anti = F.matmul(proj, (eye - swap)[:, comp])
-    iota_mat = anti[:, sym.complement_coords()]
-    # well-definedness: the symmetric part must map to zero
-    if np.any(F.matmul(anti, sym.basis.T)):
-        raise ModuleError("iota is not well-defined")
-    iota = ModuleMap(wedge, tensor, iota_mat, validate=False)
-    return wedge, iota
-
-
-def _kron_pair(a, b):
-    """A (x)_k B with R acting on the left factor, and for each generator g
-    the operator W_g = A_g (x) 1 - 1 (x) B_g on it."""
-    require_same_ring(a, b)
-    F = a.field
-    eyea, eyeb = F.eye(a.dim), F.eye(b.dim)
-    left = [kron(F, Aa, eyeb) for Aa in a.actions]
-    W = [F.mod(L - kron(F, eyea, Ab)) for L, Ab in zip(left, b.actions)]
-    return FiniteModule(a.ring, left, validate=False), W
-
-
-def _tensor_with_maps(a, b):
-    """M (x)_R N = (M (x)_k N) / sum of the images of the W_g, with the
-    quotient map from M (x)_k N and the coordinates of M (x)_k N that the
-    quotient keeps."""
-    tensor_k, W = _kron_pair(a, b)
-    Wspan = Subspace.from_rows(a.field, np.vstack([w.T for w in W]),
-                               tensor_k.dim)
-    tensor, proj = quotient_module(tensor_k, Wspan)
-    return tensor, proj, Wspan.complement_coords()
+# -- minors ---------------------------------------------------------------
 
 
 def wedge_image(ring, phi):

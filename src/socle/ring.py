@@ -9,7 +9,6 @@ so the standard basis is deterministic.
 
 import weakref
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -236,7 +235,7 @@ def build_ring(presentation):
     return GradedRing(presentation, *graded_pieces(presentation))
 
 
-# -- convenience constructors used by tests and the canned corpus ------
+# -- convenience constructor used by tests and the canned corpus -------
 
 
 def ring_from_strings(field, varnames, relation_strings):
@@ -245,27 +244,3 @@ def ring_from_strings(field, varnames, relation_strings):
     rels = [parse_poly(s, varnames) for s in relation_strings]
     return build_ring(RingPresentation(field, list(varnames), rels))
 
-
-def monomial_square_zero_rings(field, e_max=3):
-    """All monomial quotients with m^3=0 and e <= e_max, up to permuting
-    the generators.  Relations: a subset of the degree-2 monomials plus
-    every degree-3 monomial."""
-    out = []
-    for e in range(1, e_max + 1):
-        quad = monomials(e, 2)
-        cubics = monomials(e, 3)
-        seen = set()
-        for mask in range(2 ** len(quad)):
-            chosen = frozenset(q for i, q in enumerate(quad) if mask >> i & 1)
-            canon = min(
-                tuple(sorted(tuple(m[p] for p in perm) for m in chosen))
-                for perm in permutations(range(e))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            rels = [{m: 1} for m in sorted(chosen, reverse=True)]
-            rels += [{m: 1} for m in cubics]
-            names = [f"x{i+1}" for i in range(e)]
-            out.append(build_ring(RingPresentation(field, names, rels)))
-    return out

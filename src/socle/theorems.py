@@ -18,6 +18,7 @@ resolution's: Tor_i is affordable when reach(i + 1) > i, and a Betti
 depth is clamped to reach(n) (see homology.Resolution.reach).
 """
 
+import inspect
 from dataclasses import dataclass, field as dfield, replace
 from fractions import Fraction
 from functools import partial
@@ -39,7 +40,6 @@ from .modules import (
     DERIVED,
     column_span,
     derived_module,
-    free_action,
     from_presentation,
     matlis_dual,
     min_gen_rmatrix,
@@ -142,13 +142,12 @@ def _scan(M, Ns, lo, hi, width=1):
     return None
 
 
-def _m_square_part(ring, n=1):
-    """m^2 R^n as a subspace of R^n: the coordinates of degree >= 2 in
-    each length-lambda block, whose unit rows are already in rref."""
+def _m_square_part(ring):
+    """m^2 as a subspace of R: the coordinates of degree >= 2, whose unit
+    rows are already in rref."""
     F, lam = ring.field, ring.length
-    idx = [j * lam + i for j in range(n)
-           for i, (d, _) in enumerate(ring.basis) if d >= 2]
-    return Subspace(F, n * lam, F.eye(n * lam)[idx], tuple(idx))
+    idx = [i for i, (d, _) in enumerate(ring.basis) if d >= 2]
+    return Subspace(F, lam, F.eye(lam)[idx], tuple(idx))
 
 
 def _kills_m_squared(mod):
@@ -313,13 +312,11 @@ def _s6(inst, n, M, N):
     b = betti_numbers(M, 1)
     gM = M.gamma()
     eq1 = b[1] == (M.ring.e - gM) * b[0]
-    # m M_1 = m^2 R^{b0} inside the covering free module
-    ring = M.ring
-    M1 = column_span(ring, resolve(M, 1).delta(1))
-    mM1_rows = [free_action(ring, M1.basis, g) for g in ring.gen_index]
-    mM1 = Subspace.from_rows(ring.field, np.vstack(mM1_rows), M1.ambient)
-    return _conclude([("b1=(e-gamma)b0", eq1),
-                      ("mM1=m^2R^b0", mM1 == _m_square_part(ring, b[0]))])
+    # every entry of delta_1 lies in m, so m M_1 lies in m^2 R^{b0}, and
+    # the two are equal exactly when their dimensions are
+    mM1 = resolve(M, 1).syzygy_module(1).mm().dim
+    m2 = b[0] * sum(M.ring.hilbert[2:])
+    return _conclude([("b1=(e-gamma)b0", eq1), ("mM1=m^2R^b0", mM1 == m2)])
 
 
 def _s7(inst, n, M, N):
@@ -644,13 +641,20 @@ class Statement:
     conjecture: bool = False
     # the hypothesis ids check tests, in order, before the body runs
     needs: tuple = ()
-    # the instance's modules check fetches first and passes to the body
-    modules: tuple = ()
+    # the instance's modules check fetches first and passes to the body:
+    # its parameters after (inst, n) that are positional-or-keyword and
+    # have no default
+    modules: tuple = dfield(init=False)
+
+    def __post_init__(self):
+        params = list(inspect.signature(self.body).parameters.values())[2:]
+        self.modules = tuple(p.name for p in params
+                             if p.kind is p.POSITIONAL_OR_KEYWORD
+                             and p.default is p.empty)
 
 
 # both modules non-free with m^2 killing each: S7 and S8, and with
 # m^3 = 0 the three-Tor statements; S24's hypotheses are S25's too
-_MN = ("M", "N")
 _BOTH_M2 = ("M_nonfree", "M_kills_m2", "N_nonfree", "N_kills_m2")
 _THREE_TOR = ("m3_zero", *_BOTH_M2)
 _LOEWY = ("both_nonzero", "M_kills_m2", "N_kills_m2")
@@ -660,53 +664,50 @@ _REGISTRY = [
     Statement("S1", "tor-vanishing-forbids-k-summands",
               "Tor_i(M,N)=0, N of infinite projective dimension => k is not a "
               "direct summand of M_0..M_(i-1)", _s1,
-              needs=("N_nonzero", "N_infinite_pd"), modules=_MN),
+              needs=("N_nonzero", "N_infinite_pd", "M_nonzero")),
     Statement("S2", "truncated-poincare-product",
               "Tor_[1,n](M,N)=0 => [P_(M(x)N)]_<=n = [P_M * P_N]_<=n", _s2,
-              modules=_MN),
+              needs=("both_nonzero",)),
     Statement("S3", "gamma-range-and-extremes",
               "gamma(M) in [0, lambda(R)-1]; gamma=0 <=> mM=0; "
               "gamma=lambda(R)-1 <=> M free; lambda(M)=nu(M)(gamma(M)+1)", _s3,
-              needs=("M_nonzero",), modules=("M",)),
+              needs=("M_nonzero",)),
     Statement("S4", "gamma-betti-identities",
               "(gamma(M(x)N_i)+1) b_i(N) = (gamma(M)-gamma(M(x)N_(i-1))) b_(i-1)(N), "
               "with sharper forms when m^2 M=0", _s4,
-              needs=("M_nonzero", "N_nonfree"), modules=_MN),
+              needs=("M_nonzero", "N_nonfree")),
     Statement("S5", "gamma-at-least-one-and-integrality",
               "long Tor vanishing forces gamma(M)>=1, and integrality when "
-              "m^2 M=0", _s5, needs=("M_nonzero", "N_nonfree"), modules=_MN),
+              "m^2 M=0", _s5, needs=("M_nonzero", "N_nonfree")),
     Statement("S6", "first-betti-and-syzygy-span",
               "b_1(M)=(e-gamma(M)) b_0(M) and m M_1 = m^2 R^(b_0)", _s6,
-              needs=("M_nonfree", "N_nonfree", "M_kills_m2"), modules=_MN),
+              needs=("M_nonfree", "N_nonfree", "M_kills_m2")),
     Statement("S7", "gamma-sum-rule",
-              "gamma(M)+gamma(N)-gamma(M(x)N) = e", _s7,
-              needs=_BOTH_M2, modules=_MN),
+              "gamma(M)+gamma(N)-gamma(M(x)N) = e", _s7, needs=_BOTH_M2),
     Statement("S8", "residue-field-poincare-form",
               "[P_k]_<=n equals the truncation of "
               "(1-gamma(M(x)N)t)/((1-gamma(M)t)(1-gamma(N)t))", _s8,
-              needs=_BOTH_M2, modules=_MN),
+              needs=_BOTH_M2),
     Statement("S9", "square-zero-vanishing-forces-free",
               "m^2=0 and Tor_i(M,N)=0 for some i>1 => M or N free", _s9,
-              needs=("m2_zero",), modules=_MN),
+              needs=("m2_zero",)),
     Statement("S10", "lescot-betti-recurrence",
               "b_(i+1) >= e b_i - nu(mM_i), equality iff no k-summand of "
               "M_(i+1); nu(mM_i)=a b_(i-1) when i>1 and no k-summand", _s10,
-              needs=("h_is_2", "M_nonfree", "M_kills_m2"), modules=("M",)),
+              needs=("h_is_2", "M_nonfree", "M_kills_m2")),
     Statement("S11", "socle-equals-radical",
               "m^2 M=0 and no k-summand => Soc(M)=mM", _s11,
-              needs=("M_nonzero", "M_kills_m2", "M_no_k_summand"),
-              modules=("M",)),
+              needs=("M_nonzero", "M_kills_m2", "M_no_k_summand")),
     Statement("S12", "ring-socle-is-m-squared",
               "Tor_i(M,N)=0 for some i>=3, M,N non-free => Soc(R)=m^2", _s12,
-              needs=("m3_zero", "M_nonfree", "N_nonfree"), modules=_MN),
+              needs=("m3_zero", "M_nonfree", "N_nonfree")),
     Statement("S13", "three-tors-structure",
               "three consecutive vanishing Tors => gamma(M),gamma(N) positive "
               "integers, geometric Betti growth, gamma(M)+gamma(N)=e, "
-              "gamma(M)gamma(N)=a", _s13, needs=_THREE_TOR, modules=_MN),
+              "gamma(M)gamma(N)=a", _s13, needs=_THREE_TOR),
     Statement("S14", "extended-betti-ratios",
               "b_(i+1)(N)=e b_i(N)-a b_(i-1)(N) extends the geometric ratios "
-              "to i<=l-1 when Tor_l also vanishes", _s14,
-              needs=_THREE_TOR, modules=_MN),
+              "to i<=l-1 when Tor_l also vanishes", _s14, needs=_THREE_TOR),
     Statement("S15", "dualizing-module-numerics",
               "lambda(omega)=lambda(R)=1+r+e, nu(m omega)=e+r-a, "
               "lambda(omega_1)=(a-1)(1+r+e), gamma(omega_1)=(1+a)/e when a=r", _s15,
@@ -714,50 +715,44 @@ _REGISTRY = [
     Statement("S16", "three-tors-against-omega",
               "triple Tor(M,omega) vanishing from j>=2 => e=a+1, "
               "gamma(omega_1)=1, gamma(M)=a, constant Betti numbers", _s16,
-              needs=("m3_zero", "nongorenstein", "M_nonfree", "M_kills_m2"),
-              modules=("M", "omega")),
+              needs=("m3_zero", "nongorenstein", "M_nonfree", "M_kills_m2")),
     Statement("S17", "omega-tor-gorenstein-equivalences",
               "Gorenstein <=> Tor_1(omega,omega)=0 <=> Tor_2=Tor_3=0 <=> a "
               "triple-zero window from some j>=3", _s17, needs=("m3_zero",)),
     Statement("S18", "tor-vanishing-vs-m-killing-tensors",
               "Tor_(i+1)(M,N)=0 iff m(M_i (x) N)=0=m(M_(i+1) (x) N)", _s18,
-              needs=_THREE_TOR, modules=_MN),
+              needs=_THREE_TOR),
     Statement("S19", "large-embedding-dimension-forces-free",
-              "e >= lambda(m^2)-h+4 and enough Tor vanishing => M or N free", _s19,
-              modules=_MN),
+              "e >= lambda(m^2)-h+4 and enough Tor vanishing => M or N free", _s19),
     Statement("S20", "auslander-reiten-m3-zero",
               "Ext^i(M, M+R)=0 for four consecutive i>=2 => M free; "
               "Gorenstein with one vanishing Ext^i(M,M) => M free", _s20,
-              needs=("m3_zero",), modules=("M",)),
+              needs=("m3_zero", "M_nonzero")),
     Statement("S21", "auslander-reiten-square-zero-module",
               "m^2 M=0 and Ext^i(M,M+R)=0 for 0<i<=max(3,nu(M),nu(mM)) => "
-              "M free", _s21,
-              needs=("M_kills_m2", "M_nonzero"), modules=("M",)),
+              "M free", _s21, needs=("M_kills_m2", "M_nonzero")),
     Statement("S22", "gamma-inverts-under-duality",
               "m^2!=0, m^2 M=0, some Ext^i(M,M)=0 => gamma(M^v)=1/gamma(M)", _s22,
-              needs=("m2_nonzero", "M_nonzero", "M_kills_m2"), modules=("M",)),
+              needs=("m2_nonzero", "M_nonzero", "M_kills_m2")),
     Statement("S23", "self-ext-vanishing-collapses-ring",
               "m^2 M=0 with a vanishing self-Ext window => m^2=0 and M free "
-              "or injective", _s23,
-              needs=("M_nonzero", "M_kills_m2"), modules=("M",)),
+              "or injective", _s23, needs=("M_nonzero", "M_kills_m2")),
     Statement("S24", "loewy-conjecture-probe",
               "m^2 M=m^2 N=0 and Tor_i(M,N)=0 for all i>0 => m^3=0 "
               "(conjectural; probe only)", _s24, conjecture=True,
-              needs=_LOEWY, modules=_MN),
+              needs=_LOEWY),
     Statement("S25", "loewy-conjecture-graded-case",
               "standard graded: m^2 M=m^2 N=0 and full Tor vanishing => "
-              "m^3=0", _s25, needs=_LOEWY, modules=_MN),
+              "m^3=0", _s25, needs=_LOEWY),
     Statement("S26", "induced-map-on-tor-vanishes",
               "Tor_[1,j](M,N)=0 with m^2 M=0 => Tor_i(k, mN -> N)=0 for "
               "i in [0,j-1]", _s26,
-              needs=("M_kills_m2", "N_nonfree"), modules=_MN),
+              needs=("M_kills_m2", "N_nonfree", "M_nonzero")),
     Statement("S27", "minor-span-annihilates-cokernel",
               "every element of the n x n minor span of a presentation "
-              "annihilates the cokernel; faithful cokernel => span zero", _s27,
-              modules=("M",)),
+              "annihilates the cokernel; faithful cokernel => span zero", _s27),
     Statement("S28", "faithful-tor2-forces-cyclic-kernel",
-              "0->N->R^2->M->0 with M faithful and Tor_2(M,M)=0 => nu(N)<=1", _s28,
-              modules=("M",)),
+              "0->N->R^2->M->0 with M faithful and Tor_2(M,M)=0 => nu(N)<=1", _s28),
     Statement("S29", "type-two-tachikawa",
               "type(R)<=2 and Tor_2(omega,omega)=0 => R Gorenstein", _s29),
 ]

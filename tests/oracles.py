@@ -1,0 +1,108 @@
+"""Constructions the tests check the engine with, and that no statement,
+CLI command, explorer trial or benchmark workload needs: an isomorphism
+search, direct sums, the Gasharov-Peeva Betti inequality and the corpus
+of monomial rings with m^3 = 0."""
+
+from itertools import permutations
+
+import numpy as np
+
+from socle.homology import betti_numbers
+from socle.linalg import Subspace, kernel_basis, rank
+from socle.modules import (
+    FiniteModule,
+    ModuleError,
+    _kron_pair,
+    matlis_dual,
+    require_same_ring,
+)
+from socle.ring import RingPresentation, build_ring, monomials
+
+
+def hom_basis(a, b):
+    """A k-basis of Hom_R(a, b) as b.dim x a.dim matrices: the rows of the
+    subspace hom_over_R builds, the common kernel of the W_g on
+    b (x)_k a^dual."""
+    hom_k, W = _kron_pair(b, matlis_dual(a))
+    F = a.field
+    S = Subspace.from_rows(F, kernel_basis(F, np.vstack(W)), hom_k.dim)
+    return [S.basis[i].reshape(b.dim, a.dim) for i in range(S.dim)]
+
+
+def is_isomorphic(a, b):
+    """Randomized R-module isomorphism test: search Hom_R(a,b) for an
+    invertible element.  Deterministic via a fixed seed; one-sided (a
+    False can in principle be a miss, but over GF(p) with p=101 the miss
+    probability per trial is at most 1/p on isomorphic pairs)."""
+    try:
+        require_same_ring(a, b)
+    except ModuleError:
+        return False
+    if a.dim != b.dim:
+        return False
+    if a.dim == 0:
+        return True
+    basis = hom_basis(a, b)
+    if not basis:
+        return False
+    F = a.field
+    for B in basis:
+        if rank(F, B) == a.dim:
+            return True
+    rng = np.random.default_rng(1729)
+    for _ in range(24):
+        if F.p is not None:
+            coeffs = rng.integers(0, F.p, size=len(basis))
+        else:
+            coeffs = rng.integers(-20, 21, size=len(basis))
+        cand = F.zeros((a.dim, a.dim))
+        for c, B in zip(coeffs, basis):
+            cand = F.mod(cand + F.scalar(int(c)) * B)
+        if rank(F, cand) == a.dim:
+            return True
+    return False
+
+
+def direct_sum(a, b):
+    require_same_ring(a, b)
+    F = a.field
+    acts = []
+    for Aa, Ab in zip(a.actions, b.actions):
+        A = F.zeros((a.dim + b.dim, a.dim + b.dim))
+        A[: a.dim, : a.dim] = Aa
+        A[a.dim:, a.dim:] = Ab
+        acts.append(A)
+    return FiniteModule(a.ring, acts, validate=False)
+
+
+def gasharov_peeva_ok(ring, module, n):
+    """b_{i+1} >= e*b_i - (lambda(m^2)+2-h)*b_{i-1} for all computed i>=1."""
+    b = betti_numbers(module, n)
+    lam_m2 = sum(ring.hilbert[2:])
+    c = lam_m2 + 2 - ring.h
+    return all(b[i + 1] >= ring.e * b[i] - c * b[i - 1] for i in range(1, n))
+
+
+def monomial_square_zero_rings(field, e_max=3):
+    """All monomial quotients with m^3=0 and e <= e_max, up to permuting
+    the generators.  Relations: a subset of the degree-2 monomials plus
+    every degree-3 monomial."""
+    out = []
+    for e in range(1, e_max + 1):
+        quad = monomials(e, 2)
+        cubics = monomials(e, 3)
+        seen = set()
+        for mask in range(2 ** len(quad)):
+            chosen = frozenset(q for i, q in enumerate(quad) if mask >> i & 1)
+            canon = min(
+                tuple(sorted(tuple(m[p] for p in perm) for m in chosen))
+                for perm in permutations(range(e))
+            )
+            if canon in seen:
+                continue
+            seen.add(canon)
+            rels = [{m: 1} for m in sorted(chosen, reverse=True)]
+            rels += [{m: 1} for m in cubics]
+            names = [f"x{i+1}" for i in range(e)]
+            out.append(build_ring(RingPresentation(field, names, rels)))
+    return out

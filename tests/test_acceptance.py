@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles import is_isomorphic, monomial_square_zero_rings
 from test_explorer import old_random_ring
 
 from socle.explorer import explore
@@ -25,7 +26,6 @@ from socle.instancefile import parse_instance
 from socle.linalg import Field, GF101
 from socle.modules import (
     canonical_module,
-    is_isomorphic,
     random_module,
     regular_module,
     residue_field,
@@ -34,7 +34,6 @@ from socle.modules import (
 from socle.ring import (
     RingPresentation,
     build_ring,
-    monomial_square_zero_rings,
     monomials,
     ring_from_strings,
 )

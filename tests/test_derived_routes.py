@@ -16,12 +16,9 @@ from socle.linalg import QQ, Field, Subspace, kernel_subspace
 from socle.modules import (
     FiniteModule,
     ModuleError,
-    ModuleMap,
     canonical_module,
     column_span,
     cover_map,
-    direct_sum,
-    exterior_square,
     free_module,
     free_submodule,
     min_gen_rmatrix,
@@ -29,12 +26,10 @@ from socle.modules import (
     quotient_module,
     random_module,
     regular_module,
-    residue_field,
     submodule_module,
     syzygy,
     tensor_over_R,
     _require_closed,
-    _tensor_with_maps,
 )
 from socle.ring import ring_from_strings
 from socle.theorems import Instance, _from_rows, _nu_of_subquotient, check
@@ -81,11 +76,11 @@ def old_quotient_module(amb, S):
     return FiniteModule(amb.ring, acts, validate=False), proj
 
 
-def old_tensor_with_maps(a, b):
+def old_tensor(a, b):
     F = a.field
     m, n = a.dim, b.dim
     if m == 0 or n == 0:
-        return free_module(a.ring, 0), F.zeros((0, m * n)), F.zeros((m * n, 0))
+        return free_module(a.ring, 0)
     rel_rows = []
     eyem, eyen = F.eye(m), F.eye(n)
     for Aa, Ab in zip(a.actions, b.actions):
@@ -95,32 +90,7 @@ def old_tensor_with_maps(a, b):
     sec = Wspan.section()
     acts = [F.matmul(F.matmul(proj, F.mod(np.kron(Aa, eyen))), sec)
             for Aa in a.actions]
-    return FiniteModule(a.ring, acts, validate=False), proj, sec
-
-
-def old_exterior_square(mod):
-    F = mod.field
-    m = mod.dim
-    tensor, proj, sec = old_tensor_with_maps(mod, mod)
-    sym_rows = []
-    eye = F.eye(m)
-    for i in range(m):
-        sym_rows.append(np.kron(eye[i], eye[i]))
-        for j in range(i):
-            sym_rows.append(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
-    sym = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym_rows).T).T,
-                             tensor.dim)
-    wedge, _ = old_quotient_module(tensor, sym)
-    swap = F.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            swap[i * m + j, j * m + i] = F.one
-    anti = F.matmul(F.matmul(proj, F.eye(m * m) - swap), sec)
-    for row in sym.basis:
-        if np.any(F.matmul(anti, row)):
-            raise ModuleError("iota is not well-defined")
-    return wedge, ModuleMap(wedge, tensor, F.matmul(anti, sym.section()),
-                            validate=False)
+    return FiniteModule(a.ring, acts, validate=False)
 
 
 def same_actions(a, b):
@@ -212,104 +182,12 @@ def test_quotients_select_complement_coordinates(F, rels, seed, square_zero):
 
 @given(*MODULES, st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
-def test_tensor_and_exterior_square_select_complement_coordinates(
-        F, rels, seed, square_zero, seed2):
+def test_tensor_selects_complement_coordinates(F, rels, seed, square_zero,
+                                               seed2):
     ring, M = draw(F, rels, seed, square_zero)
     N = random_module(ring, seed2)
     for a, b in ((M, N), (M, regular_module(ring)), (M, free_module(ring, 0))):
-        new, proj, comp = _tensor_with_maps(a, b)
-        old, old_proj, sec = old_tensor_with_maps(a, b)
-        assert same_actions(new, old) and identical(proj, old_proj)
-        assert identical(F.eye(a.dim * b.dim)[:, comp], sec)
-        assert same_actions(tensor_over_R(a, b), old)
-    # Lambda^2(M + k) = Lambda^2(M) + M/mM, so iota gets nu(M) more columns
-    for X in (M, direct_sum(M, residue_field(ring))):
-        try:
-            old_wedge, old_iota = old_exterior_square(X)
-        except ModuleError:  # u (x) u need not span a submodule in char 2
-            assert F.p == 2
-            continue
-        wedge, iota = exterior_square(X)
-        assert same_actions(wedge, old_wedge)
-        assert identical(iota.matrix, old_iota.matrix)
-
-
-def kspan_exterior_square(mod):
-    """exterior_square as it was: M (x)_R M modulo the k-span of the
-    symmetric tensors, which is R-closed only in odd characteristic."""
-    F = mod.field
-    m = mod.dim
-    tensor, proj, comp = _tensor_with_maps(mod, mod)
-    sym_rows = []
-    eye = F.eye(m)
-    for i in range(m):
-        sym_rows.append(np.kron(eye[i], eye[i]))
-        for j in range(i):
-            sym_rows.append(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
-    sym = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym_rows).T).T,
-                             tensor.dim)
-    wedge, _ = quotient_module(tensor, sym)
-    swap = F.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            swap[i * m + j, j * m + i] = F.one
-    anti = F.matmul(proj, (F.eye(m * m) - swap)[:, comp])
-    return wedge, anti[:, sym.complement_coords()]
-
-
-@given(st.sampled_from([Field(3), Field(101), QQ]), *MODULES[1:])
-@settings(max_examples=40, deadline=None)
-def test_exterior_square_matches_kspan_oracle_in_odd_characteristic(
-        F, rels, seed, square_zero):
-    ring, M = draw(F, rels, seed, square_zero)
-    for X in (M, direct_sum(M, residue_field(ring)), regular_module(ring)):
-        if X.dim == 0:
-            continue
-        old_wedge, old_iota = kspan_exterior_square(X)
-        wedge, iota = exterior_square(X)
-        assert same_actions(wedge, old_wedge)
-        assert identical(iota.matrix, old_iota)
-
-
-def closure_dim(mod, S):
-    """dim of the smallest action-closed subspace containing S, by adding
-    generator images until nothing new appears."""
-    F = mod.field
-    while True:
-        rows = [S.basis] + [F.matmul(S.basis, A.T) for A in mod.actions]
-        T = Subspace.from_rows(F, np.vstack(rows), mod.dim)
-        if T.dim == S.dim:
-            return S.dim
-        S = T
-
-
-@pytest.mark.parametrize("square_zero", [False, True])
-@pytest.mark.parametrize("seed", range(8))
-def test_exterior_square_in_characteristic_two(seed, square_zero):
-    F = Field(2)
-    ring = ring_from_strings(F, ["x", "y"], ["x^2", "x*y", "y^3"])
-    M = random_module(ring, seed, square_zero=square_zero)
-    wedge, iota = exterior_square(M)
-    # a module, and iota an R-linear map into M (x)_R M
-    FiniteModule(ring, wedge.actions)
-    ModuleMap(wedge, iota.target, iota.matrix)
-    # the quotient is by the R-closure of the u (x) u and nothing more
-    tensor, proj, _ = _tensor_with_maps(M, M)
-    m = M.dim
-    eye = F.eye(m)
-    sym = [np.kron(eye[i], eye[i]) for i in range(m)]
-    sym += [F.mod(np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i]))
-            for i in range(m) for j in range(i)]
-    S = Subspace.from_rows(F, F.matmul(proj, np.vstack(sym).T).T, tensor.dim)
-    assert wedge.dim == tensor.dim - closure_dim(tensor, S)
-
-
-@pytest.mark.parametrize("F", FIELDS, ids=repr)
-def test_exterior_squares_of_free_modules(F):
-    # Lambda^2(R) = 0 and Lambda^2(R^2) = R, in every characteristic
-    ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
-    assert exterior_square(regular_module(ring))[0].dim == 0
-    assert exterior_square(free_module(ring, 2))[0].dim == ring.length
+        assert same_actions(tensor_over_R(a, b), old_tensor(a, b))
 
 
 @given(st.sampled_from(FIELDS), st.sampled_from(HOSTS), st.integers(0, 2**16),

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cyclic, dense_realize, identical
+from oracles import direct_sum, gasharov_peeva_ok, is_isomorphic
 from socle.homology import (
     betti_numbers,
     complete_betti,
     ext_dim,
     ext_dim_direct,
-    gasharov_peeva_ok,
     koszul_test,
     realize,
     resolve,
@@ -30,9 +30,7 @@ from socle.modules import (
     canonical_module,
     cover_map,
     derived_module,
-    direct_sum,
     free_module,
-    is_isomorphic,
     matlis_dual,
     random_module,
     regular_module,

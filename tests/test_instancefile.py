@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import is_isomorphic
 
 from socle.linalg import QQ
-from socle.modules import canonical_module, is_isomorphic, random_module, syzygy
+from socle.modules import canonical_module, random_module, syzygy
 from socle.ring import ring_from_strings
 from socle.theorems import agp_example
 

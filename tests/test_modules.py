@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import cyclic, module_from_rows
+from oracles import direct_sum, is_isomorphic
 from socle.instancefile import parse_poly
 from socle.modules import (
     ModuleError,
     Subspace,
     canonical_module,
     cover_map,
-    direct_sum,
-    exterior_square,
     from_presentation,
     hom_over_R,
-    is_isomorphic,
     matlis_dual,
     presentation_of,
     quotient_module,
@@ -133,24 +131,6 @@ def test_presentation_round_trip(agp):
     pres = presentation_of(M)
     again = from_presentation(ring, pres)
     assert is_isomorphic(M, again)
-
-
-def test_exterior_square_small(gor):
-    k = residue_field(gor)
-    w, _ = exterior_square(k)
-    assert w.dim == 0
-    w, _ = exterior_square(regular_module(gor))
-    # Lambda^2 of a cyclic module vanishes
-    assert w.dim == 0
-
-
-def test_exterior_square_of_k2(gor):
-    k = residue_field(gor)
-    kk = direct_sum(k, k)
-    w, iota = exterior_square(kk)
-    assert w.dim == 1
-    # iota embeds Lambda^2 into the tensor square
-    assert rank(GF101, iota.matrix) == w.dim
 
 
 def test_wedge_image_vanishing_determinant(agp):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import identical
+from oracles import monomial_square_zero_rings
 
 from socle.explorer import random_ring
 from socle.instancefile import parse_poly
@@ -13,7 +14,6 @@ from socle.ring import (
     RingPresentation,
     build_ring,
     graded_pieces,
-    monomial_square_zero_rings,
     monomials,
     ring_from_strings,
 )

@@ -4,6 +4,7 @@ explorer draws, and the ring socle computed on first read."""
 import numpy as np
 import pytest
 from conftest import identical
+from oracles import monomial_square_zero_rings
 from test_one_path import same_actions
 
 from socle import modules
@@ -19,7 +20,7 @@ from socle.modules import (
     regular_module,
     truncated_cokernel,
 )
-from socle.ring import monomial_square_zero_rings, ring_from_strings
+from socle.ring import ring_from_strings
 from socle.theorems import _CANNED, AGP_RELATIONS
 
 FIELDS = [Field(2), Field(3), GF101, Field(2**31 - 1), QQ]
