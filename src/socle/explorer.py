@@ -39,7 +39,7 @@ class Candidate:
     trial: int
     dossier: str  # serialized instance file
     profile: list
-    recheck: list
+    recheck: list  # the zeros before the doubled window's first nonzero Tor
     confirmed: bool
 
 

@@ -205,17 +205,29 @@ def _differential(res, j, N, hom=False):
     return realize(res.ring, delta.transpose(1, 0, 2) if hom else delta, N)
 
 
+def _cycles(M, N, i):
+    """M's resolution F through stage i, and dim_k of the cycles of
+    F_i (x) N, b_i dim N - rank(d_i (x) N), from the exact d_i."""
+    res = resolve(M, i)
+    d = _differential(res, i, N)
+    return res, d.shape[1] - rank(M.ring.field, d)
+
+
+def _boundaries(res, N, i):
+    """rank(d_{i+1} (x) N), from the frontier kernel of delta_i unless
+    delta_{i+1} is already lifted."""
+    return rank(res.ring.field, _differential(res, i + 1, N))
+
+
 def tor_dim(M, N, i):
     """dim_k Tor_i(M, N), computed from a minimal resolution of M through
     stage i: the cycles from the exact d_i, the boundaries from the
     frontier kernel of delta_i unless delta_{i+1} is already lifted."""
     require_same_ring(M, N)
-    F = M.ring.field
     if M.dim == 0 or N.dim == 0:
         return 0
-    res = resolve(M, i)
-    d = _differential(res, i, N)
-    return d.shape[1] - rank(F, d) - rank(F, _differential(res, i + 1, N))
+    res, z = _cycles(M, N, i)
+    return z - _boundaries(res, N, i)
 
 
 def require_cutoff(cutoff):
@@ -226,7 +238,7 @@ def require_cutoff(cutoff):
 
 @dataclass
 class TorProfile:
-    dims: list
+    dims: list  # the vanishing prefix: Tor_i = 0 for i < first_nonzero
     first_nonzero: int  # 0 if the whole window [1, cutoff] vanishes
 
     @property
@@ -235,15 +247,24 @@ class TorProfile:
 
 
 def tor_profile(M, N, n):
-    """Tor dimensions on [1, n], stopping at the first nonzero value (the
-    remaining entries are not computed)."""
+    """The first i in [1, n] with Tor_i(M, N) != 0 (0 if there is none),
+    and the zeros before it as dims; the nonzero value is not computed.
+
+    Every entry of a minimal resolution lies in m, so every boundary of
+    F_i (x) N lies in F_i (x) mN, of dimension b_i dim mN.  When the
+    cycles outnumber that, Tor_i != 0 is certified from d_i alone, and
+    the frontier kernel of delta_i is never built; otherwise the
+    boundary rank is computed exactly, as tor_dim does."""
     require_cutoff(n)
-    dims = []
+    require_same_ring(M, N)
+    if M.dim == 0 or N.dim == 0:
+        return TorProfile([0] * n, 0)
+    mn_dim = N.mm().dim
     for i in range(1, n + 1):
-        dims.append(tor_dim(M, N, i))
-        if dims[-1]:
-            return TorProfile(dims, i)
-    return TorProfile(dims, 0)
+        res, z = _cycles(M, N, i)
+        if z > res.betti_number(i) * mn_dim or z > _boundaries(res, N, i):
+            return TorProfile([0] * (i - 1), i)
+    return TorProfile([0] * n, 0)
 
 
 def ext_dim(M, N, i):

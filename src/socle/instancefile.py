@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from .linalg import Field, GF101, QQ
+from .linalg import Field, GF101
 from .modules import from_presentation, presentation_of, rmatrix_from_polys
 from .ring import RingPresentation, build_ring
 

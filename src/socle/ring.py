@@ -7,12 +7,13 @@ basis of R_d.  Monomials are ordered graded-lex with x_1 > x_2 > ...,
 so the standard basis is deterministic.
 """
 
+import functools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Field, Subspace, kernel_subspace
+from .linalg import Field, SparseRows, Subspace, kernel_subspace
 
 
 DEGREE_CAP = 30  # a quotient with R_d != 0 here is taken to be not Artinian
@@ -26,19 +27,43 @@ class NotArtinianError(ValueError):
     pass
 
 
+# Each table depends only on the number of variables and the degrees, so
+# every ring built in a process shares it; each cache is bounded, and
+# callers only read the tables.
+_TABLES = 256
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _mons(e, d):
+    """The tuple of exponent vectors that monomials(e, d) lists."""
+    if e == 1:
+        return ((d,),)
+    return tuple((k,) + rest for k in range(d, -1, -1)
+                 for rest in _mons(e - 1, d - k))
+
+
 def monomials(e, d):
     """Exponent vectors of degree d, lex-descending in x_1 > x_2 > ..."""
-    if e == 1:
-        return [(d,)]
-    out = []
-    for k in range(d, -1, -1):
-        for rest in monomials(e - 1, d - k):
-            out.append((k,) + rest)
-    return out
+    return list(_mons(e, d))
 
 
-def _mono_mul(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+@functools.lru_cache(maxsize=_TABLES)
+def _index(e, d):
+    """The position of each monomial of degree d in _mons(e, d)."""
+    return {m: i for i, m in enumerate(_mons(e, d))}
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _products(e, du, dm):
+    """table[i, j] is the position in _mons(e, du + dm) of u_i * m_j, for
+    u_i the i-th monomial of degree du and m_j the j-th of degree dm.
+    Multiplying by u keeps the lex order, so each row ascends."""
+    idx = _index(e, du + dm)
+    table = np.array([[idx[tuple(a + b for a, b in zip(u, m))]
+                       for m in _mons(e, dm)] for u in _mons(e, du)],
+                     dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def _poly_degree(poly):
@@ -191,7 +216,13 @@ class GradedRing:
 def graded_pieces(presentation):
     """The quotient degree by degree, stopping at the first zero degree:
     (degrees, h) as GradedRing takes them, where degrees[d] holds the
-    standard monomials, all monomials and the normal-form matrix of R_d."""
+    standard monomials, all monomials and the normal-form matrix of R_d.
+
+    The Macaulay rows of degree d, the multiples u * f of each relation
+    f by the monomials u of degree d - deg f, are written straight as
+    SparseRows from the cached table of monomial products.  They span
+    the rows of the dense Macaulay matrix, and a row space has one rref,
+    so every basis read from it is the same."""
     F = presentation.field
     e = len(presentation.varnames)
     rels = [
@@ -201,21 +232,22 @@ def graded_pieces(presentation):
     rels = [(f, _poly_degree(f)) for f in rels if f]
     if any(deg < 2 for _, deg in rels):
         raise PresentationError("relation of degree < 2 after coefficient reduction")
+    # each relation's term positions in _mons(e, deg), ascending, and its
+    # coefficients in that order: then every multiple's keys ascend too
+    terms = []
+    for f, deg in rels:
+        at = sorted((_index(e, deg)[m], c) for m, c in f.items())
+        terms.append((deg, [i for i, _ in at], [c for _, c in at]))
 
     degrees = []
     d = 0
     while True:
         mons = monomials(e, d)
-        idx = {m: i for i, m in enumerate(mons)}
-        multiples = [(u, f) for f, deg in rels if deg <= d
-                     for u in monomials(e, d - deg)]
-        span = F.zeros((len(multiples), len(mons)))
-        for r, (u, f) in enumerate(multiples):
-            for m, c in f.items():
-                span[r, idx[_mono_mul(u, m)]] = c
+        rows = [dict(zip(cols, cs)) for deg, at, cs in terms if deg <= d
+                for cols in _products(e, d - deg, deg)[:, at].tolist()]
         # the kernel basis is the quotient map onto the standard monomials,
         # its pivots; no multiples leave them all standard, without an rref
-        quot = (kernel_subspace(F, span) if multiples
+        quot = (kernel_subspace(F, SparseRows(rows, len(mons))) if rows
                 else Subspace.full(F, len(mons)))
         std = [mons[i] for i in quot.pivots]
         if not std:

@@ -4,7 +4,6 @@ Each test prints a single PASS/FAIL line (bypassing capture so the line
 is visible in the pytest log) and asserts the criterion.
 """
 
-import sys
 import time
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from socle.modules import (
     canonical_module,
     random_module,
     regular_module,
-    residue_field,
     quotient_module,
 )
 from socle.ring import (

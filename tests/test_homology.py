@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cyclic, dense_realize, identical
 from oracles import direct_sum, gasharov_peeva_ok, is_isomorphic
+from socle.explorer import random_ring
 from socle.homology import (
     betti_numbers,
     complete_betti,
@@ -31,13 +32,14 @@ from socle.modules import (
     cover_map,
     derived_module,
     free_module,
-    matlis_dual,
     random_module,
+    random_presentation,
     regular_module,
     residue_field,
     submodule_module,
+    truncated_cokernel,
 )
-from socle.theorems import Instance, agp_example
+from socle.theorems import Instance, agp_example, canned_corpus
 
 
 def test_betti_k_flat(flat):
@@ -135,7 +137,7 @@ def test_tor_profile_and_window(agp):
     assert prof.all_zero and prof.dims == [0] * 8
     k = residue_field(ring)
     prof = tor_profile(M, k, 8)
-    assert prof.first_nonzero == 1
+    assert prof.first_nonzero == 1 and prof.dims == []
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -462,3 +464,71 @@ def test_tor_does_not_lift_the_next_stage(F, rels):
         assert identical(resolve(M, i + 2).delta(i + 2),
                          resolve(M2, i + 2).delta(i + 2))
         assert resolve(M, i + 2).betti == resolve(M2, i + 2).betti
+
+
+# -- Tor_i != 0 certified by counting cycles ------------------------------
+
+
+def explorer_pairs(F, seed, count):
+    """(M/m^2 M, N/m^2 N) from random presentations over a random ring, as
+    the explorer draws them, each module fresh (nothing resolved)."""
+    ring = random_ring(F, np.random.default_rng(seed))
+    return [tuple(truncated_cokernel(ring, random_presentation(ring, s), 2)
+                  for s in (2 * t, 2 * t + 1)) for t in range(count)]
+
+
+def cycles_and_bound(M, N, i):
+    """dim of the cycles of F_i (x) N from the dense d_i, and b_i dim mN,
+    which bounds the boundaries; lifts M's resolution through i + 1."""
+    d_i, _ = old_complex_maps(M, N, i)
+    z = d_i.shape[1] - rank(M.ring.field, d_i)
+    return z, resolve(M, i).betti_number(i) * N.mm().dim
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_cycle_count_certifies_only_nonzero_tor(F):
+    # Tor_1..Tor_4 of the canned pairs and of random pairs over the small
+    # hosts; the explorer's pairs resolve too fast for dense oracles past
+    # Tor_1, where each of them already has its first nonzero Tor
+    cases = [((inst.modules["M"], inst.modules["N"]), 4)
+             for inst in canned_corpus(F)]
+    for j, rels in enumerate(HOSTS):
+        ring = ring_from_strings(F, ["x", "y"], rels)
+        cases += [((random_module(ring, 2 * j, square_zero=True),
+                    random_module(ring, 2 * j + 1)), 4)]
+    cases += [(pair, 1) for pair in explorer_pairs(F, 3, 3)]
+    counted = exact = 0
+    for (M, N), depth in cases:
+        prof = tor_profile(M, N, depth)
+        first = next((i for i in range(1, depth + 1)
+                      if old_tor_dim(M, N, i)), 0)
+        assert prof.first_nonzero == first
+        assert prof.dims == [0] * ((first or depth + 1) - 1)
+        for i in range(1, depth + 1):
+            z, bound = cycles_and_bound(M, N, i)
+            _, d_next = old_complex_maps(M, N, i)
+            assert bound >= rank(F, d_next)
+            if i == first:
+                counted += z > bound
+                exact += z <= bound
+    # both routes to a nonzero Tor are taken
+    assert counted and exact
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_counted_tor_builds_no_frontier_kernel(F):
+    # once the cycles outnumber b_i dim mN, Tor_i != 0 is read off d_i:
+    # M's resolution stops at stage i and ker delta_i is never built
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
+    pairs = [(cyclic(ring, ["x"]), residue_field(ring))]
+    pairs += explorer_pairs(F, 5, 3)
+    counted = 0
+    for M, N in pairs:
+        prof = tor_profile(M, N, 6)
+        res, i = M._resolution, prof.first_nonzero
+        lifted = (res.length, res._frontier)
+        z, bound = cycles_and_bound(M, N, i)
+        if z > bound:
+            counted += 1
+            assert lifted == (i, None)
+    assert counted >= 2

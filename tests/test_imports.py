@@ -1,6 +1,7 @@
 """Imports sit at the top of each module, except where one breaks a cycle
 or reaches up a layer: ring -> modules and ring -> instancefile (ring is
-below both), and modules -> homology (homology imports modules)."""
+below both), and modules -> homology (homology imports modules).  Every
+name a module or test file imports is read there."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,25 @@ def test_function_level_imports_are_only_the_cycle_breakers():
     found = sorted(imp for path in sorted(src.glob("*.py"))
                    for imp in function_level_imports(path))
     assert found == ALLOWED
+
+
+def unread_imports(path):
+    """(file name, imported name) for every name an import statement in
+    the file binds and no expression in it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(path.name, name) for name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # the package's __init__ imports its public namespace, to be read
+    # by its users
+    src = Path(socle.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(tests.glob("*.py"))
+    assert [hit for path in paths for hit in unread_imports(path)] == []

@@ -5,14 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclic, module_from_rows
+from conftest import cyclic
 from oracles import direct_sum, is_isomorphic
 from socle.instancefile import parse_poly
 from socle.modules import (
     ModuleError,
     Subspace,
     canonical_module,
-    cover_map,
     from_presentation,
     hom_over_R,
     matlis_dual,

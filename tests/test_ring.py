@@ -1,17 +1,23 @@
 """Graded ring construction and invariants."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from conftest import identical
 from oracles import monomial_square_zero_rings
 
+from socle import explorer, ring as ring_module
 from socle.explorer import random_ring
 from socle.instancefile import parse_poly
-from socle.linalg import QQ, Field, GF101, Subspace, rref
+from socle.linalg import QQ, Field, GF101, Subspace, kernel_subspace, rref
 from socle.ring import (
+    DEGREE_CAP,
     NotArtinianError,
     PresentationError,
     RingPresentation,
+    _poly_degree,
+    _products,
     build_ring,
     graded_pieces,
     monomials,
@@ -27,6 +33,29 @@ def test_monomial_order():
     # graded lex, x1 > x2
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def lex_monomials(e, d):
+    """Exponent vectors of degree d, lex-descending, generated afresh."""
+    return sorted((m for m in product(range(d + 1), repeat=e)
+                   if sum(m) == d), reverse=True)
+
+
+def test_product_tables_match_monomial_products():
+    # each row of a table is one u times every m: the positions ascend,
+    # which keeps the keys of every Macaulay row ascending
+    for e in range(1, 5):
+        for du in range(4):
+            for dm in range(4):
+                mons = lex_monomials(e, du + dm)
+                assert monomials(e, du + dm) == mons
+                table = _products(e, du, dm)
+                assert table.tolist() == [
+                    [mons.index(tuple(a + b for a, b in zip(u, m)))
+                     for m in lex_monomials(e, dm)]
+                    for u in lex_monomials(e, du)]
+                assert all(np.all(np.diff(row) > 0) for row in table)
+                assert not table.flags.writeable
 
 
 def test_chain_ring(chain3):
@@ -212,13 +241,29 @@ def old_graded_pieces(presentation):
         d += 1
 
 
-def assert_pieces_match_old_path(presentation):
-    degrees, h = graded_pieces(presentation)
-    old, old_h = old_graded_pieces(presentation)
-    assert h == old_h and len(degrees) == len(old)
-    for (std, mons, nf), (ostd, omons, onf) in zip(degrees, old):
+def pieces_or_error(pieces, presentation):
+    try:
+        return pieces(presentation)
+    except (PresentationError, NotArtinianError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_pieces_match(oracle, presentation):
+    """graded_pieces and the oracle raise the same error, or give the same
+    h, the same lists of standard and of all monomials, and identical
+    normal-form arrays.  Returns the error's type, or None."""
+    new = pieces_or_error(graded_pieces, presentation)
+    old = pieces_or_error(oracle, presentation)
+    if isinstance(old[0], type):
+        assert new == old
+        return old[0]
+    (degrees, h), (odegrees, oh) = new, old
+    assert h == oh and len(degrees) == len(odegrees)
+    for (std, mons, nf), (ostd, omons, onf) in zip(degrees, odegrees):
+        assert type(std) is type(mons) is list
         assert std == ostd and mons == omons
         assert identical(nf, onf)
+    return None
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -231,8 +276,88 @@ def test_graded_pieces_match_old_rref_path(F):
     rng = np.random.default_rng(11)
     rings += [r for r in (random_ring(F, rng) for _ in range(3)) if r]
     for ring in rings:
-        assert_pieces_match_old_path(ring.presentation)
+        assert_pieces_match(old_graded_pieces, ring.presentation)
     # relations whose coefficients vanish mod p, and a degree-3 start
     pres = RingPresentation(F, ["x", "y"], [{(2, 0): 6, (1, 1): 3},
                                             {(0, 3): 1}, {(3, 0): 1}])
-    assert_pieces_match_old_path(pres)
+    assert_pieces_match(old_graded_pieces, pres)
+
+
+def dense_graded_pieces(presentation):
+    """graded_pieces with a dense Macaulay matrix per degree, written one
+    entry at a time from monomials generated afresh, and its kernel basis
+    as the normal forms: the loop that the cached product tables and
+    sparse rows replaced."""
+    F = presentation.field
+    e = len(presentation.varnames)
+    rels = [{m: F.scalar(c) for m, c in f.items() if F.scalar(c) != F.zero}
+            for f in presentation.relations]
+    rels = [(f, _poly_degree(f)) for f in rels if f]
+    if any(deg < 2 for _, deg in rels):
+        raise PresentationError(
+            "relation of degree < 2 after coefficient reduction")
+    degrees, d = [], 0
+    while True:
+        mons = lex_monomials(e, d)
+        idx = {m: i for i, m in enumerate(mons)}
+        multiples = [(u, f) for f, deg in rels if deg <= d
+                     for u in lex_monomials(e, d - deg)]
+        span = F.zeros((len(multiples), len(mons)))
+        for r, (u, f) in enumerate(multiples):
+            for m, c in f.items():
+                span[r, idx[tuple(a + b for a, b in zip(u, m))]] = c
+        quot = (kernel_subspace(F, span) if multiples
+                else Subspace.full(F, len(mons)))
+        std = [mons[i] for i in quot.pivots]
+        if not std:
+            return degrees, d - 1
+        if d >= DEGREE_CAP:
+            raise NotArtinianError(
+                f"R_{d} is nonzero at degree cap {DEGREE_CAP}; "
+                "quotient not Artinian?")
+        degrees.append((std, mons, quot.basis.T))
+        d += 1
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_graded_pieces_match_dense_loop(F, monkeypatch):
+    def ascending(F, rows):  # SparseRows keep each row's keys ascending
+        assert all(list(row) == sorted(row) for row in rows)
+        return kernel_subspace(F, rows)
+
+    monkeypatch.setattr(ring_module, "kernel_subspace", ascending)
+    for inst in canned_corpus(F):
+        assert_pieces_match(dense_graded_pieces, inst.ring.presentation)
+    # every presentation random_ring draws, the rejected draws included
+    # (Loewy length >= 4 rejects most of them)
+    drawn = []
+
+    def record(presentation):
+        drawn.append(presentation)
+        return graded_pieces(presentation)
+
+    monkeypatch.setattr(explorer, "graded_pieces", record)
+    rng = np.random.default_rng(29)
+    rings = [random_ring(F, rng, h_min=h) for h in (3, 3, 4)]
+    assert len(drawn) > sum(r is not None for r in rings)
+    for presentation in drawn:
+        assert_pieces_match(dense_graded_pieces, presentation)
+    # coefficients that vanish mod p (0 over Q): a term, and a relation;
+    # terms listed against the monomial order
+    vanish = F.p or 0
+    pres = RingPresentation(F, ["x", "y", "z"], [
+        {(0, 0, 2): 3, (1, 1, 0): 1, (2, 0, 0): vanish, (0, 1, 1): 5},
+        {(0, 2, 0): vanish, (0, 1, 1): 2 * vanish},
+        *({m: 1} for m in monomials(3, 3)),
+    ])
+    assert_pieces_match(dense_graded_pieces, pres)
+    # relations changed after the presentation checked them: a term of
+    # the wrong degree that vanishes is dropped, one that does not raises
+    pres.relations.append({(1, 0, 0): vanish, (0, 1, 1): 1})
+    assert assert_pieces_match(dense_graded_pieces, pres) is None
+    pres.relations.append({(1, 0, 0): 1, (0, 1, 1): 1})
+    assert assert_pieces_match(dense_graded_pieces, pres) is PresentationError
+    pres.relations[-1] = {(1, 0, 0): 1, (0, 1, 0): vanish}
+    assert assert_pieces_match(dense_graded_pieces, pres) is PresentationError
+    pres = RingPresentation(F, ["x", "y"], [{(2, 0): 1, (1, 1): vanish}])
+    assert assert_pieces_match(dense_graded_pieces, pres) is NotArtinianError
