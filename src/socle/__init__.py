@@ -41,7 +41,7 @@ from .homology import (
     resolve,
     tor_dim,
     tor_induced_k,
-    tor_profile,
+    tor_vanishes,
 )
 from .instancefile import ParseError, parse_instance, serialize_instance
 from .theorems import (

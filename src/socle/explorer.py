@@ -7,7 +7,9 @@ graded case is a theorem), so a confirmed candidate is an engine bug.
 
 Each trial draws a ring and two random presentations, and builds M and N
 straight in R^n/m^p R^n and R^n/m^q R^n (modules.truncated_cokernel),
-so neither cokernel is built in full first.
+so neither cokernel is built in full first.  It then walks i = 1, 2, ...
+with homology.tor_vanishes, the vanishing test the statements ask too,
+and stops at the first nonzero Tor_i.
 
 Determinism contract: identical (seed, budget, params, field) produce a
 byte-identical machine report.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .homology import require_cutoff, tor_profile
+from .homology import require_cutoff, tor_vanishes
 from .instancefile import serialize_instance
 from .linalg import GF101
 from .modules import random_presentation, truncated_cokernel
@@ -38,9 +40,7 @@ LENGTH_CAP = 30  # largest lambda(R) a drawn ring may have
 class Candidate:
     trial: int
     dossier: str  # serialized instance file
-    profile: list
-    recheck: list  # the zeros before the doubled window's first nonzero Tor
-    confirmed: bool
+    confirmed: bool  # Tor still vanishes through twice the cutoff
 
 
 @dataclass
@@ -135,6 +135,11 @@ def _trial_modules(ring, rng, p, q):
     return None
 
 
+def _first_nonzero(M, N, n):
+    """The first i in [1, n] with Tor_i(M, N) != 0, or 0 if there is none."""
+    return next((i for i in range(1, n + 1) if not tor_vanishes(M, N, i)), 0)
+
+
 def explore(seed, budget, cutoff=12, p=2, q=2, field=None):
     """Run `budget` random trials; report the first-nonzero-Tor histogram
     and any candidate counterexamples (re-tested at doubled cutoff)."""
@@ -159,14 +164,10 @@ def explore(seed, budget, cutoff=12, p=2, q=2, field=None):
             continue
         M, N = pair
         report.trials += 1
-        prof = tor_profile(M, N, cutoff)
-        key = prof.first_nonzero
+        key = _first_nonzero(M, N, cutoff)
         report.histogram[key] = report.histogram.get(key, 0) + 1
-        if prof.all_zero:
-            recheck = tor_profile(M, N, 2 * cutoff)
+        if key == 0:
+            confirmed = _first_nonzero(M, N, 2 * cutoff) == 0
             dossier = serialize_instance(ring, {"M": M, "N": N})
-            report.candidates.append(
-                Candidate(trial, dossier, prof.dims, recheck.dims,
-                          confirmed=recheck.all_zero)
-            )
+            report.candidates.append(Candidate(trial, dossier, confirmed))
     return report

@@ -4,9 +4,12 @@ resolutions over Gorenstein rings, and the Koszul numeric test.
 Resolutions are cached on the module and extended incrementally: asking
 for more stages resumes from the last differential computed.  Tor and
 Ext in degree i resolve only through stage i and read d_{i+1} off the
-kernel of delta_i, which the resolution caches until it lifts it.  The
-work cap on how deep a resolution may be lifted is decided here, by
-Resolution.reach, and nowhere else.
+kernel of delta_i, which the resolution caches until it lifts it.
+Whether Tor_i vanishes is decided by tor_vanishes alone, which skips
+that kernel when the cycles of F_i (x) N already certify Tor_i != 0;
+tor_dim is for callers that report the dimension.  The work cap on how
+deep a resolution may be lifted is decided here, by Resolution.reach,
+and nowhere else.
 """
 
 import weakref
@@ -236,35 +239,22 @@ def require_cutoff(cutoff):
         raise ValueError("cutoff must be >= 1")
 
 
-@dataclass
-class TorProfile:
-    dims: list  # the vanishing prefix: Tor_i = 0 for i < first_nonzero
-    first_nonzero: int  # 0 if the whole window [1, cutoff] vanishes
-
-    @property
-    def all_zero(self):
-        return self.first_nonzero == 0
-
-
-def tor_profile(M, N, n):
-    """The first i in [1, n] with Tor_i(M, N) != 0 (0 if there is none),
-    and the zeros before it as dims; the nonzero value is not computed.
+def tor_vanishes(M, N, i):
+    """Whether Tor_i(M, N) = 0, from a minimal resolution of M through
+    stage i; the dimension itself is not computed.
 
     Every entry of a minimal resolution lies in m, so every boundary of
     F_i (x) N lies in F_i (x) mN, of dimension b_i dim mN.  When the
     cycles outnumber that, Tor_i != 0 is certified from d_i alone, and
     the frontier kernel of delta_i is never built; otherwise the
     boundary rank is computed exactly, as tor_dim does."""
-    require_cutoff(n)
     require_same_ring(M, N)
     if M.dim == 0 or N.dim == 0:
-        return TorProfile([0] * n, 0)
-    mn_dim = N.mm().dim
-    for i in range(1, n + 1):
-        res, z = _cycles(M, N, i)
-        if z > res.betti_number(i) * mn_dim or z > _boundaries(res, N, i):
-            return TorProfile([0] * (i - 1), i)
-    return TorProfile([0] * n, 0)
+        return True
+    res, z = _cycles(M, N, i)
+    if z > res.betti_number(i) * N.mm().dim:
+        return False
+    return z == _boundaries(res, N, i)
 
 
 def ext_dim(M, N, i):

@@ -31,7 +31,7 @@ class FiniteModule:
         self.ring = ring
         self.field = ring.field
         self.actions = [np.asarray(A) for A in actions]
-        self.dim = 0 if not actions else self.actions[0].shape[0]
+        self.dim = self.actions[0].shape[0] if self.actions else 0
         if len(self.actions) != ring.e:
             raise ModuleError("one action matrix per ring generator required")
         for A in self.actions:

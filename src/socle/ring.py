@@ -134,7 +134,7 @@ class GradedRing:
         self.derived = weakref.WeakValueDictionary()  # see derived_module
         self._build_mult_table()
         self.r = self.hilbert[2] if self.h >= 2 else 0
-        self._socle = None  # computed on first read, by _invariants
+        self._socle = None  # computed on first read, by socle_subspace
 
     # -- construction ---------------------------------------------------
 
@@ -159,7 +159,7 @@ class GradedRing:
         # columns are indexed by the right factor
         self.left_mult = self.table.transpose(0, 2, 1).copy()
 
-    def _invariants(self):
+    def socle_subspace(self):
         """The socle of R (that of the regular module), computed on first
         read; a and gorenstein are read from it."""
         if self._socle is None:
@@ -171,7 +171,7 @@ class GradedRing:
     @property
     def a(self):
         """The type of R, the dimension of its socle."""
-        return self._invariants().dim
+        return self.socle_subspace().dim
 
     @property
     def gorenstein(self):
@@ -191,9 +191,6 @@ class GradedRing:
         for mon, coeff in poly.items():
             v = F.mod(v + F.scalar(coeff) * self.monomial_vector(mon))
         return v
-
-    def socle_subspace(self):
-        return self._invariants()
 
     def invariants(self):
         return {

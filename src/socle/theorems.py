@@ -11,11 +11,13 @@ bug report in disguise; the suite runner treats it as fatal.
 The structural hypotheses are the named clauses of `_HYPOTHESES`, which
 `check` tests in a statement's `needs` order before its body runs.
 
-Windows of Tor or Ext go through `_scan`, which honours the work cap and
-computes each index at most once; S14's Tor_l, S17's Tor_1 to Tor_3 and
-S28's and S29's Tor_2 call `tor_dim` directly.  The cap is the
-resolution's: Tor_i is affordable when reach(i + 1) > i, and a Betti
-depth is clamped to reach(n) (see homology.Resolution.reach).
+Every vanishing question is homology.tor_vanishes.  Windows of Tor or
+Ext go through `_scan`, which honours the work cap and asks each index
+at most once; S14's Tor_l, S17's Tor_2 and Tor_3, S18's Tor_(i+1) and
+S28's and S29's Tor_2 ask it directly, and only S17 part 2 computes a
+dimension, the Tor_1 it prints.  The cap is the resolution's: Tor_i is
+affordable when reach(i + 1) > i, and a Betti depth is clamped to
+reach(n) (see homology.Resolution.reach).
 """
 
 import inspect
@@ -33,6 +35,7 @@ from .homology import (
     series_quotient,
     tor_dim,
     tor_induced_k,
+    tor_vanishes,
 )
 from .instancefile import parse_poly, serialize_instance
 from .linalg import GF101, Subspace
@@ -123,7 +126,7 @@ def _scan(M, Ns, lo, hi, width=1):
     """Smallest j in [lo, hi] with Tor_i(M, N) = 0 for every N in Ns and
     every i in [j, j+width-1], or None.
 
-    Each index is computed once, in increasing order: a nonzero Tor_i
+    Each index is asked once, in increasing order: a nonzero Tor_i
     moves the next candidate start to i+1.  The scan stops (returning
     None) at the first candidate window whose last index the work cap
     rejects, that is reach(start + width) < start + width, or once no
@@ -135,7 +138,7 @@ def _scan(M, Ns, lo, hi, width=1):
     while start <= hi and \
             resolve(M, 0).reach(start + width) == start + width:
         bad = next((i for i in range(start, start + width)
-                    if any(tor_dim(M, N, i) for N in Ns)), None)
+                    if not all(tor_vanishes(M, N, i) for N in Ns)), None)
         if bad is None:
             return start
         start = bad + 1
@@ -417,7 +420,7 @@ def _s14(inst, n, M, N):
     _need(l >= j + 3, f"l={l} < j+3={j+3}")
     _need(resolve(M, 0).reach(l + 1) > l and resolve(N, 0).reach(l) > l - 1,
           f"resolution work cap below l={l}")
-    _need(tor_dim(M, N, l) == 0, f"Tor_{l} != 0")
+    _need(tor_vanishes(M, N, l), f"Tor_{l} != 0")
     gM, gN = M.gamma(), N.gamma()
     bM = betti_numbers(M, l)
     bN = betti_numbers(N, l)
@@ -475,8 +478,8 @@ def _s17(inst, n, part=None):
             parts.append((f"(2=>1) Tor_1(omega,omega)={t1} > 0", t1 > 0))
         if part in (None, 3):
             parts.append(("(3=>1) Tor_2,Tor_3 not both zero",
-                          bool(tor_dim(omega, omega, 2)
-                               or tor_dim(omega, omega, 3))))
+                          not (tor_vanishes(omega, omega, 2)
+                               and tor_vanishes(omega, omega, 3))))
         if part in (None, 4):
             parts.append((f"(4=>1) no triple-zero window from j>=3 through {n}",
                           _scan(omega, [omega], 3, n - 2, width=3) is None))
@@ -489,7 +492,7 @@ def _s18(inst, n, M, N):
     report = []
     Tnext = tensor_over_R(resM.syzygy_module(0), N)
     for i in range(j + 1):
-        lhs = tor_dim(M, N, i + 1) == 0
+        lhs = tor_vanishes(M, N, i + 1)
         Ti, Tnext = Tnext, tensor_over_R(resM.syzygy_module(i + 1), N)
         rhs = Ti.mm().dim == 0 and Tnext.mm().dim == 0
         if lhs != rhs:
@@ -617,7 +620,7 @@ def _s27(inst, n, M):
 def _s28(inst, n, M):
     pres = presentation_of(M)
     _need(pres.shape[0] == 2, "presentation does not embed N in R^2")
-    _need(tor_dim(M, M, 2) == 0, "Tor_2(M,M) != 0")
+    _need(tor_vanishes(M, M, 2), "Tor_2(M,M) != 0")
     _need(M.annihilator_is_zero(), "M is not faithful")
     nu = min_gen_rmatrix(M.ring, column_span(M.ring, pres)).shape[1]
     return nu <= 1, f"nu(N)={nu}", {}
@@ -627,7 +630,7 @@ def _s29(inst, n):
     ring = inst.ring
     _need(ring.a <= 2, f"type {ring.a} > 2")
     omega = inst.module("omega")
-    _need(tor_dim(omega, omega, 2) == 0, "Tor_2(omega,omega) != 0")
+    _need(tor_vanishes(omega, omega, 2), "Tor_2(omega,omega) != 0")
     ok = ring.gorenstein
     return ok, f"Gorenstein: {ok} (type {ring.a})", {}
 

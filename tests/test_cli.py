@@ -8,7 +8,6 @@ from conftest import flat_free_instance
 
 from socle import explorer, theorems
 from socle.cli import main
-from socle.homology import TorProfile
 from socle.instancefile import parse_instance, serialize_instance
 
 FLAT_INSTANCE = """\
@@ -118,8 +117,7 @@ def test_check_fail_exits_one_with_a_dossier(capsys, flat_free_file,
 
 
 def test_explore_prints_confirmed_candidate_dossier(capsys, monkeypatch):
-    monkeypatch.setattr(explorer, "tor_profile",
-                        lambda M, N, n: TorProfile([0] * n, 0))
+    monkeypatch.setattr(explorer, "tor_vanishes", lambda M, N, i: True)
     code, out = run(capsys, "explore", "--seed", "42", "--budget", "1",
                     "--to", "3")
     assert code == 1

@@ -8,7 +8,6 @@ from conftest import identical
 
 from socle import explorer
 from socle.explorer import REJECTION_CAP, explore, random_ring
-from socle.homology import TorProfile
 from socle.instancefile import parse_instance, serialize_instance
 from socle.linalg import GF101, QQ
 from socle.ring import (
@@ -62,16 +61,22 @@ def test_histogram_accounts_for_trials():
 
 
 def test_all_zero_profiles_become_confirmed_candidates(monkeypatch):
-    monkeypatch.setattr(explorer, "tor_profile",
-                        lambda M, N, n: TorProfile([0] * n, 0))
+    asked = []
+
+    def vanishing(M, N, i):
+        asked.append(i)
+        return True
+
+    monkeypatch.setattr(explorer, "tor_vanishes", vanishing)
     rep = explore(42, 2, cutoff=3)
+    # each trial walks the window, then the doubled window
+    assert asked == 2 * [*range(1, 4), *range(1, 7)]
     lines = rep.machine_lines()
     assert rep.trials == 2 and "explore.candidates=2" in lines
     assert [l for l in lines if ".confirmed=" in l] == [
         "explore.candidate.0.confirmed=1", "explore.candidate.1.confirmed=1"]
     assert rep.found_counterexample
     for c in rep.candidates:
-        assert c.profile == [0] * 3 and c.recheck == [0] * 6
         ring, mods = parse_instance(c.dossier)
         assert sorted(mods) == ["M", "N"]
         assert serialize_instance(ring, mods) == c.dossier
@@ -163,17 +168,17 @@ def test_candidate_dossiers_present_the_truncated_modules(monkeypatch):
     byte for byte."""
     dims = []
 
-    def zero_profile(M, N, n):
-        dims.append((M.dim, N.dim))
-        return TorProfile([0] * n, 0)
+    def vanishing(M, N, i):
+        if i == 1:  # each trial's window, then its recheck
+            dims.append((M.dim, N.dim))
+        return True
 
-    monkeypatch.setattr(explorer, "tor_profile", zero_profile)
+    monkeypatch.setattr(explorer, "tor_vanishes", vanishing)
     count = 0
     for p, q, budget in ((2, 2, 60), (2, 3, 10), (3, 2, 10)):
         dims.clear()
         rep = explore(42, budget, cutoff=3, p=p, q=q)
         assert len(rep.candidates) == rep.trials
-        # each candidate's profile, then its recheck
         for c, trial_dims in zip(rep.candidates, dims[::2], strict=True):
             ring, mods = parse_instance(c.dossier)
             assert (mods["M"].dim, mods["N"].dim) == trial_dims

@@ -20,7 +20,7 @@ from socle.homology import (
     resolve,
     tor_dim,
     tor_induced_k,
-    tor_profile,
+    tor_vanishes,
 )
 from socle.linalg import GF101, QQ, Field, kernel_basis, rank
 from socle.ring import ring_from_strings
@@ -130,22 +130,20 @@ def test_ext_two_routes_agree(gor, gor3, agp):
             assert ext_dim(A, B, i) == ext_dim_direct(A, B, i)
 
 
-def test_tor_profile_and_window(agp):
+def test_tor_vanishes_on_a_window(agp):
     ring, M = agp
     omega = canonical_module(ring)
-    prof = tor_profile(M, omega, 8)
-    assert prof.all_zero and prof.dims == [0] * 8
-    k = residue_field(ring)
-    prof = tor_profile(M, k, 8)
-    assert prof.first_nonzero == 1 and prof.dims == []
+    assert all(tor_vanishes(M, omega, i) for i in range(1, 9))
+    assert not tor_vanishes(M, residue_field(ring), 1)
+    zero = cyclic(ring, ["1"])
+    assert tor_vanishes(M, zero, 0) and tor_vanishes(zero, M, 0)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_empty_windows_rejected(agp, n):
-    # an empty window would read as vanishing (all_zero on no indices)
-    ring, M = agp
-    with pytest.raises(ValueError, match="cutoff must be >= 1"):
-        tor_profile(M, canonical_module(ring), n)
+    # an empty window would read as consistent (explore's own cutoff
+    # check is in test_explorer)
+    ring, _ = agp
     with pytest.raises(ValueError, match="cutoff must be >= 1"):
         koszul_test(ring, n)
 
@@ -499,16 +497,13 @@ def test_cycle_count_certifies_only_nonzero_tor(F):
     cases += [(pair, 1) for pair in explorer_pairs(F, 3, 3)]
     counted = exact = 0
     for (M, N), depth in cases:
-        prof = tor_profile(M, N, depth)
-        first = next((i for i in range(1, depth + 1)
-                      if old_tor_dim(M, N, i)), 0)
-        assert prof.first_nonzero == first
-        assert prof.dims == [0] * ((first or depth + 1) - 1)
         for i in range(1, depth + 1):
+            vanishes = tor_vanishes(M, N, i)
+            assert vanishes == (old_tor_dim(M, N, i) == 0)
             z, bound = cycles_and_bound(M, N, i)
             _, d_next = old_complex_maps(M, N, i)
             assert bound >= rank(F, d_next)
-            if i == first:
+            if not vanishes:
                 counted += z > bound
                 exact += z <= bound
     # both routes to a nonzero Tor are taken
@@ -524,8 +519,8 @@ def test_counted_tor_builds_no_frontier_kernel(F):
     pairs += explorer_pairs(F, 5, 3)
     counted = 0
     for M, N in pairs:
-        prof = tor_profile(M, N, 6)
-        res, i = M._resolution, prof.first_nonzero
+        i = next(i for i in range(1, 7) if not tor_vanishes(M, N, i))
+        res = M._resolution
         lifted = (res.length, res._frontier)
         z, bound = cycles_and_bound(M, N, i)
         if z > bound:

@@ -11,8 +11,8 @@ import socle
 ALLOWED = [
     ("modules", "presentation_of", ".homology"),
     ("modules", "syzygy", ".homology"),
-    ("ring", "_invariants", ".modules"),
     ("ring", "ring_from_strings", ".instancefile"),
+    ("ring", "socle_subspace", ".modules"),
 ]
 
 

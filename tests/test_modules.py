@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclic
+from conftest import cyclic, identical
 from oracles import direct_sum, is_isomorphic
 from socle.instancefile import parse_poly
 from socle.modules import (
+    FiniteModule,
     ModuleError,
     Subspace,
     canonical_module,
@@ -26,7 +27,8 @@ from socle.modules import (
     tensor_over_R,
     wedge_image,
 )
-from socle.linalg import GF101, rank
+from socle.linalg import GF101, QQ, Field, rank
+from socle.ring import ring_from_strings
 from socle.theorems import AGP_PHI
 
 
@@ -208,3 +210,19 @@ def test_agp_module_invariants(agp):
     assert M.gamma() == 3
     omega = canonical_module(ring)
     assert omega.dim == 8 and omega.min_gens() == ring.a == 3
+
+
+@pytest.mark.parametrize("F", [Field(2), Field(3), GF101, Field(2**31 - 1), QQ],
+                         ids=repr)
+def test_stacked_actions_give_the_listed_module(F):
+    # actions may come as one (e, d, d) array as well as a list of e
+    # matrices, the zero module (d = 0) included
+    ring = ring_from_strings(F, ["x", "y"], ["x^2", "x*y", "y^2"])
+    for M in (random_module(ring, 5), residue_field(ring), cyclic(ring, ["1"])):
+        stacked = FiniteModule(ring, np.stack(M.actions))
+        listed = FiniteModule(ring, list(M.actions))
+        assert stacked.dim == listed.dim == M.dim
+        assert all(identical(a, b)
+                   for a, b in zip(stacked.actions, listed.actions, strict=True))
+        assert stacked.min_gens() == listed.min_gens()
+        assert identical(stacked.ops(), listed.ops())

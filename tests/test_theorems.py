@@ -1,5 +1,6 @@
 """Executable statement registry: verdicts on canned instances."""
 
+from contextlib import contextmanager
 from itertools import product
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ from test_one_path import old_afford
 from socle import homology, theorems
 from socle.homology import resolve
 from socle.instancefile import parse_instance
-from socle.linalg import GF101, Field
+from socle.linalg import GF101, QQ, Field
 from socle.modules import (
     FiniteModule, canonical_module, matlis_dual, random_module,
     regular_module)
@@ -211,19 +212,34 @@ WIDTHS = range(1, 5)
 
 
 class RecordedTor:
-    """theorems.tor_dim, memoized, logging each (N, i) it is asked for."""
+    """homology.tor_vanishes, which the scan asks, and homology.tor_dim,
+    which the oracles ask, each memoized on its own, logging each (N, i)
+    either is asked for.  `patched` installs them in theorems, so every
+    scan verdict is checked against an oracle that never reads the
+    predicate."""
 
-    def __init__(self, tor_dim):
-        self.tor_dim = tor_dim
+    def __init__(self):
         self.memo = {}
         self.log = []
 
-    def __call__(self, M, N, i):
+    def _ask(self, fn, M, N, i):
         self.log.append((id(N), i))
-        key = (id(M), id(N), i)
+        key = (fn, id(M), id(N), i)
         if key not in self.memo:
-            self.memo[key] = self.tor_dim(M, N, i)
+            self.memo[key] = fn(M, N, i)
         return self.memo[key]
+
+    def vanishes(self, M, N, i):
+        return self._ask(homology.tor_vanishes, M, N, i)
+
+    def dim(self, M, N, i):
+        return self._ask(homology.tor_dim, M, N, i)
+
+    @contextmanager
+    def patched(self):
+        with patch.object(theorems, "tor_vanishes", self.vanishes), \
+                patch.object(theorems, "tor_dim", self.dim):
+            yield
 
     def run(self, fn, *args):
         """fn(*args) and the (N, i) pairs it asked for."""
@@ -276,10 +292,10 @@ def old_first_index(M, Ns, lo, hi):
 
 
 def assert_scan_matches_oracles(M, N):
-    tor = RecordedTor(theorems.tor_dim)
+    tor = RecordedTor()
     dual = matlis_dual(M)
     families = [[N], [dual, canonical_module(M.ring)], [dual]]
-    with patch.object(theorems, "tor_dim", tor):
+    with tor.patched():
         for lo in SPAN:
             for hi in SPAN:
                 for Ns in families:
@@ -339,9 +355,8 @@ def test_scan_lifts_only_the_stages_it_reads(cap):
     at a time through hi, leaves M resolved exactly through the largest
     Tor index it computed; no scan resolves past the last index its
     windows can read, and reach(n) stops short of stage n."""
-    tor = RecordedTor(theorems.tor_dim)
-    with patch.object(homology, "WORK_CAP", cap), \
-            patch.object(theorems, "tor_dim", tor):
+    tor = RecordedTor()
+    with patch.object(homology, "WORK_CAP", cap), tor.patched():
         for inst in canned_corpus(GF101):
             M, N = inst.module("M"), inst.module("N")
             if M.is_free():
@@ -374,3 +389,19 @@ def test_cutoff_below_one_rejected(cutoff):
         with patch.object(theorems, "check", side_effect=AssertionError):
             with pytest.raises(ValueError, match="cutoff must be >= 1"):
                 check_suite(corpus, ["S24"], cutoff=cutoff)
+
+
+def test_canned_verdicts_agree_over_every_field():
+    # the canned instances have integer presentations, and every verdict
+    # on them reads the same over each field the engine accepts
+    want = None
+    for F in (Field(2), Field(3), GF101, Field(2**31 - 1), QQ):
+        corpus = [inst for inst in canned_corpus(F)
+                  if inst.provenance == "canned"]
+        assert len(corpus) == 5
+        report = check_suite(corpus, cutoff=4)
+        assert report.counts == {PASS: 51, FAIL: 0, VACUOUS: 93,
+                                 NO_COUNTEREXAMPLE: 1}
+        got = [f"{name} {v}" for name, v in report.verdicts]
+        want = want or got
+        assert got == want, F

@@ -1,0 +1,99 @@
+"""Whether Tor vanishes is asked of homology.tor_vanishes alone: outside
+homology.py, no tor_dim(...) call in src/ is read as a truth value or
+compared with zero.  tor_dim is for the callers that report a dimension."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import socle
+
+SRC = Path(socle.__file__).resolve().parent
+
+
+def _is_tor_dim(node):
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "tor_dim"
+            or isinstance(f, ast.Attribute) and f.attr == "tor_dim")
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def _elements(node):
+    """The values an any/all/bool argument reads as truth values."""
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        return [node.elt]
+    if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+        return node.elts
+    return [node]
+
+
+def _truth_tested(tree):
+    """Every expression the code reads as a truth value."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.BoolOp):
+            yield from node.values
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("any", "all", "bool") and node.args:
+            yield from _elements(node.args[0])
+
+
+def _compared_with_zero(tree):
+    """Every operand compared with a literal zero."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            ops = [node.left, *node.comparators]
+            for a, b in zip(ops, ops[1:]):
+                if _is_zero(b):
+                    yield a
+                if _is_zero(a):
+                    yield b
+
+
+def vanishing_questions(source):
+    """Line numbers of the tor_dim calls that decide vanishing."""
+    tree = ast.parse(source)
+    found = [*_truth_tested(tree), *_compared_with_zero(tree)]
+    return sorted(node.lineno for node in found if _is_tor_dim(node))
+
+
+def test_no_tor_dim_call_decides_vanishing():
+    hits = [(path.name, line)
+            for path in sorted(SRC.glob("*.py")) if path.name != "homology.py"
+            for line in vanishing_questions(path.read_text(encoding="utf-8"))]
+    assert hits == []
+
+
+@pytest.mark.parametrize("source", [
+    "j = next(i for i in r if any(tor_dim(M, N, i) for N in Ns))",
+    "_need(tor_dim(M, N, l) == 0, 'Tor_l != 0')",
+    "ok = bool(tor_dim(w, w, 2) or tor_dim(w, w, 3))",
+    "if homology.tor_dim(M, N, 1):\n    pass",
+    "ok = not tor_dim(M, N, 1)",
+    "ok = 0 != tor_dim(M, N, 1)",
+    "ok = all([tor_dim(M, N, 1), tor_dim(N, M, 1)])",
+    "zs = [i for i in r if tor_dim(M, N, i)]",
+])
+def test_guard_sees_each_form(source):
+    assert vanishing_questions(source)
+
+
+@pytest.mark.parametrize("source", [
+    "t1 = tor_dim(w, w, 1)\nok = t1 > 0",
+    "tors = [tor_dim(M, w, i) for i in r]",
+    "ok = not tor_vanishes(M, N, 1)",
+    "ok = tor_dim(M, N, 1) == tor_dim(N, M, 1)",
+])
+def test_guard_lets_dimensions_through(source):
+    assert vanishing_questions(source) == []
