@@ -5,11 +5,12 @@ Resolutions are cached on the module and extended incrementally: asking
 for more stages resumes from the last differential computed.  Tor and
 Ext in degree i resolve only through stage i and read d_{i+1} off the
 kernel of delta_i, which the resolution caches until it lifts it.
-Whether Tor_i vanishes is decided by tor_vanishes alone, which skips
-that kernel when the cycles of F_i (x) N already certify Tor_i != 0;
-tor_dim is for callers that report the dimension.  The work cap on how
-deep a resolution may be lifted is decided here, by Resolution.reach,
-and nowhere else.
+Whether Tor_i vanishes is decided by tor_vanishes alone, and a window
+of Tor_i (or of Ext^i(M, X) = Tor_i(M, X^v)) is walked by tor_window
+alone; tor_dim is for callers that report the dimension.  The work cap
+on how deep a resolution may be lifted is decided by Resolution.reach
+and nowhere else: Tor_i is affordable when reach(i + 1) > i, and a Betti
+depth is clamped to reach(n).
 """
 
 import weakref
@@ -65,6 +66,7 @@ class Resolution:
         self._zero_deltas = {}  # delta_0 and those past a finite end
         self._frontier = None  # ker delta_length, until it is lifted
         self.finite = False  # some b_i hit zero: finite projective dimension
+        self._vanishes = weakref.WeakKeyDictionary()  # N -> {i: Tor_i = 0}
 
     @property
     def module(self):
@@ -247,14 +249,38 @@ def tor_vanishes(M, N, i):
     F_i (x) N lies in F_i (x) mN, of dimension b_i dim mN.  When the
     cycles outnumber that, Tor_i != 0 is certified from d_i alone, and
     the frontier kernel of delta_i is never built; otherwise the
-    boundary rank is computed exactly, as tor_dim does."""
+    boundary rank is computed exactly, as tor_dim does.  Each (M, N, i)
+    is computed once: M's resolution keeps the answer, holding N weakly."""
     require_same_ring(M, N)
     if M.dim == 0 or N.dim == 0:
         return True
-    res, z = _cycles(M, N, i)
-    if z > res.betti_number(i) * N.mm().dim:
-        return False
-    return z == _boundaries(res, N, i)
+    answers = resolve(M, 0)._vanishes.setdefault(N, {})
+    if i not in answers:
+        res, z = _cycles(M, N, i)
+        answers[i] = z <= res.betti_number(i) * N.mm().dim \
+            and z == _boundaries(res, N, i)
+    return answers[i]
+
+
+def tor_window(M, Ns, lo, hi, width=1):
+    """(start, stop) for the first start in [lo, hi] with Tor_i(M, N) = 0
+    for every N in Ns and i in [start, start + width - 1].  stop says why
+    the walk ended: "vanished" (start found), "nonzero", "work_cap" (at
+    the first window with reach(start + width) < start + width, before
+    asking any of its indices) or "empty" (lo > hi); start is None
+    unless "vanished".  Each index is asked once, in increasing order,
+    so M is resolved only through the last window the cap admits; a
+    width-0 window is found at its start."""
+    start = lo
+    while start <= hi:
+        if resolve(M, 0).reach(start + width) < start + width:
+            return None, "work_cap"
+        bad = next((i for i in range(start, start + width)
+                    if not all(tor_vanishes(M, N, i) for N in Ns)), None)
+        if bad is None:
+            return start, "vanished"
+        start = bad + 1
+    return None, "empty" if lo > hi else "nonzero"
 
 
 def ext_dim(M, N, i):

@@ -12,12 +12,9 @@ The structural hypotheses are the named clauses of `_HYPOTHESES`, which
 `check` tests in a statement's `needs` order before its body runs.
 
 Every vanishing question is homology.tor_vanishes.  Windows of Tor or
-Ext go through `_scan`, which honours the work cap and asks each index
-at most once; S14's Tor_l, S17's Tor_2 and Tor_3, S18's Tor_(i+1) and
-S28's and S29's Tor_2 ask it directly, and only S17 part 2 computes a
-dimension, the Tor_1 it prints.  The cap is the resolution's: Tor_i is
-affordable when reach(i + 1) > i, and a Betti depth is clamped to
-reach(n) (see homology.Resolution.reach).
+Ext go through homology.tor_window; S14's Tor_l, S17's Tor_2 and Tor_3,
+S18's Tor_(i+1) and S28's and S29's Tor_2 ask tor_vanishes directly,
+and only S17 part 2 computes a dimension, the Tor_1 it prints.
 """
 
 import inspect
@@ -36,6 +33,7 @@ from .homology import (
     tor_dim,
     tor_induced_k,
     tor_vanishes,
+    tor_window,
 )
 from .instancefile import parse_poly, serialize_instance
 from .linalg import GF101, Subspace
@@ -122,29 +120,6 @@ def _need(cond, clause):
         raise _Vacuous(clause)
 
 
-def _scan(M, Ns, lo, hi, width=1):
-    """Smallest j in [lo, hi] with Tor_i(M, N) = 0 for every N in Ns and
-    every i in [j, j+width-1], or None.
-
-    Each index is asked once, in increasing order: a nonzero Tor_i
-    moves the next candidate start to i+1.  The scan stops (returning
-    None) at the first candidate window whose last index the work cap
-    rejects, that is reach(start + width) < start + width, or once no
-    window can start in [lo, hi]; an empty range computes nothing.  M's
-    resolution is lifted only through the last index of the last window
-    the cap admits.  Ext^i(M, X) is Tor_i(M, X^v), so Ext windows are
-    scanned against Matlis duals."""
-    start = lo
-    while start <= hi and \
-            resolve(M, 0).reach(start + width) == start + width:
-        bad = next((i for i in range(start, start + width)
-                    if not all(tor_vanishes(M, N, i) for N in Ns)), None)
-        if bad is None:
-            return start
-        start = bad + 1
-    return None
-
-
 def _m_square_part(ring):
     """m^2 as a subspace of R: the coordinates of degree >= 2, whose unit
     rows are already in rref."""
@@ -216,14 +191,14 @@ def _assume(inst, hid):
 
 def _vanishing_index(M, N, lo, n):
     """The first i in [lo, n] with Tor_i(M, N) = 0, else VACUOUS."""
-    i = _scan(M, [N], lo, n)
+    i, _ = tor_window(M, [N], lo, n)
     _need(i is not None, f"no vanishing Tor index in [{lo},{n}]")
     return i
 
 
 def _vanishing_window(M, N, width):
     """VACUOUS unless Tor_1 .. Tor_width(M, N) are verified zero."""
-    _need(_scan(M, [N], 1, 1, width=width),
+    _need(tor_window(M, [N], 1, 1, width)[0],
           f"Tor window [1,{width}] not verified zero")
 
 
@@ -300,18 +275,18 @@ def _s4(inst, n, M, N):
 def _s5(inst, n, M, N):
     parts = []
     nu = N.min_gens()
-    if nu <= n and _scan(M, [N], 1, 1, width=nu):
+    if nu <= n and tor_window(M, [N], 1, 1, nu)[0]:
         parts.append((f"(1) gamma(M)={M.gamma()} >= 1", M.gamma() >= 1))
     if _kills_m_squared(M):
         c = _c(N)  # N is not free, so b_1(N) >= 1
-        if c <= n and _scan(M, [N], 1, 1, width=c):
+        if c <= n and tor_window(M, [N], 1, 1, c)[0]:
             parts.append((f"(2) gamma(M)={M.gamma()} integral",
                           M.gamma().denominator == 1))
     return _conclude(parts, "no sub-hypothesis window satisfied")
 
 
 def _s6(inst, n, M, N):
-    _need(_scan(M, [N], 1, 1, width=2), _TOR_1_2)
+    _need(tor_window(M, [N], 1, 1, 2)[0], _TOR_1_2)
     b = betti_numbers(M, 1)
     gM = M.gamma()
     eq1 = b[1] == (M.ring.e - gM) * b[0]
@@ -323,7 +298,7 @@ def _s6(inst, n, M, N):
 
 
 def _s7(inst, n, M, N):
-    _need(_scan(M, [N], 1, 1, width=2), _TOR_1_2)
+    _need(tor_window(M, [N], 1, 1, 2)[0], _TOR_1_2)
     T = tensor_over_R(M, N)
     ok = M.gamma() + N.gamma() - T.gamma() == M.ring.e
     return ok, f"gamma(M)+gamma(N)-gamma(M(x)N) = {M.gamma()+N.gamma()-T.gamma()} vs e={M.ring.e}", {}
@@ -386,7 +361,7 @@ def _s12(inst, n, M, N):
 def _three_tor_hyp(M, N, n):
     """The first j with Tor_j = Tor_(j+1) = Tor_(j+2) = 0 in [1, n], with
     N resolved through it."""
-    j = _scan(M, [N], 1, n - 2, width=3)
+    j, _ = tor_window(M, [N], 1, n - 2, width=3)
     _need(j is not None, f"no triple-zero Tor window in [1,{n}]")
     _need(resolve(N, 0).reach(j + 2) > j + 1,
           "N resolution exceeds work cap")
@@ -449,7 +424,7 @@ def _s15(inst, n):
 
 
 def _s16(inst, n, M, omega):
-    j = _scan(M, [omega], 2, n - 2, width=3)
+    j, _ = tor_window(M, [omega], 2, n - 2, width=3)
     _need(j is not None, f"no triple-zero Tor(M,omega) window from 2 in [2,{n}]")
     e, a = inst.ring.e, inst.ring.a
     omega1 = inst.module("omega1")
@@ -469,9 +444,9 @@ def _s17(inst, n, part=None):
     omega = inst.module("omega")
     parts = []
     if inst.ring.gorenstein:
-        # omega is free here, so the scan never meets the work cap
+        # omega is free here, so the walk never meets the work cap
         parts.append((f"Gorenstein: Tor_i(omega,omega)=0 through {n}",
-                      bool(_scan(omega, [omega], 1, 1, width=n))))
+                      bool(tor_window(omega, [omega], 1, 1, n)[0])))
     else:
         if part in (None, 2):
             t1 = tor_dim(omega, omega, 1)
@@ -482,7 +457,7 @@ def _s17(inst, n, part=None):
                                and tor_vanishes(omega, omega, 3))))
         if part in (None, 4):
             parts.append((f"(4=>1) no triple-zero window from j>=3 through {n}",
-                          _scan(omega, [omega], 3, n - 2, width=3) is None))
+                          tor_window(omega, [omega], 3, n - 2, 3)[0] is None))
     return _conclude(parts)
 
 
@@ -509,11 +484,11 @@ def _s19(inst, n, M, N):
     parts = []
     if _kills_m_squared(M):
         c = max(4, _c(N))
-        if c <= n and _scan(M, [N], 1, 1, width=c):
+        if c <= n and tor_window(M, [N], 1, 1, c)[0]:
             parts.append((f"(1) c(N)={c}: M or N free",
                           M.is_free() or N.is_free()))
     if ring.h <= 2:
-        j = _scan(M, [N], 2, n - 2, width=3)
+        j, _ = tor_window(M, [N], 2, n - 2, width=3)
         if j is not None:
             parts.append((f"(2) triple window at j={j}: M or N free",
                           M.is_free() or N.is_free()))
@@ -523,11 +498,11 @@ def _s19(inst, n, M, N):
 def _s20(inst, n, M):
     parts = []
     dual = matlis_dual(M)
-    s = _scan(M, [dual, inst.module("omega")], 2, n - 3, width=4)
+    s, _ = tor_window(M, [dual, inst.module("omega")], 2, n - 3, width=4)
     if s is not None:
         parts.append((f"(1) Ext(M,M+R)=0 on [{s},{s+3}]: M free",
                       M.is_free()))
-    i = _scan(M, [dual], 1, n) if inst.ring.gorenstein else None
+    i = tor_window(M, [dual], 1, n)[0] if inst.ring.gorenstein else None
     if i is not None:
         parts.append((f"(2) Gorenstein, Ext^{i}(M,M)=0: M free", M.is_free()))
     return _conclude(parts, _NO_EXT_WINDOW)
@@ -542,17 +517,16 @@ def _ar_bound(M):
 def _s21(inst, n, M):
     bound = _ar_bound(M)
     _need(bound <= n, f"window bound {bound} exceeds cutoff {n}")
-    _need(resolve(M, 0).reach(bound + 1) > bound,
-          f"resolution work cap below {bound}")
-    Ns = [matlis_dual(M), inst.module("omega")]
-    _need(_scan(M, Ns, 1, 1, width=bound),
-          f"Ext(M, M+R) window [1,{bound}] not all zero")
+    _, stop = tor_window(M, [matlis_dual(M), inst.module("omega")], 1, 1,
+                         bound)
+    _need(stop != "work_cap", f"resolution work cap below {bound}")
+    _need(stop == "vanished", f"Ext(M, M+R) window [1,{bound}] not all zero")
     ok = M.is_free()
     return ok, f"M free: {ok} (window [1,{bound}])", {}
 
 
 def _s22(inst, n, M):
-    i = _scan(M, [matlis_dual(M)], 1, n)
+    i, _ = tor_window(M, [matlis_dual(M)], 1, n)
     _need(i is not None, f"no vanishing Ext^i(M,M) in [1,{n}]")
     gM = M.gamma()
     if gM == 0:
@@ -566,10 +540,10 @@ def _s23(inst, n, M):
     dual = matlis_dual(M)
     if inst.ring.h <= 2:
         # a zero window [1, bound] with bound >= 3 holds the triple at 1
-        window = _scan(M, [dual], 1, n - 2, width=3)
+        window = tor_window(M, [dual], 1, n - 2, width=3)[0]
     else:
         bound = _ar_bound(M)
-        window = bound <= n and _scan(M, [dual], 1, 1, width=bound)
+        window = bound <= n and tor_window(M, [dual], 1, 1, bound)[0]
     _need(window, _NO_EXT_WINDOW)
     flat = inst.ring.h <= 1
     dual_free = dual.is_free()

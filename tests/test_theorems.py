@@ -205,22 +205,27 @@ def test_verdict_str_readable(gor):
     assert str(v).startswith("S3: PASS")
 
 
-# -- the window scanner against the mechanisms it replaced ---------------
+# -- the window walker against the mechanisms it replaced ----------------
 
 SPAN = range(7)  # lo and hi
 WIDTHS = range(1, 5)
 
 
 class RecordedTor:
-    """homology.tor_vanishes, which the scan asks, and homology.tor_dim,
-    which the oracles ask, each memoized on its own, logging each (N, i)
-    either is asked for.  `patched` installs them in theorems, so every
-    scan verdict is checked against an oracle that never reads the
-    predicate."""
+    """homology.tor_vanishes, which the window walk asks, and
+    homology.tor_dim, which the oracles ask, each memoized on its own,
+    logging each (N, i) either is asked for.  `patched` installs them
+    where the walk and the oracles look them up, so every walk is checked
+    against an oracle that never reads the predicate, and it fails if the
+    walk asked the recorder nothing: a patch the walk no longer reads
+    would otherwise pass blind."""
 
     def __init__(self):
+        # bound before patching, or the recorder would call itself
+        self._vanishes, self._dim = homology.tor_vanishes, homology.tor_dim
         self.memo = {}
         self.log = []
+        self.vanishing_asks = 0
 
     def _ask(self, fn, M, N, i):
         self.log.append((id(N), i))
@@ -230,16 +235,18 @@ class RecordedTor:
         return self.memo[key]
 
     def vanishes(self, M, N, i):
-        return self._ask(homology.tor_vanishes, M, N, i)
+        self.vanishing_asks += 1
+        return self._ask(self._vanishes, M, N, i)
 
     def dim(self, M, N, i):
-        return self._ask(homology.tor_dim, M, N, i)
+        return self._ask(self._dim, M, N, i)
 
     @contextmanager
     def patched(self):
-        with patch.object(theorems, "tor_vanishes", self.vanishes), \
+        with patch.object(homology, "tor_vanishes", self.vanishes), \
                 patch.object(theorems, "tor_dim", self.dim):
             yield
+        assert self.vanishing_asks, "the walk never asked the recorder"
 
     def run(self, fn, *args):
         """fn(*args) and the (N, i) pairs it asked for."""
@@ -275,14 +282,34 @@ def old_tor_window_zero(M, N, lo, hi):
 
 def old_start_loop(M, Ns, lo, hi, width):
     """The S20/S23 loops: each start's whole window is re-evaluated
-    (Ext^i(M, X) written as Tor_i(M, X^v))."""
+    (Ext^i(M, X) written as Tor_i(M, X^v)).  Returns the start, or None,
+    and whether the loop ended on the work cap."""
     for s in range(lo, hi + 1):
         if not old_afford(M, s + width - 1):
-            break
+            return None, True
         if all(theorems.tor_dim(M, N, i) == 0
                for i in range(s, s + width) for N in Ns):
-            return s
-    return None
+            return s, False
+    return None, False
+
+
+def assert_stop_explained(M, Ns, lo, hi, width, got, stop, asked, capped):
+    """tor_window's stop against the old start loop, which answered
+    (got, capped), and the tor_dim oracle: "empty" exactly when hi < lo,
+    "vanished" exactly when a start was found, "work_cap" only where the
+    old loop ended on the cap, and "nonzero" only when every window
+    starting in [lo, hi] holds an index the walk asked at which some Tor
+    is nonzero, so that no window exists whatever the cap.  The old loop
+    can still end on the cap there: it checks each start's last index
+    before it reads the nonzero Tor that rules the start out."""
+    assert (stop == "empty") == (hi < lo)
+    assert (stop == "vanished") == (got is not None)
+    if stop == "work_cap":
+        assert capped
+    if stop == "nonzero":
+        bad = {i for _, i in asked
+               if any(theorems.tor_dim(M, X, i) != 0 for X in Ns)}
+        assert all(bad & set(range(s, s + width)) for s in range(lo, hi + 1))
 
 
 def old_first_index(M, Ns, lo, hi):
@@ -300,27 +327,33 @@ def assert_scan_matches_oracles(M, N):
             for hi in SPAN:
                 for Ns in families:
                     for w in WIDTHS:
-                        got, asked = tor.run(theorems._scan, M, Ns, lo, hi, w)
+                        (got, stop), asked = tor.run(
+                            homology.tor_window, M, Ns, lo, hi, w)
                         # every index once, in increasing order
                         assert len(set(asked)) == len(asked)
                         assert [i for _, i in asked] == \
                             sorted(i for _, i in asked)
                         if hi < lo:
                             assert got is None and not asked
-                        want, old = tor.run(old_start_loop, M, Ns, lo, hi, w)
+                        (want, capped), old = tor.run(
+                            old_start_loop, M, Ns, lo, hi, w)
                         assert got == want and set(asked) <= set(old)
+                        assert_stop_explained(M, Ns, lo, hi, w, got, stop,
+                                              asked, capped)
                         if Ns == [N]:
                             want, old = tor.run(
                                 old_first_zero_window, M, N, w, lo, hi)
                             assert got == want and set(asked) <= set(old)
-                    got, asked = tor.run(theorems._scan, M, Ns, lo, hi)
+                    (got, _), asked = tor.run(homology.tor_window, M, Ns,
+                                              lo, hi)
                     want, old = tor.run(old_first_index, M, Ns, lo, hi)
                     assert got == want and set(asked) <= set(old)
                 # all-zero windows [lo, hi]; statements ask for [1, n],
                 # which is empty at cutoff 0
                 if hi < lo and lo != 1:
                     continue
-                ok, asked = tor.run(theorems._scan, M, [N], lo, lo, hi - lo + 1)
+                (ok, _), asked = tor.run(homology.tor_window, M, [N], lo, lo,
+                                         hi - lo + 1)
                 want, old = tor.run(old_window_ok, M, N, lo, hi)
                 assert (ok is not None) == want and set(asked) <= set(old)
                 if old_afford(M, hi):
@@ -368,7 +401,8 @@ def test_scan_lifts_only_the_stages_it_reads(cap):
             for lo, hi, w in product(range(1, 4), range(5), range(1, 4)):
                 fresh = FiniteModule(M.ring, M.actions, validate=False)
                 tor.memo.clear()  # its keys are ids, which a new module may reuse
-                got, asked = tor.run(theorems._scan, fresh, [N], lo, hi, w)
+                (got, _), asked = tor.run(homology.tor_window, fresh, [N],
+                                          lo, hi, w)
                 length = resolve(fresh, 0).length
                 top = max((i for _, i in asked), default=0)
                 if got is not None or hi < lo or (w == 1 and top == hi):

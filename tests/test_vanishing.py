@@ -1,13 +1,21 @@
 """Whether Tor vanishes is asked of homology.tor_vanishes alone: outside
 homology.py, no tor_dim(...) call in src/ is read as a truth value or
-compared with zero.  tor_dim is for the callers that report a dimension."""
+compared with zero.  tor_dim is for the callers that report a dimension.
+M's resolution keeps tor_vanishes's answers, so each (M, N, i) is
+computed once, and a kept answer agrees with a fresh tor_dim."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
 import socle
+from socle import homology, theorems
+from socle.linalg import GF101, QQ, Field
+from socle.modules import FiniteModule
+from socle.theorems import agp_example, canned_corpus, check_suite
 
 SRC = Path(socle.__file__).resolve().parent
 
@@ -97,3 +105,62 @@ def test_guard_sees_each_form(source):
 ])
 def test_guard_lets_dimensions_through(source):
     assert vanishing_questions(source) == []
+
+
+# -- the answers each resolution keeps -----------------------------------
+
+
+def test_repeated_asks_agree_with_a_fresh_tor_dim(monkeypatch):
+    # every answer tor_vanishes gives again, from M's resolution, is the
+    # vanishing of Tor_i computed by tor_dim on a copy of M, whose own
+    # resolution keeps no answers; at cutoff 6 every ask has i <= 6
+    asks, copies = {}, {}
+
+    def recording(M, N, i):
+        out = vanishes(M, N, i)
+        asks.setdefault((M, N, i), []).append(out)
+        return out
+
+    vanishes = homology.tor_vanishes
+    monkeypatch.setattr(homology, "tor_vanishes", recording)
+    monkeypatch.setattr(theorems, "tor_vanishes", recording)
+    for F in (Field(2), Field(3), GF101, Field(2**31 - 1), QQ):
+        asks.clear()
+        copies.clear()
+        check_suite([inst for inst in canned_corpus(F)
+                     if inst.provenance == "canned"], cutoff=6)
+        repeated = [(key, got) for key, got in asks.items() if len(got) > 1]
+        assert repeated, F
+        for (M, N, i), got in repeated:
+            if M not in copies:
+                copies[M] = FiniteModule(M.ring, M.actions, validate=False)
+            want = homology.tor_dim(copies[M], N, i) == 0
+            assert got == [want] * len(got), (F, i)
+
+
+def test_the_table_holds_no_dropped_module():
+    ring, M = agp_example(GF101)
+    N = FiniteModule(ring, M.actions, validate=False)
+    homology.tor_vanishes(M, N, 1)
+    table = homology.resolve(M, 0)._vanishes
+    assert list(table.keys()) == [N]
+    dropped = weakref.ref(N)
+    del N
+    gc.collect()
+    assert dropped() is None and len(table) == 0
+
+
+def test_a_cutoff_12_suite_computes_each_vanishing_question_once(
+        monkeypatch):
+    # 237 distinct (M, N, i) asked of tor_vanishes, and S17 part 2's
+    # three tor_dim calls; before the table, 906 cycle counts
+    calls = []
+    cycles = homology._cycles
+
+    def counting(M, N, i):
+        calls.append((M, N, i))
+        return cycles(M, N, i)
+
+    monkeypatch.setattr(homology, "_cycles", counting)
+    check_suite(canned_corpus(GF101), cutoff=12)
+    assert len(calls) == 240
