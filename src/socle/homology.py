@@ -30,6 +30,7 @@ from .modules import (
     hom_into_ring,
     matlis_dual,
     min_gen_rmatrix,
+    realize,
     regular_module,
     require_same_ring,
     rmatrix_of_rows,
@@ -66,7 +67,7 @@ class Resolution:
         self._zero_deltas = {}  # delta_0 and those past a finite end
         self._frontier = None  # ker delta_length, until it is lifted
         self.finite = False  # some b_i hit zero: finite projective dimension
-        self._vanishes = weakref.WeakKeyDictionary()  # N -> {i: Tor_i = 0}
+        self._vanishes = None  # N -> {i: Tor_i = 0}, made by tor_vanishes
 
     @property
     def module(self):
@@ -179,28 +180,6 @@ def betti_numbers(module, n):
     return [res.betti_number(i) for i in range(n + 1)]
 
 
-def realize(ring, delta, coeff_module):
-    """Block matrix of an RMatrix acting on a coefficient module, as
-    SparseRows: block (r, c) is the action of the ring element
-    delta[r, c].  Each nonzero delta[r, c, b] times each nonzero entry
-    (i, j) of ops()[b] adds to entry (r*n + i, c*n + j), so only the
-    nonzero structure is touched, however large the blocks."""
-    rows, cols, lam = delta.shape
-    n = coeff_module.dim
-    ops = coeff_module.ops()
-    acts = [[] for _ in range(lam)]  # the nonzero (i, j, value) of ops[b]
-    nz = np.nonzero(ops)
-    for b, i, j, y in zip(*(x.tolist() for x in nz), ops[nz].tolist()):
-        acts[b].append((i, j, y))
-    out = [{} for _ in range(rows * n)]
-    nz = np.nonzero(delta)
-    for r, c, b, x in zip(*(x.tolist() for x in nz), delta[nz].tolist()):
-        for i, j, y in acts[b]:
-            row, k = out[r * n + i], c * n + j
-            row[k] = row[k] + x * y if k in row else x * y
-    return SparseRows.from_sums(ring.field, out, cols * n)
-
-
 def _differential(res, j, N, hom=False):
     """Realized d_j: F_j (x) N -> F_{j-1} (x) N of the resolution F, or
     with hom the map d^j: Hom(F_{j-1}, N) -> Hom(F_j, N), realized from
@@ -254,9 +233,12 @@ def tor_vanishes(M, N, i):
     require_same_ring(M, N)
     if M.dim == 0 or N.dim == 0:
         return True
-    answers = resolve(M, 0)._vanishes.setdefault(N, {})
+    res = resolve(M, 0)
+    if res._vanishes is None:
+        res._vanishes = weakref.WeakKeyDictionary()
+    answers = res._vanishes.setdefault(N, {})
     if i not in answers:
-        res, z = _cycles(M, N, i)
+        _, z = _cycles(M, N, i)
         answers[i] = z <= res.betti_number(i) * N.mm().dim \
             and z == _boundaries(res, N, i)
     return answers[i]

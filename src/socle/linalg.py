@@ -276,11 +276,12 @@ def _subtract(dst, a, src, p):
             dst[k] = (get(k, 0) - a * v) % p
 
 
-def _fill(F, piv, shape):
-    """zeros(shape) with the pivot rows on top, in pivot-column order."""
+def dense_rows(F, rows, shape):
+    """zeros(shape) with the {column: value} rows of a dict on top, in key
+    order: the pivot rows of an rref in pivot-column order."""
     out = F.zeros(shape)
-    at = [(i, k, v) for i, c in enumerate(sorted(piv))
-          for k, v in piv[c].items()]
+    at = [(i, k, v) for i, c in enumerate(sorted(rows))
+          for k, v in rows[c].items()]
     if at:
         i, k, v = zip(*at)
         out[list(i), list(k)] = list(v)
@@ -293,7 +294,7 @@ def rref(F, m):
     The pivot rows, in pivot-column order, fill the top of an array of
     m's shape; the rest is zero."""
     piv = _pivot_rows(F, m)
-    return _fill(F, piv, np.shape(m)), sorted(piv)
+    return dense_rows(F, piv, np.shape(m)), sorted(piv)
 
 
 def rank(F, m):
@@ -347,7 +348,7 @@ class Subspace:
         if ambient is None:
             ambient = rows.shape[1]
         piv = _pivot_rows(F, rows)
-        return Subspace(F, ambient, _fill(F, piv, (len(piv), ambient)),
+        return Subspace(F, ambient, dense_rows(F, piv, (len(piv), ambient)),
                         tuple(sorted(piv)))
 
     @staticmethod

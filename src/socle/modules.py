@@ -16,6 +16,7 @@ from .linalg import (
     DimensionError,
     SparseRows,
     Subspace,
+    dense_rows,
     kernel_basis,
     kron,
     rank,
@@ -181,23 +182,28 @@ class ModuleMap:
 def regular_module(ring):
     """R acting on itself: basis element b acts as the ring's own L_b, so
     building R multiplies nothing and it is not cached."""
-    R = FiniteModule(ring, [ring.left_mult[g] for g in ring.gen_index],
-                     validate=False)
-    R._ops = ring.left_mult
-    return R
+    return _regular_below(ring, ring.length)
+
+
+def _regular_below(ring, low):
+    """R/m^p for low = dim R/m^p (R at low = lambda), b acting as the
+    corner L_b[:low, :low] of the ring's own operator (see _free_below)."""
+    L = ring.left_mult
+    ops = L if low == ring.length else L[:, :low, :low]
+    mod = FiniteModule(ring, [ops[g] for g in ring.gen_index], validate=False)
+    mod._ops = ops
+    return mod
 
 
 def free_module(ring, n):
-    """R^n, each generator acting as the dense block diagonal
-    kron(I_n, L_g)."""
+    """R^n, generator g acting as the dense block diagonal kron(I_n, L_g)."""
     return _free_below(ring, n, ring.length)
 
 
 def _free_below(ring, n, low):
     """R^n/m^p R^n for low = dim R/m^p, in the first low coordinates of
-    each block (see column_span): generator g acts as the dense block
-    diagonal kron(I_n, L_g[:low, :low]), placed in the n diagonal blocks
-    of zeros(), so over Q every zero is the shared one."""
+    each block (see column_span): generator g acts as kron(I_n, A_g) for
+    A_g = L_g[:low, :low], placed in zeros(), so every Q zero is shared."""
     diag = np.arange(n)
     acts = []
     for g in ring.gen_index:
@@ -255,31 +261,54 @@ def submodule_module(amb, S):
     return sub, ModuleMap(sub, amb, S.basis.T, validate=False)
 
 
+def realize(ring, delta, coeff_module):
+    """Block matrix of an RMatrix acting on a coefficient module, as
+    SparseRows: block (r, c) is the action of the ring element
+    delta[r, c].  Each nonzero delta[r, c, b] times each nonzero entry
+    (i, j) of ops()[b] adds to entry (r*n + i, c*n + j), so only the
+    nonzero structure is touched, however large the blocks.  On R, column
+    c*lambda + j is basis element j times column c, a vector of R^n."""
+    rows, cols, lam = delta.shape
+    n = coeff_module.dim
+    ops = coeff_module.ops()
+    acts = [[] for _ in range(lam)]  # the nonzero (i, j, value) of ops[b]
+    nz = np.nonzero(ops)
+    for b, i, j, y in zip(*(x.tolist() for x in nz), ops[nz].tolist()):
+        acts[b].append((i, j, y))
+    out = [{} for _ in range(rows * n)]
+    nz = np.nonzero(delta)
+    for r, c, b, x in zip(*(x.tolist() for x in nz), delta[nz].tolist()):
+        for i, j, y in acts[b]:
+            row, k = out[r * n + i], c * n + j
+            row[k] = row[k] + x * y if k in row else x * y
+    return SparseRows.from_sums(ring.field, out, cols * n)
+
+
 def free_submodule(ring, S):
     """Action-closed subspace S of R^n as a module, acted on blockwise:
-    generator g sends S's basis rows to free_action(ring, S.basis, g),
-    read off in S's pivot coordinates."""
-    images = [free_action(ring, S.basis, g) for g in ring.gen_index]
-    _require_closed(ring.field, images, S.projection())
+    generator g sends basis row t of S to column t*lambda + g of the
+    rows realized on R, read off in S's pivot coordinates."""
+    F, lam = ring.field, ring.length
+    D = realize(ring, rmatrix_of_rows(ring, S.basis), regular_module(ring)).T
+    images = [dense_rows(F, dict(enumerate(D[g::lam])), (S.dim, S.ambient))
+              for g in ring.gen_index]
+    _require_closed(F, images, S.projection())
     return FiniteModule(ring, [W[:, list(S.pivots)].T for W in images],
                         validate=False)
 
 
 def column_span(ring, pres, low=None):
     """R-span of the columns of an RMatrix (n x m x lambda) as a subspace of
-    R^n: every ring basis element applied to every column, reduced once.
+    R^n: the row span of pres realized on R, transposed.
 
-    Given low = dim R/m^p, the span's image in R^n/m^p R^n instead: the
-    basis is degree-major, so m^p R^n is spanned by all but the first low
-    coordinates of each block, which are kept, and the basis elements
-    b >= low, of degree >= p, map every column into it."""
-    n, m, lam = pres.shape
-    low = lam if low is None else low
-    cols = pres.transpose(1, 0, 2).reshape(m, n * lam)
-    spans = [free_action(ring, cols, b).reshape(m, n, lam)[:, :, :low]
-             for b in range(low)]
-    rows = np.vstack(spans).reshape(low * m, n * low)
-    return Subspace.from_rows(ring.field, rows, n * low)
+    Given low = dim R/m^p, the span's image in R^n/m^p R^n instead, pres
+    realized on R/m^p: the basis is degree-major, so m^p R^n is spanned by
+    all but the first low coordinates of each block, which are kept, and
+    the corner of L_b is zero for b >= low, of degree >= p."""
+    n = pres.shape[0]
+    low = ring.length if low is None else low
+    D = realize(ring, pres, _regular_below(ring, low))
+    return Subspace.from_rows(ring.field, D.T, n * low)
 
 
 def truncated_cokernel(ring, pres, power):
@@ -291,14 +320,14 @@ def truncated_cokernel(ring, pres, power):
     coordinates, and with them the action matrices, are those of
     quotienting coker(pres) by m^power coker(pres).  No presentation is
     stored: pres presents M, not the truncation."""
-    n, m, lam = pres.shape
+    n, _, lam = pres.shape
     if lam != ring.length:
         raise ModuleError("presentation entries do not live in this ring")
+    if power < 1:
+        raise ModuleError(f"truncation power must be >= 1, not {power}")
     low = sum(ring.hilbert[:power])
-    mod = _free_below(ring, n, low)
-    if m and n:
-        mod, _ = quotient_module(mod, column_span(ring, pres, low))
-    return mod
+    return quotient_module(_free_below(ring, n, low),
+                           column_span(ring, pres, low))[0]
 
 
 def from_presentation(ring, pres):
@@ -306,17 +335,6 @@ def from_presentation(ring, pres):
     mod = truncated_cokernel(ring, pres, ring.h + 1)
     mod.presentation = pres
     return mod
-
-
-def free_action(ring, rows, b):
-    """Ring basis element b acting on each row, a vector of R^n with
-    coordinate j*lambda + i for component j and ring basis element i:
-    L_b applied to every length-lambda block."""
-    k = rows.shape[0]
-    lam = ring.length
-    n = rows.shape[1] // lam
-    blocks = ring.field.matmul(rows.reshape(k, n, lam), ring.left_mult[b].T)
-    return blocks.reshape(k, n * lam)
 
 
 def presentation_of(mod):
@@ -369,7 +387,7 @@ def require_same_ring(a, b):
     if r1 is not r2 and not (r1.field.p == r2.field.p
                              and r1.varnames == r2.varnames
                              and r1.hilbert == r2.hilbert
-                             and np.array_equal(r1.table, r2.table)):
+                             and np.array_equal(r1.left_mult, r2.left_mult)):
         raise ModuleError("modules over different rings")
 
 
@@ -429,8 +447,8 @@ def cover_map(mod):
 
 
 def rmatrix_of_rows(ring, rows):
-    """RMatrix (n x k x lambda) whose columns are the k rows, vectors of
-    R^n in free_action's coordinates."""
+    """RMatrix (n x k x lambda) whose columns are the k rows: coordinate
+    j*lambda + i of a row is component j's basis element i."""
     k, width = rows.shape
     return rows.reshape(k, width // ring.length, ring.length).transpose(1, 0, 2)
 
@@ -488,9 +506,7 @@ def wedge_image(ring, phi):
     if n > 8:
         raise ModuleError("refusing cofactor expansion beyond 8 x 8 minors")
     minors = [_det(ring, phi, 0, cols) for cols in combinations(range(g), n)]
-    if not minors:
-        return Subspace(ring.field, lam)
-    return column_span(ring, np.vstack(minors)[None])
+    return column_span(ring, np.array(minors).reshape(1, len(minors), lam))
 
 
 def _det(ring, phi, r, cols):

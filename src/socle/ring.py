@@ -145,19 +145,18 @@ class GradedRing:
         return self._nf[self._row[mon]].copy()
 
     def _build_mult_table(self):
-        """table[i, j] is the normal form of basis monomial i times basis
-        monomial j, gathered in one step from the normal-form rows (and a
-        zero row for the products of degree > h)."""
+        """left_mult[i] is L_i, multiplication by basis monomial i: column
+        j is the normal form of monomial i times monomial j, gathered in
+        one step from the normal-form rows (and a zero row for the
+        products of degree > h).  It is the ring's one multiplication
+        table."""
         n = self.length
         exps = np.array([m for _, m in self.basis]).reshape(n, self.e)
         prods = (exps[:, None] + exps[None]).reshape(n * n, self.e)
         zero = len(self._row)
         rows = [self._row.get(tuple(m), zero) for m in prods.tolist()]
         nf = np.vstack([self._nf, self.field.zeros((1, n))])
-        self.table = nf[rows].reshape(n, n, n)
-        # left_mult[i] is L_i, multiplication by basis element i: its
-        # columns are indexed by the right factor
-        self.left_mult = self.table.transpose(0, 2, 1).copy()
+        self.left_mult = nf[rows].reshape(n, n, n).transpose(0, 2, 1).copy()
 
     def socle_subspace(self):
         """The socle of R (that of the regular module), computed on first
@@ -182,7 +181,7 @@ class GradedRing:
     def multiply(self, u, v):
         """Product of two elements given as global coordinate vectors."""
         F = self.field
-        return F.matmul(u, F.matmul(v, self.table))
+        return F.matmul(u, F.matmul(self.left_mult, v))
 
     def normal_form(self, poly):
         """Coordinate vector of a polynomial, given as exponent dict."""

@@ -1,7 +1,8 @@
 """Constructions the tests check the engine with, and that no statement,
 CLI command, explorer trial or benchmark workload needs: an isomorphism
-search, direct sums, the Gasharov-Peeva Betti inequality and the corpus
-of monomial rings with m^3 = 0."""
+search, direct sums, the Gasharov-Peeva Betti inequality, the corpus
+of monomial rings with m^3 = 0, and the dense blockwise action of R on
+R^n with the column spans and syzygy modules built from it."""
 
 from itertools import permutations
 
@@ -13,6 +14,7 @@ from socle.modules import (
     FiniteModule,
     ModuleError,
     _kron_pair,
+    _require_closed,
     matlis_dual,
     require_same_ring,
 )
@@ -106,3 +108,37 @@ def monomial_square_zero_rings(field, e_max=3):
             names = [f"x{i+1}" for i in range(e)]
             out.append(build_ring(RingPresentation(field, names, rels)))
     return out
+
+
+def free_action(ring, rows, b):
+    """Ring basis element b acting on each row, a vector of R^n with
+    coordinate j*lambda + i for component j and ring basis element i:
+    L_b applied to every length-lambda block, as one dense product."""
+    k = rows.shape[0]
+    lam = ring.length
+    n = rows.shape[1] // lam
+    blocks = ring.field.matmul(rows.reshape(k, n, lam), ring.left_mult[b].T)
+    return blocks.reshape(k, n * lam)
+
+
+def dense_column_span(ring, pres, low=None):
+    """column_span as the dense loop built it: every ring basis element
+    b < low applied to every column by free_action, each block cut to
+    its first low coordinates, reduced once."""
+    n, m, lam = pres.shape
+    low = lam if low is None else low
+    cols = pres.transpose(1, 0, 2).reshape(m, n * lam)
+    spans = [free_action(ring, cols, b).reshape(m, n, lam)[:, :, :low]
+             for b in range(low)]
+    rows = np.vstack(spans).reshape(low * m, n * low)
+    return Subspace.from_rows(ring.field, rows, n * low)
+
+
+def dense_free_submodule(ring, S):
+    """free_submodule as the dense path built it: generator g sends S's
+    basis rows to free_action(ring, S.basis, g), read off in S's pivot
+    coordinates, after the same closure check."""
+    images = [free_action(ring, S.basis, g) for g in ring.gen_index]
+    _require_closed(ring.field, images, S.projection())
+    return FiniteModule(ring, [W[:, list(S.pivots)].T for W in images],
+                        validate=False)

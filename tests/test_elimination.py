@@ -12,7 +12,6 @@ from conftest import dense_realize, densify, identical
 from hypothesis import given, settings, strategies as st
 
 from socle import linalg
-from socle.homology import realize
 from socle.linalg import (
     QQ,
     DimensionError,
@@ -27,10 +26,12 @@ from socle.linalg import (
 from socle.modules import (
     FiniteModule,
     canonical_module,
-    free_action,
+    column_span,
     random_module,
+    realize,
     regular_module,
     residue_field,
+    rmatrix_of_rows,
 )
 from socle.ring import ring_from_strings
 from socle.theorems import canned_corpus
@@ -390,7 +391,21 @@ def test_socles_match_intersection_oracle(F, seed, square_zero):
         assert got.pivots == want.pivots and identical(got.basis, want.basis)
 
 
-def test_free_action_matches_block_diagonal_product():
+def assert_blockwise_action(ring, rows, products):
+    """realize on R sends row t to products[b][t] at column t*lambda + b,
+    and column_span spans every product of every row."""
+    F, lam = ring.field, ring.length
+    n = rows.shape[1] // lam
+    pres = rmatrix_of_rows(ring, rows)
+    got = densify(F, realize(ring, pres, regular_module(ring))).T
+    for b, want in enumerate(products):
+        assert identical(got[b::lam], want)
+    want = Subspace.from_rows(F, np.vstack(products), n * lam)
+    span = column_span(ring, pres)
+    assert span.pivots == want.pivots and identical(span.basis, want.basis)
+
+
+def test_realize_matches_block_diagonal_product():
     rng = np.random.default_rng(5)
     for p in (101, P_MAX):
         F = Field(p)
@@ -398,10 +413,11 @@ def test_free_action_matches_block_diagonal_product():
         lam = ring.length
         for n in (1, 2, 3):
             rows = F.array(rng.integers(0, p, size=(4, n * lam)))
+            products = []
             for b in range(lam):
                 dense = rows.astype(object) @ dense_free_op(ring, n, b).T
-                want = np.array(dense % p, dtype=np.int64)
-                assert identical(free_action(ring, rows, b), want)
+                products.append(np.array(dense % p, dtype=np.int64))
+            assert_blockwise_action(ring, rows, products)
 
 
 @given(field_matrices([QQ]), st.integers(0, 4), st.integers(0, 2**32 - 1))
@@ -419,13 +435,12 @@ def test_rational_matmul_matches_fraction_product(case, width, seed):
         assert all(type(x) is Fraction for x in got.flat)
 
 
-def test_free_action_over_q_matches_block_diagonal_product():
+def test_realize_over_q_matches_block_diagonal_product():
     ring = ring_from_strings(QQ, ["x", "y"], ["x^2 - y^2", "x*y"])
     rows = QQ.array([[Fraction(i - j, 1 + j) for j in range(2 * ring.length)]
                      for i in range(3)])
-    for b in range(ring.length):
-        want = rows @ dense_free_op(ring, 2, b).T
-        assert identical(free_action(ring, rows, b), want)
+    assert_blockwise_action(ring, rows, [rows @ dense_free_op(ring, 2, b).T
+                                         for b in range(ring.length)])
 
 
 BIG = Field(P_MAX)
@@ -468,12 +483,12 @@ def test_ring_multiply_and_realize_at_largest_prime():
     ring = ring_from_strings(BIG, ["x", "y"], ["x^2 - y^2", "x*y"])
     lam = ring.length
     rng = np.random.default_rng(11)
-    table = ring.table.astype(object)
+    left_mult = ring.left_mult.astype(object)
     for _ in range(20):
         u = P_MAX - rng.integers(1, 4, size=lam)
         v = P_MAX - rng.integers(1, 4, size=lam)
-        want = np.einsum("i,j,ijk->k", u.astype(object), v.astype(object),
-                         table) % P_MAX
+        want = np.einsum("i,j,ikj->k", u.astype(object), v.astype(object),
+                         left_mult) % P_MAX
         assert ring.multiply(u, v).tolist() == want.tolist()
     M = random_module(ring, seed=3)
     n = M.dim
@@ -511,7 +526,7 @@ def old_q_matmul(a, b):
 @st.composite
 def rational_pairs(draw):
     """Operands of QQ.matmul: zero-heavy, integer-only or fractional, with
-    empty dimensions, a 1-D or 3-D left factor (free_action passes a
+    empty dimensions, a 1-D or 3-D left factor (ring.multiply passes a
     3-D one) and a 1-D or 2-D right factor.  Drawn zero values are new
     Fraction(0) objects, not the shared zero."""
     kind = draw(st.sampled_from(["zero-heavy", "integer", "fractional"]))

@@ -99,7 +99,7 @@ def test_random_ring_deterministic():
     assert (r1 is None) == (r2 is None)
     if r1 is not None:
         assert r1.hilbert == r2.hilbert
-        assert np.array_equal(r1.table, r2.table)
+        assert np.array_equal(r1.left_mult, r2.left_mult)
 
 
 def old_random_ring(field, rng, e_range=(2, 4), h_min=3, lam_max=30):
@@ -155,7 +155,7 @@ def test_random_ring_matches_build_first_oracle(field):
                 assert ring.hilbert == want.hilbert
                 assert ring.presentation.relations == \
                     want.presentation.relations
-                assert identical(ring.table, want.table)
+                assert identical(ring.left_mult, want.left_mult)
 
 
 def test_candidate_dossiers_present_the_truncated_modules(monkeypatch):

@@ -16,7 +16,6 @@ from socle.homology import (
     ext_dim,
     ext_dim_direct,
     koszul_test,
-    realize,
     resolve,
     tor_dim,
     tor_induced_k,
@@ -34,6 +33,7 @@ from socle.modules import (
     free_module,
     random_module,
     random_presentation,
+    realize,
     regular_module,
     residue_field,
     submodule_module,

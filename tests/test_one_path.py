@@ -29,6 +29,7 @@ import pytest
 from conftest import cyclic, dense_realize, densify, identical
 from oracles import (
     direct_sum,
+    free_action,
     hom_basis,
     is_isomorphic,
     monomial_square_zero_rings,
@@ -41,7 +42,6 @@ from socle.homology import (
     betti_numbers,
     ext_dim_direct,
     koszul_test,
-    realize,
     resolve,
     series_quotient,
     tor_dim,
@@ -54,7 +54,6 @@ from socle.modules import (
     _kron_pair,
     canonical_module,
     column_span,
-    free_action,
     free_module,
     from_presentation,
     hom_over_R,
@@ -62,6 +61,7 @@ from socle.modules import (
     presentation_of,
     quotient_module,
     random_module,
+    realize,
     regular_module,
     residue_field,
     tensor_over_R,

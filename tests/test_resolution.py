@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import dense_realize, identical
 from hypothesis import given, settings, strategies as st
+from oracles import free_action
 
 from socle.homology import resolve
 from socle.linalg import QQ, Field, Subspace, kernel_subspace, rref
@@ -14,7 +15,6 @@ from socle.modules import (
     canonical_module,
     column_span,
     cover_matrix,
-    free_action,
     free_module,
     random_module,
     regular_module,

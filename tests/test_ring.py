@@ -203,7 +203,27 @@ def test_mult_table_matches_pairwise_oracle(F):
         nf = reduced_normal_forms(ring)
         for m, v in nf.items():
             assert identical(ring.monomial_vector(m), v)
-        assert identical(ring.table, pairwise_table(ring, nf))
+        assert identical(ring.left_mult,
+                         pairwise_table(ring, nf).transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_multiply_is_an_einsum_over_left_mult(F):
+    # u * v = sum over i, j of u_i v_j L_i[:, j], in exact integers over
+    # GF(p) (the products pass 2^63 at the largest prime) and in Fractions
+    rings = [ring_from_strings(F, ["x", "y"], ["x^2 - y^2", "x*y"]),
+             ring_from_strings(F, ["x1", "x2", "x3", "x4"], AGP_RELATIONS)]
+    rng = np.random.default_rng(3)
+    for ring in rings:
+        L = ring.left_mult.astype(object)
+        for _ in range(10):
+            u, v = (F.array(rng.integers(-9, 10, size=ring.length))
+                    for _ in range(2))
+            want = np.einsum("i,ikj,j->k", u.astype(object), L,
+                             v.astype(object))
+            if F.p is not None:
+                want %= F.p
+            assert ring.multiply(u, v).tolist() == want.tolist()
 
 
 def old_graded_pieces(presentation):

@@ -11,9 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import dense_realize, identical
+from oracles import free_action
 
 from socle import theorems
-from socle.homology import _differential, realize, resolve
+from socle.homology import _differential, resolve
 from socle.linalg import (
     QQ,
     Field,
@@ -27,11 +28,11 @@ from socle.modules import (
     canonical_module,
     cover_matrix,
     derived_module,
-    free_action,
     free_module,
     from_presentation,
     min_gen_rmatrix,
     random_module,
+    realize,
     regular_module,
     residue_field,
     rmatrix_of_rows,

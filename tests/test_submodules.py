@@ -1,19 +1,23 @@
 """Submodules of R^n: the one R-span routine and the one blockwise
-submodule constructor, tested against the constructions they replaced."""
+submodule constructor, tested against the constructions they replaced,
+among them the dense free_action loop they were built on before realize
+built them."""
 
 import numpy as np
 import pytest
 from conftest import dense_realize, identical
 from hypothesis import given, settings, strategies as st
+from oracles import dense_column_span, dense_free_submodule, free_action
+from test_truncation import hosts, presentations
 
 from socle.homology import resolve
 from socle.linalg import QQ, Field, Subspace
 from socle.modules import (
     ModuleError,
     column_span,
-    free_action,
     free_module,
     free_submodule,
+    from_presentation,
     quotient_module,
     random_module,
     regular_module,
@@ -22,6 +26,7 @@ from socle.modules import (
 from socle.ring import ring_from_strings
 
 FIELDS = [Field(2), Field(101), Field(2**31 - 1), QQ]
+EVERY_FIELD = [Field(2), Field(3), Field(101), Field(2**31 - 1), QQ]
 HOSTS = [["x^2 - y^2", "x*y"], ["x^2", "x*y", "y^2"], ["x^2", "y^3"]]
 
 
@@ -160,3 +165,36 @@ def test_non_closed_subspace_is_rejected(F):
         free_submodule(ring, Subspace.from_rows(F, F.eye(2 * lam)[:1], 2 * lam))
     # while R itself is
     assert free_submodule(ring, Subspace.full(F, lam)).dim == lam
+
+
+def spans_of(ring, t):
+    """Column spans of presentations (units included, and none with no
+    columns) and of the first two differentials of their cokernels."""
+    for pres in presentations(ring, 10 * t):
+        yield pres
+        if pres.shape[1]:
+            yield from resolve(from_presentation(ring, pres), 2).deltas
+
+
+@pytest.mark.parametrize("F", EVERY_FIELD, ids=repr)
+def test_column_span_matches_dense_loop_at_every_truncation(F):
+    n = 0
+    for t, ring in enumerate(hosts(F)):
+        for pres in spans_of(ring, t):
+            for low in [None, *range(1, ring.length + 1)]:
+                got = column_span(ring, pres, low)
+                assert same_span(got, dense_column_span(ring, pres, low))
+                n += 1
+    assert n > 300
+
+
+@pytest.mark.parametrize("F", EVERY_FIELD, ids=repr)
+def test_free_submodule_matches_dense_path(F):
+    n = 0
+    for t, ring in enumerate(hosts(F)):
+        for pres in spans_of(ring, t):
+            S = column_span(ring, pres)
+            assert same_actions(free_submodule(ring, S),
+                                dense_free_submodule(ring, S))
+            n += S.dim > 0
+    assert n > 20

@@ -164,3 +164,12 @@ def test_lazy_invariants_match_the_regular_module_socle(F):
         assert ring.a == soc.dim and ring.gorenstein == (soc.dim == 1)
         inv = ring.invariants()
         assert (inv["a"], inv["gorenstein"]) == (ring.a, ring.gorenstein)
+
+
+@pytest.mark.parametrize("F", [GF101, QQ], ids=str)
+@pytest.mark.parametrize("power", [0, -1])
+def test_truncation_power_below_one_is_rejected(F, power):
+    ring = canned_rings(F)[0]
+    for pres in presentations(ring, 0):
+        with pytest.raises(ModuleError, match="power"):
+            truncated_cokernel(ring, pres, power)

@@ -150,6 +150,20 @@ def test_the_table_holds_no_dropped_module():
     assert dropped() is None and len(table) == 0
 
 
+def test_only_tor_vanishes_makes_the_table():
+    # tor_dim and ext_dim_direct keep no answers, so a resolution only
+    # they read carries no table
+    ring, M = agp_example(GF101)
+    N = FiniteModule(ring, M.actions, validate=False)
+    for i in range(3):
+        homology.tor_dim(M, N, i)
+        homology.ext_dim_direct(M, N, i)
+    assert homology.resolve(M, 0)._vanishes is None
+    assert homology.resolve(N, 0)._vanishes is None
+    homology.tor_vanishes(M, N, 1)
+    assert list(homology.resolve(M, 0)._vanishes.keys()) == [N]
+
+
 def test_a_cutoff_12_suite_computes_each_vanishing_question_once(
         monkeypatch):
     # 237 distinct (M, N, i) asked of tor_vanishes, and S17 part 2's
