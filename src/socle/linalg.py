@@ -301,19 +301,6 @@ def rank(F, m):
     return len(_pivot_rows(F, m))
 
 
-def kron(F, a, b):
-    """The Kronecker product of matrices a and b.  Only the products of
-    nonzero entries are written, into zeros(), so over Q every zero is the
-    shared one; over GF(p) each product of residues is below 2^62."""
-    (p, q), (r, s) = a.shape, b.shape
-    out = F.zeros((p, r, q, s))
-    ia, ja = np.nonzero(a)
-    ib, jb = np.nonzero(b)
-    out[ia[:, None], ib, ja[:, None], jb] = F.mod(
-        np.multiply.outer(a[ia, ja], b[ib, jb]))
-    return out.reshape(p * r, q * s)
-
-
 def kernel_basis(F, m):
     """Rows form a basis of the right null space: m @ row = 0."""
     return kernel_subspace(F, m).basis

@@ -18,7 +18,7 @@ from .linalg import (
     Subspace,
     dense_rows,
     kernel_basis,
-    kron,
+    kernel_subspace,
     rank,
 )
 
@@ -187,7 +187,7 @@ def regular_module(ring):
 
 def _regular_below(ring, low):
     """R/m^p for low = dim R/m^p (R at low = lambda), b acting as the
-    corner L_b[:low, :low] of the ring's own operator (see _free_below)."""
+    corner L_b[:low, :low] of the ring's own operator (see column_span)."""
     L = ring.left_mult
     ops = L if low == ring.length else L[:, :low, :low]
     mod = FiniteModule(ring, [ops[g] for g in ring.gen_index], validate=False)
@@ -196,21 +196,20 @@ def _regular_below(ring, low):
 
 
 def free_module(ring, n):
-    """R^n, generator g acting as the dense block diagonal kron(I_n, L_g)."""
-    return _free_below(ring, n, ring.length)
+    """R^n, generator g acting blockwise as the ring's own L_g."""
+    return copies(regular_module(ring), n)
 
 
-def _free_below(ring, n, low):
-    """R^n/m^p R^n for low = dim R/m^p, in the first low coordinates of
-    each block (see column_span): generator g acts as kron(I_n, A_g) for
-    A_g = L_g[:low, :low], placed in zeros(), so every Q zero is shared."""
-    diag = np.arange(n)
-    acts = []
-    for g in ring.gen_index:
-        A = ring.field.zeros((n, low, n, low))
-        A[diag, :, diag, :] = ring.left_mult[g][:low, :low]
-        acts.append(A.reshape(n * low, n * low))
-    return FiniteModule(ring, acts, validate=False)
+def copies(mod, n):
+    """N^n, generator g acting blockwise as N's A_g: only the nonzero
+    entries are written into zeros(), so over Q every zero is shared."""
+    acts = np.asarray(mod.actions)  # (e, d, d)
+    e, d, diag = len(acts), mod.dim, np.arange(n)[:, None]
+    g, i, j = np.nonzero(acts)
+    out = mod.field.zeros((e, n, d, n, d))
+    out[g, diag, i, diag, j] = acts[g, i, j]
+    return FiniteModule(mod.ring, out.reshape(e, n * d, n * d),
+                        validate=False)
 
 
 def residue_field(ring):
@@ -326,7 +325,7 @@ def truncated_cokernel(ring, pres, power):
     if power < 1:
         raise ModuleError(f"truncation power must be >= 1, not {power}")
     low = sum(ring.hilbert[:power])
-    return quotient_module(_free_below(ring, n, low),
+    return quotient_module(copies(_regular_below(ring, low), n),
                            column_span(ring, pres, low))[0]
 
 
@@ -391,35 +390,26 @@ def require_same_ring(a, b):
         raise ModuleError("modules over different rings")
 
 
-def _kron_pair(a, b):
-    """A (x)_k B with R acting on the left factor, and for each generator g
-    the operator W_g = A_g (x) 1 - 1 (x) B_g on it."""
-    require_same_ring(a, b)
-    F = a.field
-    eyea, eyeb = F.eye(a.dim), F.eye(b.dim)
-    left = [kron(F, Aa, eyeb) for Aa in a.actions]
-    W = [F.mod(L - kron(F, eyea, Ab)) for L, Ab in zip(left, b.actions)]
-    return FiniteModule(a.ring, left, validate=False), W
-
-
 def tensor_over_R(a, b):
-    """M (x)_R N = (M (x)_k N) / span{g.u (x) v - u (x) g.v}, the sum of the
-    images of the W_g, with the induced action."""
-    tensor_k, W = _kron_pair(a, b)
-    Wspan = Subspace.from_rows(a.field, np.vstack([w.T for w in W]),
-                               tensor_k.dim)
-    return quotient_module(tensor_k, Wspan)[0]
+    """M (x)_R N as the quotient of N^{b_0} by the image of pres (x) N, for
+    the presentation pres of M with b_0 rows: (x) is right exact.  R acts
+    blockwise."""
+    require_same_ring(a, b)
+    pres = presentation_of(a)
+    D = realize(a.ring, pres, b)
+    amb = copies(b, pres.shape[0])
+    return quotient_module(amb, Subspace.from_rows(a.field, D.T, amb.dim))[0]
 
 
 def hom_over_R(a, b):
-    """Hom_R(M, N): the maps F with A_g^N F = F A_g^M, as a submodule of
-    Hom_k(M, N) = N (x)_k M^dual (row-major flattened n x m maps), on
-    which R acts by post-composition.  W_g sends F to A_g^N F - F A_g^M,
-    so Hom_R is their common kernel."""
-    hom_k, W = _kron_pair(b, matlis_dual(a))
-    F = a.field
-    S = Subspace.from_rows(F, kernel_basis(F, np.vstack(W)), hom_k.dim)
-    return submodule_module(hom_k, S)[0]
+    """Hom_R(M, N) as the kernel of Hom(pres, N): N^{b_0} -> N^{b_1}, for
+    the presentation pres of M, a submodule of N^{b_0} = Hom_R(R^{b_0}, N):
+    Hom is left exact.  R acts blockwise, which is post-composition."""
+    require_same_ring(a, b)
+    pres = presentation_of(a)
+    D = realize(a.ring, pres.transpose(1, 0, 2), b)
+    return submodule_module(copies(b, pres.shape[0]),
+                            kernel_subspace(a.field, D))[0]
 
 
 def hom_into_ring(mod):

@@ -465,10 +465,11 @@ def _s18(inst, n, M, N):
     j = _three_tor_hyp(M, N, n)
     resM = resolve(M, j + 1)
     report = []
-    Tnext = tensor_over_R(resM.syzygy_module(0), N)
+    # N (x) M_i from N's presentation: a syzygy is never resolved for one
+    Tnext = tensor_over_R(N, resM.syzygy_module(0))
     for i in range(j + 1):
         lhs = tor_vanishes(M, N, i + 1)
-        Ti, Tnext = Tnext, tensor_over_R(resM.syzygy_module(i + 1), N)
+        Ti, Tnext = Tnext, tensor_over_R(N, resM.syzygy_module(i + 1))
         rhs = Ti.mm().dim == 0 and Tnext.mm().dim == 0
         if lhs != rhs:
             report.append(f"iff fails at i={i}: Tor zero {lhs}, m-kills {rhs}")

@@ -8,6 +8,7 @@ keep the complement coordinates of a subspace instead of multiplying by a
 import numpy as np
 import pytest
 from conftest import identical
+from oracles import is_isomorphic
 from hypothesis import example, given, settings, strategies as st
 
 from socle import homology
@@ -181,13 +182,15 @@ def test_quotients_select_complement_coordinates(F, rels, seed, square_zero):
 
 
 @given(*MODULES, st.integers(0, 2**16))
+@example(Field(2), HOSTS[0], 0, False, 0)  # 24 random maps miss every iso
 @settings(max_examples=30, deadline=None)
 def test_tensor_selects_complement_coordinates(F, rels, seed, square_zero,
                                                seed2):
     ring, M = draw(F, rels, seed, square_zero)
     N = random_module(ring, seed2)
     for a, b in ((M, N), (M, regular_module(ring)), (M, free_module(ring, 0))):
-        assert same_actions(tensor_over_R(a, b), old_tensor(a, b))
+        new, old = tensor_over_R(a, b), old_tensor(a, b)
+        assert new.dim == old.dim and is_isomorphic(new, old)
 
 
 @given(st.sampled_from(FIELDS), st.sampled_from(HOSTS), st.integers(0, 2**16),

@@ -3,9 +3,10 @@ structure constants live in GradedRing.left_mult alone, and
 modules.realize applies them blockwise.  So nothing in src/ names
 free_action or reads a .table, and left_mult is read only in ring.py
 and by the modules.py routines that build R and R/m^p (_regular_below)
-or R^n/m^p R^n (_free_below) from it, compare two rings
-(require_same_ring), or lift minimal generators (min_gen_rmatrix, whose
-loop over the generators alone was measured faster than realize)."""
+from it, compare two rings (require_same_ring), or lift minimal
+generators (min_gen_rmatrix, whose loop over the generators alone was
+measured faster than realize).  Tensor and Hom over R go through realize
+too, so nothing in src/ defines or calls a Kronecker product."""
 
 import ast
 from pathlib import Path
@@ -15,8 +16,8 @@ import pytest
 import socle
 
 SRC = Path(socle.__file__).resolve().parent
-READERS = {"_regular_below", "_free_below", "require_same_ring",
-           "min_gen_rmatrix"}
+READERS = {"_regular_below", "require_same_ring", "min_gen_rmatrix"}
+KRONECKER = {"kron", "_kron_pair"}
 
 
 def _reads(tree, attr):
@@ -41,11 +42,39 @@ def stray_reads(filename, source):
     return hits
 
 
+def kronecker_names(source):
+    """Lines that define, import or name kron or _kron_pair, as an
+    attribute (np.kron) too."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if getattr(node, "name", None) in KRONECKER  # def, import
+            or getattr(node, "id", None) in KRONECKER
+            or getattr(node, "attr", None) in KRONECKER]
+
+
 def test_one_form_of_the_structure_constants():
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         assert "free_action" not in source, path.name
         assert stray_reads(path.name, source) == [], path.name
+        assert kronecker_names(source) == [], path.name
+
+
+def test_every_listed_reader_exists():
+    # a stale entry would let a new definition of that name read left_mult
+    tree = ast.parse((SRC / "modules.py").read_text(encoding="utf-8"))
+    assert READERS <= {getattr(top, "name", None) for top in tree.body}
+
+
+@pytest.mark.parametrize("source", [
+    "def kron(F, a, b):\n    return a",
+    "out = np.kron(a, b)",
+    "from .linalg import kron",
+    "from .linalg import kron as k",
+    "def f(a, b):\n    return _kron_pair(a, b)",
+    "def _kron_pair(a, b):\n    return a",
+])
+def test_guard_sees_each_kronecker_product(source):
+    assert kronecker_names(source)
 
 
 @pytest.mark.parametrize("filename, source", [
