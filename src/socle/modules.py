@@ -182,13 +182,15 @@ class ModuleMap:
 def regular_module(ring):
     """R acting on itself: basis element b acts as the ring's own L_b, so
     building R multiplies nothing and it is not cached."""
-    return _regular_below(ring, ring.length)
+    return _truncation(ring, ring.h + 1)
 
 
-def _regular_below(ring, low):
-    """R/m^p for low = dim R/m^p (R at low = lambda), b acting as the
-    corner L_b[:low, :low] of the ring's own operator (see column_span)."""
-    L = ring.left_mult
+def _truncation(ring, power):
+    """R/m^power, b acting as the corner L_b[:low, :low] of the ring's own
+    operator for low = dim R/m^power: the basis is degree-major, so m^power
+    is spanned by every basis element after the first low, and the corner
+    is zero for b >= low.  R's ops are left_mult itself, not a view."""
+    L, low = ring.left_mult, sum(ring.hilbert[:power])
     ops = L if low == ring.length else L[:, :low, :low]
     mod = FiniteModule(ring, [ops[g] for g in ring.gen_index], validate=False)
     mod._ops = ops
@@ -214,9 +216,7 @@ def copies(mod, n):
 
 def residue_field(ring):
     """k = R/m, every generator acting as zero."""
-    F = ring.field
-    return FiniteModule(ring, [F.zeros((1, 1)) for _ in range(ring.e)],
-                        validate=False)
+    return _truncation(ring, 1)
 
 
 def rmatrix_from_polys(ring, rows):
@@ -296,37 +296,32 @@ def free_submodule(ring, S):
                         validate=False)
 
 
-def column_span(ring, pres, low=None):
+def column_span(ring, pres):
     """R-span of the columns of an RMatrix (n x m x lambda) as a subspace of
-    R^n: the row span of pres realized on R, transposed.
+    R^n: the row span of pres realized on R, transposed."""
+    D = realize(ring, pres, regular_module(ring))
+    return Subspace.from_rows(ring.field, D.T, pres.shape[0] * ring.length)
 
-    Given low = dim R/m^p, the span's image in R^n/m^p R^n instead, pres
-    realized on R/m^p: the basis is degree-major, so m^p R^n is spanned by
-    all but the first low coordinates of each block, which are kept, and
-    the corner of L_b is zero for b >= low, of degree >= p."""
-    n = pres.shape[0]
-    low = ring.length if low is None else low
-    D = realize(ring, pres, _regular_below(ring, low))
-    return Subspace.from_rows(ring.field, D.T, n * low)
+
+def _cokernel(pres, N):
+    """coker(pres) (x)_R N for an RMatrix pres with n rows: the quotient of
+    N^n by the image of pres realized on N ((x) is right exact), R acting
+    blockwise.  The one cokernel routine: M (x)_R N, and M/m^p M with N =
+    R/m^p."""
+    D = realize(N.ring, pres, N)
+    amb = copies(N, pres.shape[0])
+    return quotient_module(amb, Subspace.from_rows(N.field, D.T, amb.dim))[0]
 
 
 def truncated_cokernel(ring, pres, power):
-    """M/m^power M for M the cokernel of the RMatrix pres, power >= 1, as
-    one quotient of R^n/m^power R^n by the image of the columns.
-
-    The pivots of im(pres) + m^power R^n are those of the truncated span
-    together with every coordinate of m^power R^n, so the non-pivot
-    coordinates, and with them the action matrices, are those of
-    quotienting coker(pres) by m^power coker(pres).  No presentation is
-    stored: pres presents M, not the truncation."""
-    n, _, lam = pres.shape
-    if lam != ring.length:
+    """M/m^power M = M (x)_R R/m^power for M the cokernel of the RMatrix
+    pres, power >= 1.  No presentation is stored: pres presents M, not the
+    truncation."""
+    if pres.shape[2] != ring.length:
         raise ModuleError("presentation entries do not live in this ring")
     if power < 1:
         raise ModuleError(f"truncation power must be >= 1, not {power}")
-    low = sum(ring.hilbert[:power])
-    return quotient_module(copies(_regular_below(ring, low), n),
-                           column_span(ring, pres, low))[0]
+    return _cokernel(pres, _truncation(ring, power))
 
 
 def from_presentation(ring, pres):
@@ -391,14 +386,9 @@ def require_same_ring(a, b):
 
 
 def tensor_over_R(a, b):
-    """M (x)_R N as the quotient of N^{b_0} by the image of pres (x) N, for
-    the presentation pres of M with b_0 rows: (x) is right exact.  R acts
-    blockwise."""
+    """M (x)_R N, from the presentation of M (see _cokernel)."""
     require_same_ring(a, b)
-    pres = presentation_of(a)
-    D = realize(a.ring, pres, b)
-    amb = copies(b, pres.shape[0])
-    return quotient_module(amb, Subspace.from_rows(a.field, D.T, amb.dim))[0]
+    return _cokernel(presentation_of(a), b)
 
 
 def hom_over_R(a, b):

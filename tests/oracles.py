@@ -148,9 +148,10 @@ def free_action(ring, rows, b):
 
 
 def dense_column_span(ring, pres, low=None):
-    """column_span as the dense loop built it: every ring basis element
-    b < low applied to every column by free_action, each block cut to
-    its first low coordinates, reduced once."""
+    """column_span as the dense loop built it, and with low = dim R/m^p
+    the relations modules._cokernel divides (R/m^p)^n by: every ring
+    basis element b < low applied to every column by free_action, each
+    block cut to its first low coordinates, reduced once."""
     n, m, lam = pres.shape
     low = lam if low is None else low
     cols = pres.transpose(1, 0, 2).reshape(m, n * lam)

@@ -2,11 +2,13 @@
 structure constants live in GradedRing.left_mult alone, and
 modules.realize applies them blockwise.  So nothing in src/ names
 free_action or reads a .table, and left_mult is read only in ring.py
-and by the modules.py routines that build R and R/m^p (_regular_below)
-from it, compare two rings (require_same_ring), or lift minimal
+and by the modules.py routines that build R/m^p, hence k and R, from it
+(_truncation), compare two rings (require_same_ring), or lift minimal
 generators (min_gen_rmatrix, whose loop over the generators alone was
 measured faster than realize).  Tensor and Hom over R go through realize
-too, so nothing in src/ defines or calls a Kronecker product."""
+too, so nothing in src/ defines or calls a Kronecker product.  Every
+quotient by a presentation's image is one routine: quotient_module is
+called only from modules._cokernel, behind M (x)_R N and M/m^p M."""
 
 import ast
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 import socle
 
 SRC = Path(socle.__file__).resolve().parent
-READERS = {"_regular_below", "require_same_ring", "min_gen_rmatrix"}
+READERS = {"_truncation", "require_same_ring", "min_gen_rmatrix"}
 KRONECKER = {"kron", "_kron_pair"}
 
 
@@ -42,6 +44,17 @@ def stray_reads(filename, source):
     return hits
 
 
+def quotient_callers(source):
+    """The enclosing top-level name of every call to quotient_module, by
+    name or as an attribute."""
+    tree = ast.parse(source)
+    return [getattr(top, "name", None) for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and "quotient_module" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+
+
 def kronecker_names(source):
     """Lines that define, import or name kron or _kron_pair, as an
     attribute (np.kron) too."""
@@ -57,6 +70,42 @@ def test_one_form_of_the_structure_constants():
         assert "free_action" not in source, path.name
         assert stray_reads(path.name, source) == [], path.name
         assert kronecker_names(source) == [], path.name
+
+
+def test_one_cokernel_routine():
+    callers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in quotient_callers(path.read_text(encoding="utf-8"))]
+    assert callers == [("modules.py", "_cokernel")]
+
+
+# the two quotients modules.py built before _cokernel
+PARENT_TRUNCATED_COKERNEL = """
+def truncated_cokernel(ring, pres, power):
+    n, _, lam = pres.shape
+    low = sum(ring.hilbert[:power])
+    return quotient_module(copies(_regular_below(ring, low), n),
+                           column_span(ring, pres, low))[0]
+"""
+PARENT_TENSOR_OVER_R = """
+def tensor_over_R(a, b):
+    require_same_ring(a, b)
+    pres = presentation_of(a)
+    D = realize(a.ring, pres, b)
+    amb = copies(b, pres.shape[0])
+    return quotient_module(amb, Subspace.from_rows(a.field, D.T, amb.dim))[0]
+"""
+
+
+@pytest.mark.parametrize("source, owner", [
+    (PARENT_TRUNCATED_COKERNEL, "truncated_cokernel"),
+    (PARENT_TENSOR_OVER_R, "tensor_over_R"),
+    ("def f(M, S):\n    return modules.quotient_module(M, S)", "f"),
+    ("class A:\n    def f(self, S):\n        return quotient_module(self, S)",
+     "A"),
+], ids=["parent-truncated_cokernel", "parent-tensor_over_R", "attribute",
+        "method"])
+def test_guard_sees_each_quotient_call(source, owner):
+    assert quotient_callers(source) == [owner]
 
 
 def test_every_listed_reader_exists():
@@ -93,7 +142,7 @@ def test_guard_sees_each_read(filename, source):
 
 @pytest.mark.parametrize("filename, source", [
     ("modules.py", "def min_gen_rmatrix(ring, K):\n    L = ring.left_mult"),
-    ("modules.py", "def _regular_below(ring, n):\n    return ring.left_mult"),
+    ("modules.py", "def _truncation(ring, p):\n    return ring.left_mult"),
     ("ring.py", "class R:\n    def f(self):\n        return self.left_mult"),
     ("homology.py", "def table(self):\n    return dict(self.window)"),
 ])

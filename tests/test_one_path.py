@@ -412,9 +412,14 @@ def test_rational_kron_zeros_are_shared():
 
 
 def test_rational_hom_and_tensor_read_only_shared_zeros(monkeypatch):
-    # every zero the products inside Hom_R and (x)_R read is the shared one
+    # every zero the products inside Hom_R and (x)_R read is the shared
+    # one, with R/m^p (k among them) as the coefficient module too
     ring = ring_from_strings(QQ, ["x", "y"], HOSTS[1])
     M, N = random_module(ring, 1), random_module(ring, 2)
+    builds = [hom_over_R, tensor_over_R,
+              lambda M, N: tensor_over_R(M, residue_field(ring))]
+    builds += [lambda M, N, p=p: truncated_cokernel(ring, M.presentation, p)
+               for p in sorted({1, 2, ring.h})]
     read = []
     real = linalg._integral
 
@@ -423,7 +428,7 @@ def test_rational_hom_and_tensor_read_only_shared_zeros(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(linalg, "_integral", integral)
-    for build in (hom_over_R, tensor_over_R):
+    for build in builds:
         read.clear()
         build(M, N)
         zeros = [v for v in read if not v]

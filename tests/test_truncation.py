@@ -1,5 +1,6 @@
-"""M/m^p M built in one quotient of R^n/m^p R^n, the presentations the
-explorer draws, and the ring socle computed on first read."""
+"""M/m^p M built as M (x)_R R/m^p in one quotient of (R/m^p)^n; k and R
+as R/m^p at p = 1 and h+1; the presentations the explorer draws, and the
+ring socle computed on first read."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from test_one_path import same_actions
 
 from socle import modules
 from socle.explorer import random_ring
-from socle.linalg import GF101, QQ, Field, Subspace
+from socle.linalg import GF101, QQ, Field
 from socle.modules import (
     FiniteModule,
     ModuleError,
@@ -18,6 +19,8 @@ from socle.modules import (
     random_module,
     random_presentation,
     regular_module,
+    residue_field,
+    tensor_over_R,
     truncated_cokernel,
 )
 from socle.ring import ring_from_strings
@@ -75,6 +78,47 @@ def test_truncated_cokernel_matches_two_step_oracle(F):
     assert n >= 100
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_tensor_with_a_truncation_is_the_truncated_cokernel(F):
+    # M (x)_R R/m^p = M/m^p M, and M (x)_R R = M
+    n = 0
+    for t, ring in enumerate(hosts(F)):
+        for pres in presentations(ring, 10 * t):
+            M = from_presentation(ring, pres)
+            for p in range(1, ring.h + 2):
+                got = tensor_over_R(M, modules._truncation(ring, p))
+                assert same_actions(got, truncated_cokernel(ring, pres, p))
+                n += 1
+            assert same_actions(tensor_over_R(M, regular_module(ring)),
+                                from_presentation(ring, pres))
+    assert n >= 100
+
+
+def old_residue_field(ring):
+    """k as it was built before it was R/m: 1 x 1 zeros, ops from products."""
+    F = ring.field
+    return FiniteModule(ring, [F.zeros((1, 1)) for _ in range(ring.e)],
+                        validate=False)
+
+
+def old_regular_module(ring):
+    """R as it was built before it was R/m^{h+1}: ops the whole left_mult."""
+    L = ring.left_mult
+    mod = FiniteModule(ring, [L[g] for g in ring.gen_index], validate=False)
+    mod._ops = L
+    return mod
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_k_and_R_are_the_truncations_they_replaced(F):
+    for ring in hosts(F):
+        for new, old in ((residue_field, old_residue_field),
+                         (regular_module, old_regular_module)):
+            got, want = new(ring), old(ring)
+            assert same_actions(got, want)
+            assert identical(got.ops(), want.ops())
+
+
 def test_dropping_the_inner_multiples_is_caught(monkeypatch):
     """At p = 3 the multiples L_b c with deg b = 1 survive the truncation:
     a span of the truncated columns alone gives a wrong module or one that
@@ -82,12 +126,13 @@ def test_dropping_the_inner_multiples_is_caught(monkeypatch):
     want = [(ring, pres, two_step(ring, pres, 3))
             for ring, pres, p in cases(GF101) if p == 3]
 
-    def columns_only(ring, pres, low=None):
+    def columns_only(ring, pres, N):
+        # pres realized on R/m^p as its columns alone, cut to dim R/m^p
         n, m, _ = pres.shape
-        cols = pres[:, :, :low].transpose(1, 0, 2).reshape(m, n * low)
-        return Subspace.from_rows(ring.field, cols, n * low)
+        low = N.dim
+        return pres[:, :, :low].transpose(1, 0, 2).reshape(m, n * low).T
 
-    monkeypatch.setattr(modules, "column_span", columns_only)
+    monkeypatch.setattr(modules, "realize", columns_only)
     caught = 0
     for ring, pres, M in want:
         try:
