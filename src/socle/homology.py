@@ -26,7 +26,6 @@ from .modules import (
     column_span,
     cover_matrix,
     derived_module,
-    free_submodule,
     hom_into_ring,
     matlis_dual,
     min_gen_rmatrix,
@@ -34,6 +33,7 @@ from .modules import (
     regular_module,
     require_same_ring,
     rmatrix_of_rows,
+    submodule_module,
 )
 
 # Resolutions with rapidly growing Betti numbers are cut off once the
@@ -163,7 +163,8 @@ class Resolution:
         if i == 0:
             return self.module
         self.extend(i)
-        sub = free_submodule(self.ring, column_span(self.ring, self.delta(i)))
+        sub = submodule_module(regular_module(self.ring),
+                               column_span(self.ring, self.delta(i)))
         sub.is_syzygy = True
         return sub
 

@@ -16,7 +16,6 @@ from .linalg import (
     DimensionError,
     SparseRows,
     Subspace,
-    dense_rows,
     kernel_basis,
     kernel_subspace,
     rank,
@@ -51,6 +50,10 @@ class FiniteModule:
     # -- structure ------------------------------------------------------
 
     def _validate(self):
+        """Raise unless the actions commute and R -> End(M) is an algebra
+        map: x_g acting on ops()[b] is the sum of L_g[c, b] ops()[c], read
+        from R's own ops.  Then every relation, and m^(h+1) (which lies in
+        the relation ideal), acts as zero."""
         F = self.field
         for i in range(len(self.actions)):
             for j in range(i):
@@ -58,22 +61,13 @@ class FiniteModule:
                           - F.matmul(self.actions[j], self.actions[i]))
                 if np.any(d):
                     raise ModuleError("generator actions do not commute")
-        for f in self.ring.presentation.relations:
-            if np.any(self._evaluate_poly(f)):
-                raise ModuleError("ring relation does not annihilate the module")
-        if self.msub(self.ring.h + 1).dim != 0:
-            raise ModuleError("m^(h+1) does not act as zero")
-
-    def _evaluate_poly(self, poly):
-        F = self.field
-        out = F.zeros((self.dim, self.dim))
-        for mon, coeff in poly.items():
-            term = F.eye(self.dim)
-            for g, k in enumerate(mon):
-                for _ in range(k):
-                    term = F.matmul(term, self.actions[g])
-            out = F.mod(out + F.scalar(coeff) * term)
-        return out
+        ops = self.ops()
+        L = regular_module(self.ring).ops()[self.ring.gen_index]
+        lhs = F.matmul(np.asarray(self.actions)[:, None], ops)
+        rhs = F.matmul(L.transpose(0, 2, 1),
+                       ops.reshape(len(ops), self.dim * self.dim))
+        if np.any(F.mod(lhs.reshape(rhs.shape) - rhs)):
+            raise ModuleError("ring relation does not annihilate the module")
 
     def ops(self):
         """Action of every ring basis element, stacked (lambda, dim, dim);
@@ -198,19 +192,15 @@ def _truncation(ring, power):
 
 
 def free_module(ring, n):
-    """R^n, generator g acting blockwise as the ring's own L_g."""
-    return copies(regular_module(ring), n)
-
-
-def copies(mod, n):
-    """N^n, generator g acting blockwise as N's A_g: only the nonzero
-    entries are written into zeros(), so over Q every zero is shared."""
-    acts = np.asarray(mod.actions)  # (e, d, d)
-    e, d, diag = len(acts), mod.dim, np.arange(n)[:, None]
+    """R^n, generator g acting blockwise as the ring's own L_g: only the
+    nonzero entries are written into zeros(), so over Q every zero is
+    shared."""
+    acts = np.asarray(regular_module(ring).actions)  # (e, lambda, lambda)
+    e, lam, diag = len(acts), ring.length, np.arange(n)[:, None]
     g, i, j = np.nonzero(acts)
-    out = mod.field.zeros((e, n, d, n, d))
+    out = ring.field.zeros((e, n, lam, n, lam))
     out[g, diag, i, diag, j] = acts[g, i, j]
-    return FiniteModule(mod.ring, out.reshape(e, n * d, n * d),
+    return FiniteModule(ring, out.reshape(e, n * lam, n * lam),
                         validate=False)
 
 
@@ -240,24 +230,38 @@ def _require_closed(F, images, proj):
         raise ModuleError("subspace is not closed under the action")
 
 
-def quotient_module(amb, S):
-    """Quotient of a module by an action-closed subspace."""
-    F = amb.field
+def _blockwise(N, S, X, transpose):
+    """X, a matrix on S's ambient N^n, times the block-diagonal matrix with
+    n copies of each action A_g of N (or of its transpose), without
+    building it: one batched product, shaped (e, rows, n dim N).  Raises
+    unless S's ambient is a multiple of dim N."""
+    n = S.ambient // N.dim if N.dim else 0
+    if n * N.dim != S.ambient:
+        raise DimensionError("subspace does not lie in a power of the module")
+    acts = np.asarray(N.actions)
+    acts = acts.transpose(0, 2, 1) if transpose else acts
+    out = N.field.matmul(X.reshape(len(X) * n, N.dim), acts)
+    return out.reshape(len(acts), len(X), S.ambient)
+
+
+def quotient_module(N, S):
+    """Quotient of N^n by an action-closed subspace S, R acting blockwise,
+    with the quotient map."""
+    F = N.field
     proj = S.projection()
-    _require_closed(F, [F.matmul(S.basis, A.T) for A in amb.actions], proj)
+    _require_closed(F, _blockwise(N, S, S.basis, True), proj)
     comp = S.complement_coords()
-    acts = [F.matmul(proj, A[:, comp]) for A in amb.actions]
-    return FiniteModule(amb.ring, acts, validate=False), proj
+    acts = _blockwise(N, S, proj, False)[:, :, comp]
+    return FiniteModule(N.ring, acts, validate=False), proj
 
 
-def submodule_module(amb, S):
-    """Action-closed subspace as a module, with its inclusion map."""
-    F = amb.field
-    images = [F.matmul(S.basis, A.T) for A in amb.actions]
-    _require_closed(F, images, S.projection())
-    sub = FiniteModule(amb.ring, [W[:, list(S.pivots)].T for W in images],
-                       validate=False)
-    return sub, ModuleMap(sub, amb, S.basis.T, validate=False)
+def submodule_module(N, S):
+    """Action-closed subspace S of N^n as a module, R acting blockwise: the
+    images of S's basis rows read off in S's pivot coordinates."""
+    images = _blockwise(N, S, S.basis, True)
+    _require_closed(N.field, images, S.projection())
+    return FiniteModule(N.ring, [W[:, list(S.pivots)].T for W in images],
+                        validate=False)
 
 
 def realize(ring, delta, coeff_module):
@@ -283,19 +287,6 @@ def realize(ring, delta, coeff_module):
     return SparseRows.from_sums(ring.field, out, cols * n)
 
 
-def free_submodule(ring, S):
-    """Action-closed subspace S of R^n as a module, acted on blockwise:
-    generator g sends basis row t of S to column t*lambda + g of the
-    rows realized on R, read off in S's pivot coordinates."""
-    F, lam = ring.field, ring.length
-    D = realize(ring, rmatrix_of_rows(ring, S.basis), regular_module(ring)).T
-    images = [dense_rows(F, dict(enumerate(D[g::lam])), (S.dim, S.ambient))
-              for g in ring.gen_index]
-    _require_closed(F, images, S.projection())
-    return FiniteModule(ring, [W[:, list(S.pivots)].T for W in images],
-                        validate=False)
-
-
 def column_span(ring, pres):
     """R-span of the columns of an RMatrix (n x m x lambda) as a subspace of
     R^n: the row span of pres realized on R, transposed."""
@@ -309,8 +300,8 @@ def _cokernel(pres, N):
     blockwise.  The one cokernel routine: M (x)_R N, and M/m^p M with N =
     R/m^p."""
     D = realize(N.ring, pres, N)
-    amb = copies(N, pres.shape[0])
-    return quotient_module(amb, Subspace.from_rows(N.field, D.T, amb.dim))[0]
+    S = Subspace.from_rows(N.field, D.T, pres.shape[0] * N.dim)
+    return quotient_module(N, S)[0]
 
 
 def truncated_cokernel(ring, pres, power):
@@ -398,8 +389,7 @@ def hom_over_R(a, b):
     require_same_ring(a, b)
     pres = presentation_of(a)
     D = realize(a.ring, pres.transpose(1, 0, 2), b)
-    return submodule_module(copies(b, pres.shape[0]),
-                            kernel_subspace(a.field, D))[0]
+    return submodule_module(b, kernel_subspace(a.field, D))
 
 
 def hom_into_ring(mod):

@@ -36,9 +36,10 @@ from .homology import (
     tor_window,
 )
 from .instancefile import parse_poly, serialize_instance
-from .linalg import GF101, Subspace
+from .linalg import GF101
 from .modules import (
     DERIVED,
+    ModuleMap,
     column_span,
     derived_module,
     from_presentation,
@@ -118,14 +119,6 @@ class _Vacuous(Exception):
 def _need(cond, clause):
     if not cond:
         raise _Vacuous(clause)
-
-
-def _m_square_part(ring):
-    """m^2 as a subspace of R: the coordinates of degree >= 2, whose unit
-    rows are already in rref."""
-    F, lam = ring.field, ring.length
-    idx = [i for i, (d, _) in enumerate(ring.basis) if d >= 2]
-    return Subspace(F, lam, F.eye(lam)[idx], tuple(idx))
 
 
 def _kills_m_squared(mod):
@@ -353,7 +346,8 @@ def _s11(inst, n, M):
 
 def _s12(inst, n, M, N):
     i = _vanishing_index(M, N, 3, n)
-    soc, m2 = inst.ring.socle_subspace(), _m_square_part(inst.ring)
+    soc = inst.ring.socle_subspace()
+    m2 = derived_module(inst.ring, "R").msub(2)  # not a user module named R
     ok = soc == m2
     return ok, f"Soc(R) dim {soc.dim} vs m^2 dim {m2.dim}", {"i": i}
 
@@ -571,7 +565,7 @@ def _s26(inst, n, M, N):
     _need(j >= 2, "j < 2 (or residue-field resolution exceeds work cap)")
     _vanishing_window(M, N, j)
     mN = N.msub(1)
-    _, incl = submodule_module(N, mN)
+    incl = ModuleMap(submodule_module(N, mN), N, mN.basis.T, validate=False)
     bad = [i for i in range(j) if tor_induced_k(incl, i) != 0]
     ok = not bad
     return ok, f"Tor_i(k, mu_N)=0 for i in [0,{j-1}]: {ok}" + \

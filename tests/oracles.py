@@ -3,22 +3,27 @@ CLI command, explorer trial or benchmark workload needs: the Kronecker
 pair on M (x)_k N, with the Hom_R basis and the isomorphism search built
 from it (independent of the presentation route by which tensor_over_R
 and hom_over_R are built), direct sums, the Gasharov-Peeva Betti
-inequality, the corpus of monomial rings with m^3 = 0, and the dense
+inequality, the corpus of monomial rings with m^3 = 0, the dense
 blockwise action of R on R^n with the column spans and syzygy modules
-built from it."""
+built from it, the submodules and quotients of N^n built on N^n as one
+block-diagonal module, and the structure check that evaluates the
+ring's relation polynomials on a module's actions."""
 
 from itertools import permutations
 
 import numpy as np
 
 from socle.homology import betti_numbers
-from socle.linalg import Subspace, kernel_basis, rank
+from socle.linalg import Subspace, dense_rows, kernel_basis, rank
 from socle.modules import (
     FiniteModule,
     ModuleError,
     _require_closed,
     matlis_dual,
+    realize,
+    regular_module,
     require_same_ring,
+    rmatrix_of_rows,
 )
 from socle.ring import RingPresentation, build_ring, monomials
 
@@ -169,3 +174,89 @@ def dense_free_submodule(ring, S):
     _require_closed(ring.field, images, S.projection())
     return FiniteModule(ring, [W[:, list(S.pivots)].T for W in images],
                         validate=False)
+
+
+def realized_free_submodule(ring, S):
+    """The syzygy constructor before syzygies took Hom's route: S's basis
+    realized on R a second time, generator g sending basis row t to
+    column t*lambda + g of the realized rows, read off in S's pivot
+    coordinates."""
+    F, lam = ring.field, ring.length
+    D = realize(ring, rmatrix_of_rows(ring, S.basis), regular_module(ring)).T
+    images = [dense_rows(F, dict(enumerate(D[g::lam])), (S.dim, S.ambient))
+              for g in ring.gen_index]
+    _require_closed(F, images, S.projection())
+    return FiniteModule(ring, [W[:, list(S.pivots)].T for W in images],
+                        validate=False)
+
+
+def copies(mod, n):
+    """N^n as one module, generator g acting as the (n dim N)^2 block
+    diagonal matrix with n copies of N's A_g: only the nonzero entries
+    are written into zeros(), so over Q every zero is shared."""
+    acts = np.asarray(mod.actions)  # (e, d, d)
+    e, d, diag = len(acts), mod.dim, np.arange(n)[:, None]
+    g, i, j = np.nonzero(acts)
+    out = mod.field.zeros((e, n, d, n, d))
+    out[g, diag, i, diag, j] = acts[g, i, j]
+    return FiniteModule(mod.ring, out.reshape(e, n * d, n * d),
+                        validate=False)
+
+
+def _ambient(N, S):
+    return copies(N, S.ambient // N.dim if N.dim else 0)
+
+
+def block_quotient_module(N, S):
+    """quotient_module as it was built on copies(N, n): each action of
+    N^n applied whole to S's basis and projection."""
+    amb = _ambient(N, S)
+    F = amb.field
+    proj = S.projection()
+    _require_closed(F, [F.matmul(S.basis, A.T) for A in amb.actions], proj)
+    comp = S.complement_coords()
+    acts = [F.matmul(proj, A[:, comp]) for A in amb.actions]
+    return FiniteModule(amb.ring, acts, validate=False), proj
+
+
+def block_submodule_module(N, S):
+    """submodule_module as it was built on copies(N, n)."""
+    amb = _ambient(N, S)
+    F = amb.field
+    images = [F.matmul(S.basis, A.T) for A in amb.actions]
+    _require_closed(F, images, S.projection())
+    return FiniteModule(amb.ring, [W[:, list(S.pivots)].T for W in images],
+                        validate=False)
+
+
+def _evaluate_poly(mod, poly):
+    F = mod.field
+    out = F.zeros((mod.dim, mod.dim))
+    for mon, coeff in poly.items():
+        term = F.eye(mod.dim)
+        for g, k in enumerate(mon):
+            for _ in range(k):
+                term = F.matmul(term, mod.actions[g])
+        out = F.mod(out + F.scalar(coeff) * term)
+    return out
+
+
+def structure_verdict(ring, actions):
+    """The message FiniteModule's structure check raised before it read
+    ops(), or None when it accepted: commutation, then every relation
+    polynomial evaluated monomial by monomial on the actions, then
+    m^(h+1) M = 0."""
+    mod = FiniteModule(ring, actions, validate=False)
+    F = mod.field
+    for i in range(len(mod.actions)):
+        for j in range(i):
+            d = F.mod(F.matmul(mod.actions[i], mod.actions[j])
+                      - F.matmul(mod.actions[j], mod.actions[i]))
+            if np.any(d):
+                return "generator actions do not commute"
+    for f in ring.presentation.relations:
+        if np.any(_evaluate_poly(mod, f)):
+            return "ring relation does not annihilate the module"
+    if mod.msub(ring.h + 1).dim != 0:
+        return "m^(h+1) does not act as zero"
+    return None

@@ -53,8 +53,7 @@ def _submod_nu(mod, j):
     S = mod.msub(j)
     if S.dim == 0:
         return 0
-    sub, _ = submodule_module(mod, S)
-    return sub.min_gens()
+    return submodule_module(mod, S).min_gens()
 
 
 def test_acceptance_01_agp_reproduction(capsys):

@@ -8,7 +8,7 @@ keep the complement coordinates of a subspace instead of multiplying by a
 import numpy as np
 import pytest
 from conftest import identical
-from oracles import is_isomorphic
+from oracles import is_isomorphic, realized_free_submodule
 from hypothesis import example, given, settings, strategies as st
 
 from socle import homology
@@ -21,7 +21,6 @@ from socle.modules import (
     column_span,
     cover_map,
     free_module,
-    free_submodule,
     min_gen_rmatrix,
     presentation_of,
     quotient_module,
@@ -48,7 +47,7 @@ def old_syzygy(mod):
     _, cover = cover_map(mod)
     K = kernel_subspace(mod.field, cover.matrix)
     pres = min_gen_rmatrix(mod.ring, K)
-    m1 = free_submodule(mod.ring, K)
+    m1 = realized_free_submodule(mod.ring, K)
     m1.is_syzygy = True
     return m1, cover, pres, K
 
@@ -56,7 +55,7 @@ def old_syzygy(mod):
 def old_nu(ring, pres):
     """nu of the R-span of pres's columns, as S28 read it: from the whole
     closure-checked submodule of R^n."""
-    return free_submodule(ring, column_span(ring, pres)).min_gens()
+    return realized_free_submodule(ring, column_span(ring, pres)).min_gens()
 
 
 def old_nu_of_subquotient(mod, j):
@@ -64,8 +63,7 @@ def old_nu_of_subquotient(mod, j):
     S = mod.msub(j)
     if S.dim == 0:
         return 0
-    sub, _ = submodule_module(mod, S)
-    return sub.min_gens()
+    return submodule_module(mod, S).min_gens()
 
 
 def old_quotient_module(amb, S):
@@ -116,8 +114,8 @@ def test_syzygy_is_read_off_the_resolution(F, rels, seed, square_zero):
     assert m1.is_syzygy
     assert same_actions(m1, resolve(M, 1).syzygy_module(1))
     # the same submodule of R^{b_0}, in the rref basis of K's span
-    assert same_actions(m1, free_submodule(
-        ring, Subspace.from_rows(F, K.basis, K.ambient)))
+    assert same_actions(m1, submodule_module(
+        regular_module(ring), Subspace.from_rows(F, K.basis, K.ambient)))
     # a module built without a presentation stores delta_1 as one
     assert old_m1.presentation is None
     assert identical(presentation_of(old_m1), old_syzygy(old_m1)[2])

@@ -355,7 +355,8 @@ def module_maps(N):
             cover_map(N)[1]]
     mN = N.msub(1)
     if mN.dim:
-        maps.append(submodule_module(N, mN)[1])
+        maps.append(ModuleMap(submodule_module(N, mN), N, mN.basis.T,
+                              validate=False))
     return maps
 
 

@@ -56,6 +56,7 @@ from socle.modules import (
     ModuleError,
     canonical_module,
     column_span,
+    derived_module,
     free_module,
     from_presentation,
     hom_over_R,
@@ -685,9 +686,18 @@ def assert_reach_matches_walkers(mod):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_m_square_part_is_its_unit_rows(F):
-    for ring in rings(F) + [theorems.agp_example(F)[0]]:
-        assert same_space(theorems._m_square_part(ring),
+    # S12 reads m^2 off R's m-adic chain; the basis is degree-major, so
+    # its rref basis is the unit rows of degree >= 2
+    corpus = canned_corpus(F)
+    for ring in rings(F) + [inst.ring for inst in corpus]:
+        assert same_space(derived_module(ring, "R").msub(2),
                           old_m_square_part(ring))
+    # a user module named R is not the ring's R
+    inst = next(inst for inst in corpus if inst.name == "gorenstein-cube")
+    user = Instance("x", inst.ring, {**inst.modules,
+                                     "R": residue_field(inst.ring)})
+    assert check("S12", inst).status == theorems.PASS
+    assert str(check("S12", user)) == str(check("S12", inst))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)

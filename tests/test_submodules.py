@@ -1,28 +1,42 @@
-"""Submodules of R^n: the one R-span routine and the one blockwise
-submodule constructor, tested against the constructions they replaced,
-among them the dense free_action loop they were built on before realize
-built them."""
+"""Submodules and quotients of N^n: the one R-span routine and the one
+blockwise submodule and quotient constructors, tested against the
+constructions they replaced: the dense free_action loop they were built
+on before realize built them, the syzygy modules realize built a second
+time, and the block-diagonal N^n every construction once built."""
 
 import numpy as np
 import pytest
 from conftest import dense_realize, identical
 from hypothesis import given, settings, strategies as st
-from oracles import dense_column_span, dense_free_submodule, free_action
+from oracles import (
+    block_quotient_module,
+    block_submodule_module,
+    dense_column_span,
+    dense_free_submodule,
+    free_action,
+    realized_free_submodule,
+)
 from test_truncation import hosts, presentations
 
 from socle import modules
 from socle.homology import resolve
-from socle.linalg import QQ, Field, Subspace
+from socle.linalg import QQ, DimensionError, Field, Subspace, kernel_subspace
 from socle.modules import (
     ModuleError,
+    canonical_module,
     column_span,
     free_module,
-    free_submodule,
     from_presentation,
+    hom_into_ring,
+    hom_over_R,
     quotient_module,
     random_module,
+    realize,
     regular_module,
+    residue_field,
     submodule_module,
+    tensor_over_R,
+    truncated_cokernel,
 )
 from socle.ring import ring_from_strings
 
@@ -96,9 +110,12 @@ def random_rmatrix(ring, seed, n, m):
 
 
 def as_old_submodule(ring, S):
-    sub, _ = submodule_module(
-        free_module(ring, S.ambient // ring.length), S)
-    return sub
+    return block_submodule_module(regular_module(ring), S)
+
+
+def submodule_of_free(ring, S):
+    """S, a subspace of R^n, as a module: a syzygy's route."""
+    return submodule_module(regular_module(ring), S)
 
 
 @given(st.sampled_from(FIELDS), st.sampled_from(HOSTS),
@@ -113,7 +130,7 @@ def test_column_span_matches_old_spans(F, rels, seed, n, m):
     minors = pres[0]
     assert same_span(column_span(ring, minors[None]),
                      old_left_mult_span(ring, minors))
-    assert same_actions(free_submodule(ring, S), as_old_submodule(ring, S))
+    assert same_actions(submodule_of_free(ring, S), as_old_submodule(ring, S))
 
 
 @given(st.sampled_from(FIELDS), st.sampled_from(HOSTS),
@@ -149,23 +166,25 @@ def test_trivial_subspaces_of_free_modules(F):
     ring = ring_from_strings(F, ["x", "y"], HOSTS[1])
     lam = ring.length
     for S in (Subspace(F, 2 * lam), Subspace.full(F, 2 * lam), Subspace(F, 0)):
-        assert same_actions(free_submodule(ring, S), as_old_submodule(ring, S))
+        assert same_actions(submodule_of_free(ring, S),
+                            as_old_submodule(ring, S))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_non_closed_subspace_is_rejected(F):
     ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
     lam = ring.length
+    R = regular_module(ring)
     # span{1} is no submodule of R, nor span{(1, 0)} of R^2
     one = Subspace.from_rows(F, F.eye(lam)[:1], lam)
     with pytest.raises(ModuleError):
-        free_submodule(ring, one)
+        submodule_module(R, one)
     with pytest.raises(ModuleError):
-        quotient_module(regular_module(ring), one)
+        quotient_module(R, one)
     with pytest.raises(ModuleError):
-        free_submodule(ring, Subspace.from_rows(F, F.eye(2 * lam)[:1], 2 * lam))
+        submodule_module(R, Subspace.from_rows(F, F.eye(2 * lam)[:1], 2 * lam))
     # while R itself is
-    assert free_submodule(ring, Subspace.full(F, lam)).dim == lam
+    assert submodule_module(R, Subspace.full(F, lam)).dim == lam
 
 
 def spans_of(ring, t):
@@ -212,7 +231,99 @@ def test_free_submodule_matches_dense_path(F):
     for t, ring in enumerate(hosts(F)):
         for pres in spans_of(ring, t):
             S = column_span(ring, pres)
-            assert same_actions(free_submodule(ring, S),
-                                dense_free_submodule(ring, S))
+            new = submodule_of_free(ring, S)
+            assert same_actions(new, dense_free_submodule(ring, S))
+            assert same_actions(new, realized_free_submodule(ring, S))
             n += S.dim > 0
     assert n > 20
+
+
+def coefficients(ring):
+    """N for the blockwise constructions: k, R, omega, a random module and
+    the zero module."""
+    return [residue_field(ring), regular_module(ring), canonical_module(ring),
+            random_module(ring, 5), free_module(ring, 0)]
+
+
+def minimal_rmatrix(ring, seed, n, m):
+    """n x m RMatrix with entries in m, so its cokernel needs n generators."""
+    pres = random_rmatrix(ring, seed, n, m)
+    pres[:, :, 0] = ring.field.zero
+    return pres
+
+
+def same_quotient(a, b):
+    return same_actions(a[0], b[0]) and identical(a[1], b[1])
+
+
+@pytest.mark.parametrize("F", EVERY_FIELD, ids=repr)
+def test_blockwise_constructions_match_block_diagonal_ambient(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    R = regular_module(ring)
+    for n in range(4):
+        pres = minimal_rmatrix(ring, n, n, 2)
+        M = from_presentation(ring, pres)
+        for N in coefficients(ring):
+            image = Subspace.from_rows(F, realize(ring, pres, N).T, n * N.dim)
+            kernel = kernel_subspace(
+                F, realize(ring, pres.transpose(1, 0, 2), N))
+            for S in (image, kernel):
+                assert same_quotient(quotient_module(N, S),
+                                     block_quotient_module(N, S))
+                assert same_actions(submodule_module(N, S),
+                                    block_submodule_module(N, S))
+            assert same_actions(tensor_over_R(M, N),
+                                block_quotient_module(N, image)[0])
+            assert same_actions(hom_over_R(M, N),
+                                block_submodule_module(N, kernel))
+        for p in range(1, ring.h + 2):
+            T = modules._truncation(ring, p)
+            S = Subspace.from_rows(F, realize(ring, pres, T).T, n * T.dim)
+            assert same_actions(truncated_cokernel(ring, pres, p),
+                                block_quotient_module(T, S)[0])
+        res = resolve(M, 3)
+        for i in range(1, 4):
+            S = column_span(ring, res.delta(i))
+            syz = res.syzygy_module(i)
+            assert same_actions(syz, block_submodule_module(R, S))
+            assert same_actions(syz, realized_free_submodule(ring, S))
+
+
+@pytest.mark.parametrize("F", EVERY_FIELD, ids=repr)
+def test_no_construction_builds_a_free_module(F, monkeypatch):
+    # free_module is the one block-diagonal N^n left, for cover_map
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[2])
+    pres = minimal_rmatrix(ring, 1, 2, 3)
+
+    def block_matrix(*args):
+        raise AssertionError("N^n built as one block-diagonal module")
+
+    monkeypatch.setattr(modules, "free_module", block_matrix)
+    M = from_presentation(ring, pres)
+    res = resolve(M, 3)
+    for N in coefficients(ring):
+        tensor_over_R(M, N)
+        hom_over_R(M, N)
+        submodule_module(N, N.msub(1))
+        quotient_module(N, N.msub(1))
+    truncated_cokernel(ring, pres, 2)
+    hom_into_ring(M)
+    assert all(res.syzygy_module(i).is_syzygy for i in range(1, 4))
+    assert not hasattr(modules, "copies")
+    assert not hasattr(modules, "free_submodule")
+
+
+@pytest.mark.parametrize("F", EVERY_FIELD, ids=repr)
+def test_subspace_outside_a_power_of_the_module_is_rejected(F):
+    ring = ring_from_strings(F, ["x", "y"], HOSTS[0])
+    N, zero = random_module(ring, 5), free_module(ring, 0)
+    assert N.dim > 1
+    for mod, ambient in ((N, N.dim + 1), (N, 2 * N.dim - 1), (zero, 1)):
+        with pytest.raises(DimensionError):
+            submodule_module(mod, Subspace(F, ambient))
+        with pytest.raises(DimensionError):
+            quotient_module(mod, Subspace(F, ambient))
+    # while every multiple is a power: the zero submodule and N^2 itself
+    assert submodule_module(N, Subspace(F, 2 * N.dim)).dim == 0
+    assert quotient_module(N, Subspace(F, 2 * N.dim))[0].dim == 2 * N.dim
+    assert quotient_module(zero, Subspace(F, 0))[0].dim == 0
